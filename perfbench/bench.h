@@ -101,14 +101,16 @@ PassResult phase_pass(const Inputs& in, const fg::HealerConfig& cfg,
 PassResult module_pass(const Inputs& in, const fg::HealerConfig& cfg);
 
 /// Recover pass: the public pieces of restore_snapshot timed one by one,
-/// `reps` times over the same files.
+/// `reps` times over the same files. The digest is taken after the inserts
+/// past the files' resume cursor are applied, so it compares with the e2e
+/// run's.
 struct RecoverResult {
   bool ok = false;
   uint64_t digest = 0;
   double read_ms = 0.0, decode_ms = 0.0, scan_ms = 0.0, from_base_ms = 0.0,
          replay_ms = 0.0;
 };
-RecoverResult recover_pass(const std::string& base_path, const std::string& log_path,
-                           int reps);
+RecoverResult recover_pass(const Inputs& in, const std::string& base_path,
+                           const std::string& log_path, int reps);
 
 }  // namespace perfbench

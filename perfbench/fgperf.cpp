@@ -315,9 +315,16 @@ int run_e2e(const Args& args, const Workload& w) {
     fg::HealerService resumed(std::move(core), res.waves, res.cursor, resume_cfg);
     recover_s.push_back(ms_between(t0, Clock::now()) / 1000.0);
     gate.expect(!res.truncated, "snapshot log restored without a torn tail");
-    if (k == 0)
+    if (k == 0) {
+      // The files reflect the stream up to the last committed wave's
+      // cursor; re-pushing the rest (inserts after that wave) must land on
+      // the live digest.
+      gate.expect(res.cursor <= in.ops.size(), "resume cursor within the stream");
+      for (size_t i = res.cursor; i < in.ops.size(); ++i) resumed.push(in.ops[i]);
+      resumed.flush();
       gate.expect(digest(resumed.engine().core()) == live_digest,
                   "restored digest equals the live digest");
+    }
   }
 
   failed += gate.failed_checks;
@@ -377,7 +384,7 @@ int run_traced(const Args& args, const Workload& w) {
 
   RecoverResult rec;
   if (cfg.snapshot_every > 0) {
-    rec = recover_pass(phase_snap + ".base", phase_snap + ".log", args.tiny ? 2 : 3);
+    rec = recover_pass(in, phase_snap + ".base", phase_snap + ".log", args.tiny ? 2 : 3);
     gate.expect(rec.ok, "recover pass restored the phase pass's snapshot");
     gate.expect(rec.digest == e2e_digest, "recover pass lands on the e2e digest");
   }
