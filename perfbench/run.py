@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build and run the service benchmark (fgperf) from a source checkout.
 
-    python3 perfbench/run.py --workload churn --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload churn --seed 1 --seconds 35 --trace 0
 
 Configures perfbench/CMakeLists.txt into the build directory
 ($CARGO_TARGET_DIR if set, else .bench_build, relative to the checkout root),

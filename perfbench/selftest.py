@@ -3,7 +3,7 @@
 
     python3 perfbench/selftest.py
 
-For every workload (those in BENCHMARK.json, and churn) it runs run.py with
+For every workload (those in BENCHMARK.json, and burst) it runs run.py with
 --tiny and checks that the run is correct, that the e2e, phase-pass and
 module-pass digests agree, and that the printed metric names are exactly the
 ones BENCHMARK.json declares. It also checks that a flipped byte in the
@@ -18,8 +18,8 @@ import unittest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SPEC = json.load(open(os.path.join(ROOT, "BENCHMARK.json")))
-# churn stays runnable though BENCHMARK.json leaves it out (README.md).
-WORKLOADS = [w["name"] for w in SPEC["workloads"]] + ["churn"]
+# burst stays runnable though BENCHMARK.json leaves it out (README.md).
+WORKLOADS = [w["name"] for w in SPEC["workloads"]] + ["burst"]
 
 
 def run(workload, trace, *extra):
