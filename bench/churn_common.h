@@ -8,8 +8,7 @@
 // effects: a victim leaves the pool the moment its delete op is generated
 // (so no later op can reference it) and every insert's future id is
 // appended (ids are assigned sequentially by the engine), which keeps every
-// generated op valid at apply time even though the service defers buffered
-// ops while a plan is in flight.
+// generated op valid when the service applies it.
 #pragma once
 
 #include <chrono>
@@ -31,7 +30,7 @@ struct ChurnDriverConfig {
   double delete_ratio = 0.5;    ///< P(delete); 0.5 keeps the alive count stable.
   double avg_degree = 8.0;      ///< Mean degree of the seed graph.
   uint64_t seed = 42;
-  HealerConfig service;         ///< Wave size, guardrail sampling, overlap.
+  HealerConfig service;         ///< Wave size, guardrail sampling, workers.
 };
 
 struct ChurnDriverResult {
@@ -87,7 +86,8 @@ inline ChurnDriverResult run_churn_driver(const ChurnDriverConfig& cfg,
   result.elapsed_ms = ms_since(t0);
 
   result.stats = service.stats();
-  FG_CHECK(result.stats.dropped_deletes == 0);  // the pool mirror is exact
+  // The pool mirror is exact: no op is dropped or rejected.
+  FG_CHECK(result.stats.dropped_deletes == 0 && result.stats.rejected_inserts == 0);
   result.ops_per_sec =
       result.elapsed_ms > 0.0 ? 1000.0 * static_cast<double>(cfg.ops) / result.elapsed_ms : 0.0;
   result.p50_ms = result.stats.latency_percentile(50.0);

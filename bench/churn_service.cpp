@@ -1,18 +1,17 @@
 // Sustained-churn driver for the healer service (ROADMAP: "Sustained-churn
 // healer service"; docs/EXPERIMENTS.md § R6): a long-lived fg::HealerService
 // ingesting a continuous seeded insert/delete stream against a large sparse
-// substrate (n >= 10^6 at the defaults), with pipelined wave planning and
-// the sampled certificate guardrail on. Reports steady-state throughput and
-// per-wave repair latency percentiles; the tracked rows land in
-// BENCH_repair_path.json via bench/repair_path.cpp, which runs the same
-// driver (bench/churn_common.h).
+// substrate (n >= 10^6 at the defaults), each wave healed inside the push
+// that fills it, with the sampled certificate guardrail on. Reports
+// steady-state throughput and per-wave repair latency percentiles; the
+// tracked rows land in BENCH_repair_path.json via bench/repair_path.cpp,
+// which runs the same churn loop (bench/churn_common.h).
 //
 // Flags (all optional):
 //   --nodes N          substrate size              (default 1048576)
 //   --ops N            stream length               (default 2000000)
 //   --wave N           deletions per repair wave   (default 64)
 //   --certify-every K  guardrail sampling period   (default 256; 0 = off)
-//   --serial           disable pipelined planning  (A/B reference)
 //   --plan-workers N / --commit-workers N / --break-workers N
 //   --seed S
 //   --cert-stream P    tee sampled certificates to file P (fgcheck input —
@@ -49,8 +48,6 @@ int main(int argc, char** argv) {
       cfg.service.wave_size = static_cast<int>(next_int("--wave"));
     } else if (!std::strcmp(argv[i], "--certify-every")) {
       cfg.service.certify_every = static_cast<int>(next_int("--certify-every"));
-    } else if (!std::strcmp(argv[i], "--serial")) {
-      cfg.service.overlap = false;
     } else if (!std::strcmp(argv[i], "--plan-workers")) {
       cfg.service.plan_workers = static_cast<int>(next_int("--plan-workers"));
     } else if (!std::strcmp(argv[i], "--commit-workers")) {
@@ -82,8 +79,7 @@ int main(int argc, char** argv) {
 
   std::cout << "--- R6: sustained-churn healer service (n=" << cfg.nodes
             << ", ops=" << cfg.ops << ", wave=" << cfg.service.wave_size
-            << ", certify_every=" << cfg.service.certify_every
-            << ", overlap=" << (cfg.service.overlap ? "on" : "off") << ") ---\n\n";
+            << ", certify_every=" << cfg.service.certify_every << ") ---\n\n";
 
   int64_t alerts = 0;
   ChurnDriverResult r = run_churn_driver(

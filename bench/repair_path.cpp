@@ -535,10 +535,10 @@ void certify_overhead(Table& t) {
 
 // Scenario H (R6): the sustained-churn healer service — the bench driver of
 // bench/churn_common.h (shared with the standalone bench/churn_service.cpp)
-// run at a tracked scale: steady-state throughput of the pipelined service
-// loop with the sampled certificate guardrail on. FG_CHURN_FULL=1 switches
-// to the full acceptance scale (n = 2^20 >= 10^6 nodes, 2M ops — minutes of
-// wall clock; what docs/EXPERIMENTS.md § R6 quotes); the default keeps the
+// run at a tracked scale: steady-state throughput of the service loop with
+// the sampled certificate guardrail on. FG_CHURN_FULL=1 switches to the
+// full acceptance scale (n = 2^20 >= 10^6 nodes, 2M ops — minutes of wall
+// clock; what docs/EXPERIMENTS.md § R6 quotes); the default keeps the
 // tracked row reproducible in seconds.
 void churn_service(Table& t) {
   ChurnDriverConfig cfg;

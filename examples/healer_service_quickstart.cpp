@@ -2,11 +2,12 @@
 // then a crash-and-resume through the durable snapshot subsystem.
 //
 // The HealerService wraps the plan/commit pipeline in a long-running loop:
-// deletions chop into repair waves, wave N+1's plan overlaps wave N's
-// retirement on a planner thread, a stale plan (any mutation between
-// snapshot and commit) is caught by the epoch gate and re-planned, and
-// every k-th wave emits a certificate that the first-principles checker
-// re-validates in-process (docs/DESIGN.md, "Healer service").
+// deletions chop into repair waves, each wave heals inside the push() that
+// fills it, a stale plan (any mutation between plan and commit) is caught
+// by the epoch gate and re-planned, a malformed insert is rejected at
+// ingest, and every k-th wave emits a certificate that the
+// first-principles checker re-validates in-process (docs/DESIGN.md,
+// "Healer service").
 //
 // Part two replays the same op stream against a service that keeps durable
 // snapshots (docs/SNAPSHOTS.md), "kills" it two thirds of the way through
@@ -56,12 +57,10 @@ int main() {
   Graph g0 = make_sparse_random(256, 4.0, rng);
 
   // A little churn stream, generated up front so part two can replay it.
-  // The client mirrors the alive set itself — a pushed delete may sit
-  // buffered while a plan is in flight, so sampling insert neighbors from
-  // the engine's committed state could name a victim that dies before the
-  // insert drains. The mirror removes victims the moment their delete is
-  // pushed (and adds each insert's future id, which the engine assigns
-  // sequentially), keeping every op valid at apply time.
+  // The generator mirrors the alive set itself: it removes victims the
+  // moment their delete is generated (and adds each insert's future id,
+  // which the engine assigns sequentially), so every op is valid when the
+  // service applies it.
   std::vector<ChurnOp> ops;
   std::vector<NodeId> pool(256);
   std::iota(pool.begin(), pool.end(), NodeId{0});
@@ -84,10 +83,10 @@ int main() {
 
   HealerService service(g0, config);
   service.set_alert([](int64_t wave, const std::string& diagnostic) {
-    std::cerr << "guardrail rejected wave " << wave << ": " << diagnostic << '\n';
+    std::cerr << "alert at wave " << wave << ": " << diagnostic << '\n';
   });
   for (const ChurnOp& op : ops) service.push(op);
-  service.flush();  // retire the pipeline, heal the trailing partial wave
+  service.flush();  // heal the trailing partial wave
 
   const HealerStats& stats = service.stats();
   std::cout << "ingested " << stats.ops << " ops: " << stats.inserts
@@ -109,8 +108,8 @@ int main() {
   {
     HealerService doomed(g0, durable);
     for (size_t i = 0; i < (2 * ops.size()) / 3; ++i) doomed.push(ops[i]);
-    // No flush: destroyed with ops still buffered. Whatever PATH.base +
-    // PATH.log hold at this instant is the crash image.
+    // No flush: destroyed with a partial wave still forming. Whatever
+    // PATH.base + PATH.log hold at this instant is the crash image.
   }
 
   core::StructuralCore restored;

@@ -277,6 +277,7 @@ HEALER_API_NAMES = (
     "set_admission_hook",
     "break_workers",
     "stale_replans",
+    "rejected_inserts",
     "cert_rejections",
     "latency_percentile",
     "audit_every",

@@ -14,9 +14,10 @@
 // RepairPlan per wave — one RegionPlan per connected dirty region, carrying
 // that region's arena-id reservation — then a commit whose break phase runs
 // in deterministic region order and whose region merges may fan out over
-// the commit pool. Both the plan side (set_shard_workers) and the commit
-// side (set_commit_workers) are schedule-independent: any worker count
-// replays byte-identical checkpoints (contract C4, docs/CONCURRENCY.md).
+// the shard pool. The plan side (set_shard_workers) and the commit side
+// (set_break_workers, set_commit_workers) share that one pool and are
+// schedule-independent: any worker count replays byte-identical
+// checkpoints (contract C4, docs/CONCURRENCY.md).
 //
 // The invariants maintained after every insert/remove (I1-I5, checked by
 // validate()) are documented on core::StructuralCore.
@@ -88,13 +89,15 @@ class ForgivingGraph {
   /// schedule-independent (C4).
   void commit_delete_batch(const core::RepairPlan& plan);
 
-  /// Worker threads for the plan phase (1 = plan inline). Any value
-  /// produces the identical repair (contract C4).
+  /// Worker threads for the plan phase (1 = plan inline; n > 1 fans the
+  /// region plans out over the shard pool). Any value produces the
+  /// identical repair (contract C4).
   void set_shard_workers(int n) { shards_.set_workers(n); }
   int shard_workers() const { return shards_.workers(); }
 
   /// Worker threads for the commit's merge phase (1 = merge inline; n > 1
-  /// keeps a persistent pool of n - 1 background threads). Any value
+  /// fans region merges out over the shard pool, which keeps n - 1
+  /// background threads for the largest of the three knobs). Any value
   /// replays byte-identical checkpoints (contract C4 — the arena-id
   /// reservation fixes every handle at plan time).
   void set_commit_workers(int n) { shards_.set_commit_workers(n); }
@@ -112,7 +115,7 @@ class ForgivingGraph {
   void set_region_split(core::RegionSplit split) { split_ = split; }
   core::RegionSplit region_split() const { return split_; }
 
-  /// Shard bookkeeping: region ids of the last wave, region of a root.
+  /// Shard bookkeeping: the last wave's region ids and final RT roots.
   const ShardedForest& shards() const { return shards_; }
 
   /// The structural core, read-only — the audit surface fg::Stabilizer

@@ -75,6 +75,7 @@ void CommitPool::worker() {
 void ShardedForest::set_workers(int n) {
   FG_CHECK_MSG(n >= 1, "worker count must be at least 1");
   workers_ = n;
+  rebuild_pool();
 }
 
 void ShardedForest::set_commit_workers(int n) {
@@ -90,19 +91,50 @@ void ShardedForest::set_break_workers(int n) {
 }
 
 void ShardedForest::rebuild_pool() {
-  // One pool serves both the break and the merge fan-out; size it for the
-  // larger knob. Don't build a pool the dispatch gates below can never
-  // use: on a box with a single hardware thread, merely having extra
-  // threads switches the allocator out of its single-threaded fast path
-  // and slows the (alloc-heavy) inline commit — with zero chance of a
-  // fan-out win. Contract C4 makes the structure identical either way.
+  // One pool serves the plan, break and merge fan-outs; size it for the
+  // largest knob. Don't build a pool the fans_out gate can never use: on a
+  // box with a single hardware thread, merely having extra threads
+  // switches the allocator out of its single-threaded fast path and slows
+  // the (alloc-heavy) inline commit — with zero chance of a fan-out win.
+  // Contract C4 makes the structure identical either way.
   static const unsigned hw_threads = std::thread::hardware_concurrency();
-  const int n = std::max(commit_workers_, break_workers_);
+  const int n = std::max({workers_, commit_workers_, break_workers_});
   const int background = (n > 1 && hw_threads != 1) ? n - 1 : 0;
   if (background == pool_background_ && (commit_pool_ != nullptr) == (background > 0))
     return;
   pool_background_ = background;
   commit_pool_ = background > 0 ? std::make_unique<CommitPool>(background) : nullptr;
+}
+
+void ShardedForest::for_each_region(size_t regions, int knob,
+                                    const std::function<void(size_t)>& fn) const {
+  if (!fans_out(knob, regions)) {
+    for (size_t r = 0; r < regions; ++r) fn(r);
+    return;
+  }
+  // Drain-a-counter fan-out: every participant, the caller included,
+  // pulls the next unclaimed region off `next`. The counters live in a
+  // shared_ptr context owned by the job closure: a worker that wakes after
+  // this call returned finds `next` exhausted and touches nothing else —
+  // never `fn`, which lives on the caller's stack — so the caller waits
+  // only for `done` to reach the region count, never for threads to park.
+  // `done` release/acquire pairs every region's writes with whatever the
+  // caller reads next (the stitch, finalize_plan).
+  struct Ctx {
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> done{0};
+  };
+  auto ctx = std::make_shared<Ctx>();
+  const std::function<void(size_t)>* fn_p = &fn;
+  auto work = [ctx, fn_p, regions] {
+    for (size_t r = ctx->next.fetch_add(1); r < regions; r = ctx->next.fetch_add(1)) {
+      (*fn_p)(r);
+      ctx->done.fetch_add(1, std::memory_order_release);
+    }
+  };
+  commit_pool_->dispatch(work);
+  work();  // the caller participates too
+  while (ctx->done.load(std::memory_order_acquire) < regions) std::this_thread::yield();
 }
 
 core::RepairPlan ShardedForest::plan(const core::StructuralCore& core,
@@ -114,25 +146,11 @@ core::RepairPlan ShardedForest::plan(const core::StructuralCore& core,
 
   core::RepairPlan plan;
   plan.regions.resize(analysis.seeds.size());
-  const int regions = static_cast<int>(analysis.seeds.size());
-  const int fanout = std::min(workers_, regions);
-  if (fanout <= 1) {
-    for (int r = 0; r < regions; ++r) core.plan_region(analysis, r, &plan.regions[static_cast<size_t>(r)]);
-  } else {
-    // Every worker pulls the next unplanned region off a shared counter and
-    // writes into its own pre-sized slot: no two threads ever touch the
-    // same RegionPlan, and plan_region only reads the core, so the result
-    // is the sequential plan regardless of scheduling.
-    std::atomic<int> next{0};
-    auto work = [&] {
-      for (int r = next.fetch_add(1); r < regions; r = next.fetch_add(1))
-        core.plan_region(analysis, r, &plan.regions[static_cast<size_t>(r)]);
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<size_t>(fanout));
-    for (int t = 0; t < fanout; ++t) pool.emplace_back(work);
-    for (std::thread& t : pool) t.join();
-  }
+  // plan_region only reads the core and writes its own pre-sized slot, so
+  // the result is the sequential plan whoever plans which region.
+  for_each_region(plan.regions.size(), workers_, [&](size_t r) {
+    core.plan_region(analysis, static_cast<int>(r), &plan.regions[r]);
+  });
 
   core.finalize_plan(analysis, &plan);
   plan.profile.partition_ms =
@@ -142,54 +160,28 @@ core::RepairPlan ShardedForest::plan(const core::StructuralCore& core,
 
 std::vector<VNodeId> ShardedForest::execute(core::StructuralCore& core,
                                             const core::RepairPlan& plan) {
-  const int regions = static_cast<int>(plan.regions.size());
-  std::vector<std::vector<VNodeId>> pieces;
-  // Fanning break out is, like the merge fan-out below, a pure scheduling
-  // choice: break_region in recorded mode mutates only region-local forest
-  // state, and the BreakEffects stitch replays every shared-state write in
-  // region id order — the exact sequence the sequential path applies
-  // (contract C4; docs/CONCURRENCY.md, the break-effects argument).
-  if (!commit_pool_ || break_workers_ <= 1 || regions <= 1) {
-    pieces = core.commit_break(plan);
-  } else {
-    core.begin_break(plan);
-    pieces.resize(static_cast<size_t>(regions));
-    // Grow-only scratch, same pooling discipline as the merge side.
-    std::vector<core::StructuralCore::BreakEffects>& effects = break_effects_scratch_;
-    if (effects.size() < static_cast<size_t>(regions))
-      effects.resize(static_cast<size_t>(regions));
-    // Drain-a-counter fan-out over the shared pool (see commit below for
-    // the ownership and memory-ordering story — identical here: `broken`
-    // release/acquire pairs the workers' region-local writes with the
-    // stitch).
-    struct Ctx {
-      std::atomic<int> next{0};
-      std::atomic<int> broken{0};
-    };
-    auto ctx = std::make_shared<Ctx>();
-    core::StructuralCore* core_p = &core;
-    const core::RepairPlan* plan_p = &plan;
-    auto* pieces_p = &pieces;
-    auto* effects_p = &effects;
-    auto work = [ctx, core_p, plan_p, pieces_p, effects_p, regions] {
-      for (int r = ctx->next.fetch_add(1); r < regions; r = ctx->next.fetch_add(1)) {
-        (*pieces_p)[static_cast<size_t>(r)] = core_p->break_region(
-            plan_p->regions[static_cast<size_t>(r)], &(*effects_p)[static_cast<size_t>(r)]);
-        ctx->broken.fetch_add(1, std::memory_order_release);
-      }
-    };
-    commit_pool_->dispatch(work);
-    work();  // the caller participates too
-    while (ctx->broken.load(std::memory_order_acquire) < regions)
-      std::this_thread::yield();
+  const size_t regions = plan.regions.size();
+  // Fanning break out is, like the merge fan-out in commit(), a pure
+  // scheduling choice: break_region in recorded mode mutates only
+  // region-local forest state, and the BreakEffects stitch replays every
+  // shared-state write in region id order — the exact sequence the inline
+  // path applies immediately (contract C4; docs/CONCURRENCY.md, the
+  // break-effects argument).
+  const bool fan = fans_out(break_workers_, regions);
+  // Grow-only scratch, same pooling discipline as the merge side.
+  std::vector<core::StructuralCore::BreakEffects>& effects = break_effects_scratch_;
+  if (fan && effects.size() < regions) effects.resize(regions);
+  std::vector<std::vector<VNodeId>> pieces(regions);
+  core.begin_break(plan);
+  for_each_region(regions, break_workers_, [&](size_t r) {
+    pieces[r] = core.break_region(plan.regions[r], fan ? &effects[r] : nullptr);
+  });
+  // The deterministic stitch, then the victims die exactly as in the
+  // inline break.
+  if (fan)
+    for (size_t r = 0; r < regions; ++r) core.apply_break_effects(plan.regions[r], effects[r]);
+  core.finish_break(plan);
 
-    // The deterministic stitch, then the victims die exactly as in the
-    // sequential break.
-    for (int r = 0; r < regions; ++r)
-      core.apply_break_effects(plan.regions[static_cast<size_t>(r)],
-                               effects[static_cast<size_t>(r)]);
-    core.finish_break(plan);
-  }
   std::vector<VNodeId> roots = commit(core, plan, std::move(pieces));
   // The wave is fully settled (reservation checked, stitch applied): let
   // the snapshot layer read the touched state's final values and emit the
@@ -202,72 +194,35 @@ std::vector<VNodeId> ShardedForest::commit(core::StructuralCore& core,
                                            const core::RepairPlan& plan,
                                            std::vector<std::vector<VNodeId>>&& pieces) {
   FG_CHECK(pieces.size() == plan.regions.size());
-  const int regions = static_cast<int>(plan.regions.size());
-  std::vector<VNodeId> region_roots(static_cast<size_t>(regions), kNoVNode);
+  const size_t regions = plan.regions.size();
+  std::vector<VNodeId> region_roots(regions, kNoVNode);
 
   // Fanning out is a pure scheduling choice — the arena-id reservation
-  // makes the result identical either way (contract C4) — so take it only
-  // when it can pay: more than one region and a pool to run it on (none
-  // exists on single-hardware-thread boxes, see set_commit_workers).
+  // makes the result identical either way (contract C4). Inline, merges
+  // apply their side effects immediately (no record/replay pass).
   // tests/arena_reservation_test.cpp drives CommitPool + merge_region
   // directly, so the concurrent path stays TSan-covered even on machines
-  // where this gate keeps the engine inline.
-  if (!commit_pool_ || regions <= 1) {
-    // Inline: merge with immediate side effects — no record/replay pass.
-    for (int r = 0; r < regions; ++r)
-      region_roots[static_cast<size_t>(r)] =
-          core.merge_region(plan.regions[static_cast<size_t>(r)],
-                            std::move(pieces[static_cast<size_t>(r)]), nullptr);
-  } else {
-    // Reused wave to wave, grow-only: a smaller wave must not destroy the
-    // trailing slots' image_edges capacity, so a steady-state commit
-    // allocates no per-region bookkeeping (merge_region resets its slot).
-    std::vector<core::StructuralCore::MergeEffects>& effects = effects_scratch_;
-    if (effects.size() < static_cast<size_t>(regions))
-      effects.resize(static_cast<size_t>(regions));
-    // Same drain-a-counter shape as the plan side: every participant pulls
-    // the next unmerged region and builds its RT inside the region's
-    // reserved arena range. merge_region touches region-local state only
-    // and records the shared-state side effects into the region's own
-    // pre-sized MergeEffects slot, so no two participants ever write the
-    // same memory — the schedule decides *who* merges a region, never
-    // *what* the merge produces (contract C4).
-    //
-    // The counters live in a shared_ptr context owned by the job closure:
-    // a worker that wakes after this wave completed finds `next` exhausted
-    // and touches nothing else, so the caller never has to wait for
-    // threads to park — only for `merged` to reach the region count
-    // (release/acquire pairs with the stitch below reading the workers'
-    // region-local writes).
-    struct Ctx {
-      std::atomic<int> next{0};
-      std::atomic<int> merged{0};
-    };
-    auto ctx = std::make_shared<Ctx>();
-    core::StructuralCore* core_p = &core;
-    const core::RepairPlan* plan_p = &plan;
-    auto* pieces_p = &pieces;
-    auto* effects_p = &effects;
-    auto work = [ctx, core_p, plan_p, pieces_p, effects_p, regions] {
-      for (int r = ctx->next.fetch_add(1); r < regions; r = ctx->next.fetch_add(1)) {
-        core_p->merge_region(plan_p->regions[static_cast<size_t>(r)],
-                             std::move((*pieces_p)[static_cast<size_t>(r)]),
-                             &(*effects_p)[static_cast<size_t>(r)]);
-        ctx->merged.fetch_add(1, std::memory_order_release);
-      }
-    };
-    commit_pool_->dispatch(work);
-    work();  // the caller participates too
-    while (ctx->merged.load(std::memory_order_acquire) < regions)
-      std::this_thread::yield();
-
-    // The deterministic stitch: fold every region's recorded side effects
-    // (image edges, counters, final-RT bookkeeping) into the shared state
-    // in region id order — exactly the sequence the inline path applies.
-    for (int r = 0; r < regions; ++r)
-      region_roots[static_cast<size_t>(r)] =
-          core.apply_merge_effects(effects[static_cast<size_t>(r)]);
-  }
+  // where fans_out keeps the engine inline.
+  const bool fan = fans_out(commit_workers_, regions);
+  // Reused wave to wave, grow-only: a smaller wave must not destroy the
+  // trailing slots' image_edges capacity, so a steady-state commit
+  // allocates no per-region bookkeeping (merge_region resets its slot).
+  std::vector<core::StructuralCore::MergeEffects>& effects = effects_scratch_;
+  if (fan && effects.size() < regions) effects.resize(regions);
+  // Each region builds its RT inside its reserved arena range and, when
+  // fanned out, records its shared-state side effects into its own
+  // MergeEffects slot, so no two participants ever write the same memory —
+  // the schedule decides *who* merges a region, never *what* the merge
+  // produces (contract C4).
+  for_each_region(regions, commit_workers_, [&](size_t r) {
+    region_roots[r] =
+        core.merge_region(plan.regions[r], std::move(pieces[r]), fan ? &effects[r] : nullptr);
+  });
+  // The deterministic stitch: fold every region's recorded side effects
+  // (image edges, counters, final-RT bookkeeping) into the shared state in
+  // region id order — exactly the sequence the inline path applies.
+  if (fan)
+    for (size_t r = 0; r < regions; ++r) region_roots[r] = core.apply_merge_effects(effects[r]);
 
   core.check_reservation_settled(plan);
   note_commit(plan, region_roots);
@@ -277,35 +232,8 @@ std::vector<VNodeId> ShardedForest::commit(core::StructuralCore& core,
 void ShardedForest::note_commit(const core::RepairPlan& plan,
                                 std::span<const VNodeId> region_roots) {
   FG_CHECK(region_roots.size() == plan.regions.size());
-  auto lookup = [this](VNodeId root) {
-    return std::lower_bound(
-        region_of_root_.begin(), region_of_root_.end(), root,
-        [](const std::pair<VNodeId, int>& e, VNodeId r) { return e.first < r; });
-  };
-  // RTs the wave broke up no longer exist; drop their stale assignments so
-  // region_of_root never reports a region for a destroyed root.
-  for (const core::RegionPlan& region : plan.regions)
-    for (VNodeId r : region.roots) {
-      auto it = lookup(r);
-      if (it != region_of_root_.end() && it->first == r) region_of_root_.erase(it);
-    }
-  for (size_t i = 0; i < region_roots.size(); ++i) {
-    if (region_roots[i] == kNoVNode) continue;
-    auto it = lookup(region_roots[i]);
-    if (it != region_of_root_.end() && it->first == region_roots[i])
-      it->second = plan.regions[i].id;
-    else
-      region_of_root_.insert(it, {region_roots[i], plan.regions[i].id});
-  }
   last_assignment_ = plan.victim_region;
   last_region_roots_.assign(region_roots.begin(), region_roots.end());
-}
-
-int ShardedForest::region_of_root(VNodeId root) const {
-  auto it = std::lower_bound(
-      region_of_root_.begin(), region_of_root_.end(), root,
-      [](const std::pair<VNodeId, int>& e, VNodeId r) { return e.first < r; });
-  return (it == region_of_root_.end() || it->first != root) ? -1 : it->second;
 }
 
 }  // namespace fg

@@ -9,13 +9,15 @@
 // independently: their plans read disjoint parts of the structure and
 // their commits build disjoint RTs.
 //
-// ShardedForest exploits that locality across the whole pipeline:
+// ShardedForest exploits that locality across the whole pipeline, with one
+// persistent thread pool (CommitPool) and one fan-out helper
+// (for_each_region) serving all three phases:
 //
 //   * Plan: it partitions a wave (core::StructuralCore::analyze_deletion),
-//     then fans the read-only per-region planning out over per-wave worker
-//     threads (set_workers).
-//   * Break: it fans the per-region break scripts out over the persistent
-//     pool (set_break_workers, execute). Each region's break mutates only
+//     then fans the read-only per-region planning out over the pool
+//     (set_workers).
+//   * Break: it fans the per-region break scripts out over the same pool
+//     (set_break_workers, execute). Each region's break mutates only
 //     its own forest nodes and reserved arena handles; every shared-state
 //     write — image-edge drops, slot-table entries, counters, the forest
 //     live count — is recorded into a region-local
@@ -37,9 +39,15 @@
 // tests/shard_determinism_test.cpp and tests/arena_reservation_test.cpp,
 // in Release/Debug and under the TSan preset).
 //
-// It also remembers, per committed wave, which region every victim and
-// every newly built RT belonged to — the assignment trace `r` lines record
-// so a replay divergence can be localized to one region.
+// The pool is sized for the largest of the three knobs; each knob only
+// says whether its phase fans out. One caller at a time: the pool has one
+// job slot, and the engine above it (ForgivingGraph, HealerService) drives
+// every wave from a single thread.
+//
+// It also remembers, for the most recently committed wave, which region
+// every victim belonged to and each region's final RT root — the
+// assignment trace `r` lines record so a replay divergence can be
+// localized to one region.
 #pragma once
 
 #include <condition_variable>
@@ -49,7 +57,6 @@
 #include <mutex>
 #include <span>
 #include <thread>
-#include <utility>
 #include <vector>
 
 #include "fg/core/structural_core.h"
@@ -61,14 +68,14 @@ namespace fg {
 /// jobs: every participant (the caller included) pulls work items off a
 /// shared atomic counter inside the job closure, so participation is
 /// symmetric and completion is a property of the *work*, not the threads.
-/// Spawned once per set_commit_workers call, not per wave — a commit pays
-/// one notify, not thread creation.
+/// Spawned once per knob change, not per wave — a phase pays one notify,
+/// not thread creation. The only place the engine starts threads.
 ///
 /// dispatch() is fire-and-forget: it hands the pool a copy of the job and
 /// wakes the threads, but never blocks on them. The caller runs the job
 /// itself and then waits only until the job's own completion condition
-/// holds (e.g. a merged-regions counter with release/acquire ordering —
-/// ShardedForest::commit below). A worker that wakes late finds the work
+/// holds (a finished-regions counter with release/acquire ordering —
+/// ShardedForest::for_each_region). A worker that wakes late finds the work
 /// counter exhausted and returns without touching anything but the job's
 /// shared_ptr-owned context, so a stale job is a no-op, never a dangling
 /// reference — and the caller's critical path never waits for a thread to
@@ -102,30 +109,29 @@ class CommitPool {
 };
 
 /// Region partitioning + concurrent planning + parallel deterministic
-/// commit + shard bookkeeping.
+/// commit + the last wave's shard bookkeeping.
 class ShardedForest {
  public:
   explicit ShardedForest(int workers = 1) { set_workers(workers); }
 
-  /// Worker threads used to plan disjoint regions concurrently: 1 plans
-  /// inline on the calling thread; n > 1 spawns up to min(n, regions)
-  /// workers per wave. Any value yields the identical plan.
+  /// Plan disjoint regions concurrently: 1 plans inline on the calling
+  /// thread; n > 1 fans plan_region out over the shared pool. Any value
+  /// yields the identical plan.
   void set_workers(int n);
   int workers() const { return workers_; }
 
-  /// Worker threads used to merge disjoint regions concurrently during
-  /// commit: 1 merges inline; n > 1 keeps a persistent pool of n - 1
-  /// background threads. Any value replays byte-identical checkpoints —
-  /// the arena-id reservation makes the commit schedule-independent
-  /// (contract C4, docs/CONCURRENCY.md).
+  /// Merge disjoint regions concurrently during commit: 1 merges inline;
+  /// n > 1 fans merge_region out over the shared pool. Any value replays
+  /// byte-identical checkpoints — the arena-id reservation makes the
+  /// commit schedule-independent (contract C4, docs/CONCURRENCY.md).
   void set_commit_workers(int n);
   int commit_workers() const { return commit_workers_; }
 
-  /// Worker threads used to break disjoint regions concurrently during
-  /// commit (execute): 1 breaks inline via the core's sequential path;
-  /// n > 1 fans break_region out over the persistent pool and stitches
-  /// the recorded BreakEffects in region id order. Any value replays
-  /// byte-identical checkpoints and certificate bytes (contract C4).
+  /// Break disjoint regions concurrently during commit (execute): 1
+  /// breaks inline with immediate side effects; n > 1 fans break_region
+  /// out over the shared pool and stitches the recorded BreakEffects in
+  /// region id order. Any value replays byte-identical checkpoints and
+  /// certificate bytes (contract C4).
   void set_break_workers(int n);
   int break_workers() const { return break_workers_; }
 
@@ -153,15 +159,10 @@ class ShardedForest {
                               std::vector<std::vector<VNodeId>>&& pieces);
 
   /// Record a committed plan: the wave's victim -> region assignment and
-  /// each final RT root's region id. `region_roots` is aligned with
+  /// each region's final RT root. `region_roots` is aligned with
   /// plan.regions (kNoVNode for a region that produced no RT).
   void note_commit(const core::RepairPlan& plan,
                    std::span<const VNodeId> region_roots);
-
-  /// Region id the wave that created `root` assigned to it, or -1 if this
-  /// root was not a final RT of a committed wave (or has since been broken
-  /// up by a later repair).
-  int region_of_root(VNodeId root) const;
 
   /// Victim -> region ids of the most recently committed wave, aligned
   /// with that wave's victim order (the payload of trace `r` lines).
@@ -177,9 +178,23 @@ class ShardedForest {
   }
 
  private:
-  /// (Re)build the shared pool for max(commit, break) workers; both
-  /// setters funnel through here so one pool serves both fan-outs.
+  /// (Re)build the shared pool for the largest of the three knobs; every
+  /// setter funnels through here so one pool serves every fan-out.
   void rebuild_pool();
+
+  /// Whether a phase whose knob is `knob` fans a wave of `regions` regions
+  /// out over the pool: only when a pool exists, the knob asks for more
+  /// than one worker, and there is more than one region.
+  bool fans_out(int knob, size_t regions) const {
+    return commit_pool_ != nullptr && knob > 1 && regions > 1;
+  }
+
+  /// Run fn(r) once for every region r in [0, regions) and return when all
+  /// have finished: inline in region order unless fans_out(knob, regions),
+  /// else drained off a shared counter by the caller and the pool. `fn`
+  /// must only write region r's own state.
+  void for_each_region(size_t regions, int knob,
+                       const std::function<void(size_t)>& fn) const;
 
   int workers_ = 1;
   int commit_workers_ = 1;
@@ -189,9 +204,6 @@ class ShardedForest {
   /// Per-region side-effect buffers, reused across waves (scratch pooling).
   std::vector<core::StructuralCore::MergeEffects> effects_scratch_;
   std::vector<core::StructuralCore::BreakEffects> break_effects_scratch_;
-  /// Root -> region id of the wave that built it: sorted flat pairs,
-  /// binary-searched (no hash container on the commit path).
-  std::vector<std::pair<VNodeId, int>> region_of_root_;
   std::vector<int> last_assignment_;
   std::vector<VNodeId> last_region_roots_;
 };

@@ -58,6 +58,14 @@ struct BatchCase {
   uint64_t seed;
 };
 
+// gtest_discover_tests keeps the "# GetParam() = ..." comment in each CTest
+// name. Without a printer that comment is a byte dump of the struct (the
+// `graph` pointer and padding), which differs from run to run.
+void PrintTo(const BatchCase& c, std::ostream* os) {
+  *os << c.graph << " n=" << c.n << " batch=" << c.batch << " waves=" << c.waves
+      << " seed=" << c.seed;
+}
+
 class BatchVsSequential : public ::testing::TestWithParam<BatchCase> {};
 
 // The headline property: drive identical victim waves through a batched

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "fg/forgiving_graph.h"
 #include "graph/algorithms.h"
@@ -21,6 +22,14 @@ struct ChurnCase {
   int steps;
   uint64_t seed;
 };
+
+// gtest_discover_tests keeps the "# GetParam() = ..." comment in each CTest
+// name. Without a printer that comment is a byte dump of the struct (the
+// `graph` pointer and padding), which differs from run to run.
+void PrintTo(const ChurnCase& c, std::ostream* os) {
+  *os << c.graph << " n=" << c.n << " p_delete=" << c.p_delete << " steps=" << c.steps
+      << " seed=" << c.seed;
+}
 
 Graph build_graph(const std::string& kind, int n, Rng& rng) {
   if (kind == "star") return make_star(n);

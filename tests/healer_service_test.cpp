@@ -1,15 +1,16 @@
 // The healer-service battery: contract C4 extended to the serving loop.
 //
-// The pipelined service (overlap on, any worker count) must be an exact
-// refinement of the serial wave-at-a-time reference: the same seeded churn
-// stream produces byte-identical engine checkpoints AND byte-identical
-// sampled-certificate streams, because overlap and worker counts are pure
-// scheduling choices — the op stream alone decides what commits
-// (src/fg/healer_service.h, the quiescence rule). On top of that, the
-// epoch-gated admission path is driven through its test seam: a mutation
-// landing between snapshot and commit must be detected and re-planned,
-// never committed — the core's FG_CHECK death is the wall the gate keeps
-// the service from hitting.
+// The service at any worker count must be an exact refinement of the
+// one-worker reference: the same seeded churn stream produces
+// byte-identical engine checkpoints AND byte-identical sampled-certificate
+// streams, because worker counts are pure scheduling choices — the op
+// stream alone decides what commits (src/fg/healer_service.h). Each wave
+// heals inside the push() that fills it, and malformed inserts are
+// rejected at ingest, never applied. On top of that, the epoch-gated
+// admission path is driven through its test seam: a mutation landing
+// between plan and commit must be detected and re-planned, never
+// committed — the core's FG_CHECK death is the wall the gate keeps the
+// service from hitting.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -85,8 +86,17 @@ ServiceRun run_service(const Graph& g0, const std::vector<ChurnOp>& ops,
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined-vs-serial equivalence.
+// Worker-count equivalence.
 
+HealerConfig with_workers(HealerConfig config, int workers) {
+  config.plan_workers = workers;
+  config.commit_workers = workers;
+  config.break_workers = workers;
+  return config;
+}
+
+// Workers {2, 4} against the one-worker reference; the workers = 1 case is
+// a second, independent one-worker run (run-to-run determinism).
 class HealerServiceEquivalence : public ::testing::TestWithParam<int> {};
 
 TEST_P(HealerServiceEquivalence, PipelinedMatchesSerialByteIdentically) {
@@ -95,69 +105,58 @@ TEST_P(HealerServiceEquivalence, PipelinedMatchesSerialByteIdentically) {
   Graph g0 = make_sparse_random(400, 5.0, rng);
   std::vector<ChurnOp> ops = make_stream(400, 3000, 0xFEED);
 
-  HealerConfig serial;
-  serial.wave_size = 16;
-  serial.certify_every = 8;
-  serial.overlap = false;
-  ServiceRun reference = run_service(g0, ops, serial);
+  HealerConfig config;
+  config.wave_size = 16;
+  config.certify_every = 8;
+  ServiceRun reference = run_service(g0, ops, config);
   ASSERT_GT(reference.stats.waves, 10);
   ASSERT_GT(reference.stats.certified_waves, 2);
   ASSERT_FALSE(reference.cert_bytes.empty());
 
-  HealerConfig pipelined = serial;
-  pipelined.overlap = true;
-  pipelined.plan_workers = workers;
-  pipelined.commit_workers = workers;
-  pipelined.break_workers = workers;
-  ServiceRun overlapped = run_service(g0, ops, pipelined);
+  ServiceRun wide = run_service(g0, ops, with_workers(config, workers));
 
-  // Byte-identical engine state AND certificate stream: the serving loop's
-  // schedule (overlap, worker counts) is invisible in everything it emits.
-  EXPECT_EQ(reference.checkpoint, overlapped.checkpoint)
+  // Byte-identical engine state AND certificate stream: the worker count
+  // is invisible in everything the serving loop emits.
+  EXPECT_EQ(reference.checkpoint, wide.checkpoint)
       << "checkpoint diverged at " << workers << " workers";
-  EXPECT_EQ(reference.cert_bytes, overlapped.cert_bytes)
+  EXPECT_EQ(reference.cert_bytes, wide.cert_bytes)
       << "certificate stream diverged at " << workers << " workers";
-  EXPECT_EQ(reference.stats.waves, overlapped.stats.waves);
-  EXPECT_EQ(reference.stats.deletes, overlapped.stats.deletes);
-  EXPECT_EQ(reference.stats.inserts, overlapped.stats.inserts);
-  EXPECT_EQ(reference.stats.dropped_deletes, overlapped.stats.dropped_deletes);
-  EXPECT_EQ(reference.stats.certified_waves, overlapped.stats.certified_waves);
-  EXPECT_EQ(overlapped.stats.stale_replans, 0);
+  EXPECT_EQ(reference.stats.waves, wide.stats.waves);
+  EXPECT_EQ(reference.stats.deletes, wide.stats.deletes);
+  EXPECT_EQ(reference.stats.inserts, wide.stats.inserts);
+  EXPECT_EQ(reference.stats.dropped_deletes, wide.stats.dropped_deletes);
+  EXPECT_EQ(reference.stats.certified_waves, wide.stats.certified_waves);
+  EXPECT_EQ(wide.stats.stale_replans, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, HealerServiceEquivalence,
                          ::testing::Values(1, 2, 4));
 
 TEST(HealerService, BreakWorkersBitIdenticalAcrossSplits) {
-  // The break fan-out through the full serving loop: break workers {1,2,4}
-  // × both RegionSplit modes must produce byte-identical checkpoints AND
-  // byte-identical sampled-certificate streams (C4 extended to the break
-  // phase). Each split heals a different structure, so each compares
-  // against its own break_workers=1 serial reference.
+  // The fan-outs through the full serving loop: workers {2,4} (plan, break
+  // and commit alike) × both RegionSplit modes must produce byte-identical
+  // checkpoints AND byte-identical sampled-certificate streams to one
+  // worker (C4 extended to the break phase). Each split heals a different
+  // structure, so each compares against its own one-worker reference.
   Rng rng(9002);
   Graph g0 = make_sparse_random(300, 5.0, rng);
   std::vector<ChurnOp> ops = make_stream(300, 1500, 0xBEEF);
 
   for (core::RegionSplit split :
        {core::RegionSplit::kPerRegion, core::RegionSplit::kGlobal}) {
-    HealerConfig serial;
-    serial.wave_size = 16;
-    serial.certify_every = 8;
-    serial.overlap = false;
-    ServiceRun reference = run_service(g0, ops, serial, split);
+    HealerConfig config;
+    config.wave_size = 16;
+    config.certify_every = 8;
+    ServiceRun reference = run_service(g0, ops, config, split);
     ASSERT_GT(reference.stats.certified_waves, 1);
 
     for (int workers : {2, 4}) {
-      HealerConfig pipelined = serial;
-      pipelined.overlap = true;
-      pipelined.break_workers = workers;
-      pipelined.commit_workers = workers;
-      ServiceRun overlapped = run_service(g0, ops, pipelined, split);
-      EXPECT_EQ(reference.checkpoint, overlapped.checkpoint)
-          << "checkpoint diverged at break workers=" << workers;
-      EXPECT_EQ(reference.cert_bytes, overlapped.cert_bytes)
-          << "certificate stream diverged at break workers=" << workers;
-      EXPECT_EQ(overlapped.stats.stale_replans, 0);
+      ServiceRun wide = run_service(g0, ops, with_workers(config, workers), split);
+      EXPECT_EQ(reference.checkpoint, wide.checkpoint)
+          << "checkpoint diverged at workers=" << workers;
+      EXPECT_EQ(reference.cert_bytes, wide.cert_bytes)
+          << "certificate stream diverged at workers=" << workers;
+      EXPECT_EQ(wide.stats.stale_replans, 0);
     }
   }
 }
@@ -170,8 +169,8 @@ Graph make_test_substrate() {
 
 TEST(HealerService, DuplicateAndDeadDeletesDropConsistently) {
   // Duplicates inside one forming wave and deletes of long-dead victims
-  // must be dropped by the same rule in both modes — drops are decided at
-  // ingest time, when every earlier wave has already committed.
+  // must be dropped by the same rule at every worker count — drops are
+  // decided at ingest time, when every earlier wave has already committed.
   Graph g0 = make_test_substrate();
   std::vector<ChurnOp> ops;
   for (NodeId v : {NodeId{3}, NodeId{3}, NodeId{7}, NodeId{9}, NodeId{11}})
@@ -180,19 +179,38 @@ TEST(HealerService, DuplicateAndDeadDeletesDropConsistently) {
     ops.push_back(ChurnOp::Delete(v));  // long dead by now
   ops.push_back(ChurnOp::Insert({NodeId{20}, NodeId{21}}));
 
-  HealerConfig serial;
-  serial.wave_size = 4;
-  serial.overlap = false;
-  ServiceRun reference = run_service(g0, ops, serial);
-
-  HealerConfig pipelined = serial;
-  pipelined.overlap = true;
-  ServiceRun overlapped = run_service(g0, ops, pipelined);
-
+  HealerConfig config;
+  config.wave_size = 4;
+  ServiceRun reference = run_service(g0, ops, config);
   EXPECT_EQ(reference.stats.dropped_deletes, 3);
-  EXPECT_EQ(overlapped.stats.dropped_deletes, 3);
   EXPECT_EQ(reference.stats.deletes, 4);
-  EXPECT_EQ(reference.checkpoint, overlapped.checkpoint);
+
+  for (int workers : {2, 4}) {
+    ServiceRun wide = run_service(g0, ops, with_workers(config, workers));
+    EXPECT_EQ(wide.stats.dropped_deletes, 3) << workers << " workers";
+    EXPECT_EQ(wide.stats.deletes, 4) << workers << " workers";
+    EXPECT_EQ(reference.checkpoint, wide.checkpoint) << workers << " workers";
+  }
+}
+
+TEST(HealerService, WaveCommitsInsideThePushThatFillsIt) {
+  Graph g0 = make_test_substrate();
+  HealerConfig config;
+  config.wave_size = 4;
+  HealerService service(g0, config);
+  for (NodeId v = 0; v < 4; ++v) service.push(ChurnOp::Delete(v));
+
+  // No flush: the fourth delete's push() healed the wave before returning.
+  EXPECT_EQ(service.stats().waves, 1);
+  EXPECT_EQ(service.stats().deletes, config.wave_size);
+  for (NodeId v = 0; v < 4; ++v) EXPECT_FALSE(service.engine().is_alive(v));
+  service.engine().validate();
+
+  // An insert pushed next applies at once: nothing is buffered.
+  const NodeId fresh = static_cast<NodeId>(service.engine().healed().node_capacity());
+  service.push(ChurnOp::Insert({NodeId{20}, NodeId{21}}));
+  EXPECT_EQ(service.stats().inserts, 1);
+  EXPECT_TRUE(service.engine().is_alive(fresh));
 }
 
 TEST(HealerService, FlushHealsThePartialTrailingWave) {
@@ -274,9 +292,7 @@ TEST(HealerServiceDeathTest, ForcedStaleCommitDiesWithoutTheGate) {
   // re-plan counted by the tests above.
   Rng rng(9);
   Graph g0 = make_sparse_random(64, 4.0, rng);
-  HealerConfig config;
-  config.overlap = false;  // no planner thread in the parent of the death fork
-  HealerService service(g0, config);
+  HealerService service(g0);
   std::vector<NodeId> wave{NodeId{1}, NodeId{2}};
   core::RepairPlan plan = service.engine().plan_delete_batch(wave);
   service.push(ChurnOp::Insert({NodeId{10}, NodeId{11}}));  // epoch bump
@@ -387,6 +403,50 @@ TEST(HealerService, AuditGuardrailDetectsAlertsAndRecovers) {
   service.engine().validate();
 }
 
+TEST(HealerService, GuardrailTeesCertificatesInOrdinalOrderAcrossRecovery) {
+  // Every wave is certified and audited; wave 0's audit finds injected
+  // drift and recovers, emitting a recovery certificate of its own. The
+  // sampled certificate of wave 0 must reach the stream before that
+  // recovery certificate, so the teed ordinals ascend (0, 1, 2).
+  Rng rng(13);
+  Graph g0 = make_sparse_random(64, 4.0, rng);
+  HealerConfig config;
+  config.wave_size = 4;
+  config.certify_every = 1;
+  config.audit_every = 1;
+  HealerService service(g0, config);
+  std::ostringstream certs;
+  service.set_certificate_stream(&certs);
+
+  bool fired = false;
+  service.set_admission_hook([&](int64_t wave) {
+    if (wave != 0 || fired) return;
+    fired = true;
+    service.engine().core().inject_multiplicity_bump(NodeId{50}, NodeId{51});
+  });
+
+  for (NodeId v = 0; v < 8; ++v) service.push(ChurnOp::Delete(v));
+  service.flush();
+  ASSERT_TRUE(fired);
+  ASSERT_EQ(service.stats().recoveries, 1);
+  EXPECT_EQ(service.stats().cert_rejections, 0);
+
+  std::istringstream in(certs.str());
+  std::vector<int64_t> ordinals;
+  for (;;) {
+    cert::WaveCertificate c;
+    bool eof = false;
+    cert::CheckResult pr = cert::parse(in, &c, &eof);
+    if (eof) break;
+    ASSERT_TRUE(pr.ok) << pr.diagnostic;
+    cert::CheckResult cr = cert::check(c);
+    EXPECT_TRUE(cr.ok) << "ordinal " << c.wave << ": " << cr.diagnostic;
+    ordinals.push_back(c.wave);
+  }
+  // Two sampled deletion waves plus one recovery wave.
+  EXPECT_EQ(ordinals, (std::vector<int64_t>{0, 1, 2}));
+}
+
 TEST(HealerService, AuditGuardrailQuietOnCleanChurn) {
   Rng rng(14);
   Graph g0 = make_sparse_random(128, 4.0, rng);
@@ -399,6 +459,54 @@ TEST(HealerService, AuditGuardrailQuietOnCleanChurn) {
   EXPECT_EQ(run.stats.audits, (run.stats.waves + 3) / 4);
   EXPECT_EQ(run.stats.audit_violations, 0);
   EXPECT_EQ(run.stats.recoveries, 0);
+}
+
+// ---------------------------------------------------------------------------
+// Ingest validation: a malformed insert is rejected, never applied.
+
+/// Pushes `bad` into a service whose nodes 5 and 6 are dead: the insert must
+/// leave the engine untouched, count one rejection, raise one alert that
+/// names the fault, and leave the service serving.
+void expect_insert_rejected(std::vector<NodeId> bad, const std::string& fault) {
+  Graph g0 = make_test_substrate();
+  HealerConfig config;
+  config.wave_size = 2;
+  HealerService service(g0, config);
+  std::vector<std::string> alerts;
+  service.set_alert([&alerts](int64_t, const std::string& what) {
+    alerts.push_back(what);
+  });
+  service.push(ChurnOp::Delete(NodeId{5}));
+  service.push(ChurnOp::Delete(NodeId{6}));
+  ASSERT_FALSE(service.engine().is_alive(NodeId{5}));
+  const std::string before = checkpoint(service.engine());
+
+  service.push(ChurnOp::Insert(std::move(bad)));
+  EXPECT_EQ(service.stats().ops, 3);
+  EXPECT_EQ(service.stats().rejected_inserts, 1);
+  EXPECT_EQ(service.stats().inserts, 0);
+  EXPECT_EQ(checkpoint(service.engine()), before);
+  ASSERT_EQ(alerts.size(), 1u);
+  EXPECT_EQ(alerts.front().rfind("insert: ", 0), 0u) << alerts.front();
+  EXPECT_NE(alerts.front().find(fault), std::string::npos) << alerts.front();
+
+  service.push(ChurnOp::Insert({NodeId{20}, NodeId{21}}));
+  EXPECT_EQ(service.stats().inserts, 1);
+  EXPECT_EQ(alerts.size(), 1u);
+  service.engine().validate();
+}
+
+TEST(HealerService, RejectsInsertWithDeadNeighbour) {
+  expect_insert_rejected({NodeId{20}, NodeId{5}}, "neighbour 5 is dead");
+}
+
+TEST(HealerService, RejectsInsertWithOutOfRangeNeighbour) {
+  expect_insert_rejected({NodeId{20}, NodeId{64000}}, "neighbour 64000 is dead or out of range");
+  expect_insert_rejected({NodeId{-1}, NodeId{20}}, "neighbour -1 is dead or out of range");
+}
+
+TEST(HealerService, RejectsInsertWithRepeatedNeighbour) {
+  expect_insert_rejected({NodeId{21}, NodeId{20}, NodeId{21}}, "neighbour 21 repeated");
 }
 
 TEST(HealerService, RunReportsIngestedOpCount) {

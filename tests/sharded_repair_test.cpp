@@ -220,17 +220,22 @@ TEST(ShardedRepair, ShardBookkeepingTracksFinalRts) {
   std::vector<NodeId> wave{5, 15, 25};
   auto plan = fg.plan_delete_batch(wave);
   fg.commit_delete_batch(plan);
-  int found = 0;
-  for (VNodeId h = 0; h < fg.forest().arena_size(); ++h) {
-    if (!fg.forest().exists(h) || !fg.forest().is_root(h)) continue;
-    int region = fg.shards().region_of_root(h);
-    if (region >= 0) {
-      ++found;
-      EXPECT_GE(region, 0);
-      EXPECT_LT(region, 3);
-    }
+  ASSERT_EQ(plan.regions.size(), 3u);
+  const std::vector<VNodeId>& roots = fg.shards().last_region_roots();
+  ASSERT_EQ(roots.size(), plan.regions.size());
+  for (VNodeId h : roots) {
+    ASSERT_NE(h, kNoVNode);
+    EXPECT_TRUE(fg.forest().exists(h));
+    EXPECT_TRUE(fg.forest().is_root(h));
   }
-  EXPECT_EQ(found, 3);  // one tracked RT per region
+  // One distinct final RT per region.
+  EXPECT_NE(roots[0], roots[1]);
+  EXPECT_NE(roots[0], roots[2]);
+  EXPECT_NE(roots[1], roots[2]);
+  for (int region : fg.shards().last_assignment()) {
+    EXPECT_GE(region, 0);
+    EXPECT_LT(region, 3);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -451,7 +451,6 @@ HealerConfig snapshot_config(const std::string& tag, int snapshot_every) {
   HealerConfig config;
   config.wave_size = 8;
   config.certify_every = 4;
-  config.overlap = true;
   config.plan_workers = 2;
   config.commit_workers = 2;
   config.break_workers = 2;
@@ -491,7 +490,7 @@ TEST(SnapshotService, ResumeMatchesUninterruptedByteForByte) {
       for (size_t i = 0; i < cut; ++i) service.push(ops[i]);
       if (cut == ops.size()) service.flush();
       EXPECT_EQ(alerts, 0);
-      // Destroyed mid-pipeline: whatever the files hold now is the crash
+      // Destroyed mid-stream: whatever the files hold now is the crash
       // image the restore path must stand on.
     }
     core::StructuralCore restored;

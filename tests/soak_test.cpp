@@ -83,12 +83,12 @@ TEST(Soak, DistributedEquivalenceLongRun) {
 }
 
 TEST(Soak, ChurnStreamThroughHealerService) {
-  // The serving loop under a longer pipelined churn stream, with the
-  // sampled guardrail as the oracle: every k-th wave's certificate is
-  // re-derived and checked from first principles by src/cert (which never
-  // links the engine), and the structural invariants are re-validated at
-  // the end. The generator mirrors the alive pool the way the bench driver
-  // does, so no delete is ever dropped.
+  // The serving loop under a longer churn stream, with the sampled
+  // guardrail as the oracle: every k-th wave's certificate is re-derived
+  // and checked from first principles by src/cert (which never links the
+  // engine), and the structural invariants are re-validated at the end.
+  // The generator mirrors the alive pool the way bench/churn_common.h does, so
+  // no delete is ever dropped and no insert rejected.
   Rng rng(0x50AC);
   const int n = 300;
   Graph g0 = make_sparse_random(n, 5.0, rng);
@@ -122,6 +122,7 @@ TEST(Soak, ChurnStreamThroughHealerService) {
   const HealerStats& stats = service.stats();
   EXPECT_EQ(stats.ops, 4000);
   EXPECT_EQ(stats.dropped_deletes, 0);
+  EXPECT_EQ(stats.rejected_inserts, 0);
   EXPECT_GT(stats.waves, 100);
   EXPECT_EQ(stats.certified_waves, (stats.waves + 4) / 5);
   EXPECT_EQ(stats.cert_rejections, 0);
