@@ -21,6 +21,9 @@
    token in the structural core, the sharded forest, or the dist engine
    (the PR-8 flat-container acceptance criterion — SlotTable, sorted-flat
    analysis sets, and binary-searched DAG knowledge replaced them all).
+   The sampled guardrails (certificate emit and check, the stabilizer
+   audit) go further: no std::set, std::map or unordered container at all,
+   since each one reads a whole RT in one linear pass over flat arrays.
 5. The healer-service surface stays in sync: the serving-loop names
    (HealerService, ChurnOp, certify_every, ...) must appear both in
    docs/API.md and as code tokens in src/fg/healer_service.h, and
@@ -208,6 +211,19 @@ FLAT_ONLY_FILES = (
 )
 
 
+# The linear-time guardrails: each sampled certificate emit/check and each
+# audit reads a whole reconstruction tree, so these files keep to sorted
+# flat vectors — no node-based or hashed container, ordered or not.
+GUARDRAIL_FLAT_FILES = (
+    "src/harness/certificate.h",
+    "src/harness/certificate.cpp",
+    "src/cert/certificate.cpp",
+    "src/fg/stabilizer.cpp",
+)
+TREE_OR_HASH_RE = re.compile(
+    r"\bstd::(?:multi)?(?:set|map)\b|\bunordered_(?:multi)?(?:map|set)\b")
+
+
 def check_graph_api_sync():
     problems = []
     header = REPO / GRAPH_HEADER
@@ -241,6 +257,18 @@ def check_graph_api_sync():
                 "repair path — the core, the sharded forest, and the dist "
                 "engine are sorted-flat only (SlotTable, binary-searched "
                 "analysis sets; docs/DESIGN.md, docs/CONCURRENCY.md)")
+    for rel in GUARDRAIL_FLAT_FILES:
+        path = REPO / rel
+        if not path.exists():
+            problems.append(f"{rel}: missing, but the guardrail container ban covers it")
+            continue
+        token = TREE_OR_HASH_RE.search(header_code(path))
+        if token:
+            problems.append(
+                f"{rel}: `{token.group(0)}` crept into a guardrail — "
+                "certificate emit/check and the audit stay linear over "
+                "sorted flat vectors (docs/CERTIFICATES.md, "
+                "docs/SELF_STABILIZATION.md)")
     flat_map = REPO / FLAT_MAP_HEADER
     if not flat_map.exists():
         problems.append(
@@ -569,7 +597,8 @@ def main():
     print(f"docs OK: {sum(1 for _ in markdown_files())} markdown files, "
           "links resolve, example snippets in sync, CONCURRENCY.md API names "
           "and C4 wording match the headers, Graph view API in sync (no "
-          "unordered_set in the surface), healer-service API in sync, "
+          "unordered_set in the surface, guardrails free of tree/hash "
+          "containers), healer-service API in sync, "
           "stabilizer API and violation kinds in sync, snapshot format/API "
           "in sync (fgsnap link line engine-free), certificate checker "
           "independent (includes + fgcheck link line) and its API/version "

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <istream>
+#include <iterator>
 #include <ostream>
-#include <set>
 #include <sstream>
 #include <string>
-#include <unordered_map>
 #include <utility>
 
 #include "graph/algorithms.h"
@@ -362,6 +361,29 @@ CheckResult parse(std::istream& is, WaveCertificate* out, bool* eof) {
 
 namespace {
 
+using Edge = std::pair<NodeId, NodeId>;
+
+template <class T>
+std::vector<T> sorted(std::vector<T> v) {
+  std::sort(v.begin(), v.end());
+  return v;
+}
+
+/// Per position of `keys`: 1 when an earlier position holds the same key.
+/// One sort of (key, position) pairs, so a listed-twice rule still reports
+/// the first repeat in list order, as a running seen-set would.
+template <class Key>
+std::vector<char> repeats(const std::vector<Key>& keys) {
+  std::vector<std::pair<Key, size_t>> order;
+  order.reserve(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) order.emplace_back(keys[i], i);
+  std::sort(order.begin(), order.end());
+  std::vector<char> repeat(keys.size(), 0);
+  for (size_t i = 1; i < order.size(); ++i)
+    if (order[i].first == order[i - 1].first) repeat[order[i].second] = 1;
+  return repeat;
+}
+
 struct Checker {
   const WaveCertificate& c;
   int region = -1;  // current region for diagnostics, -1 = wave level
@@ -421,8 +443,12 @@ CheckResult check_subtree(Checker& ck, const std::vector<RtNode>& nodes, int roo
   return CheckResult{};
 }
 
+/// Check one region's claims. `wave_victims` is the wave's victim list,
+/// sorted; on success `*image` holds the region's verified image edges,
+/// sorted and duplicate-free.
 CheckResult check_region(Checker& ck, const RegionCert& rc,
-                         const std::vector<NodeId>& wave_victims) {
+                         const std::vector<NodeId>& wave_victims,
+                         std::vector<Edge>* image) {
   const std::vector<RtNode>& nodes = rc.nodes;
   const size_t n = nodes.size();
 
@@ -505,65 +531,77 @@ CheckResult check_region(Checker& ck, const RegionCert& rc,
   // witness and its dead endpoint is one of the region's victims.
   if (!rc.anchors.empty() && n == 0)
     return ck.fail("anchors", "anchors claimed but no RT witness");
-  std::set<std::pair<NodeId, NodeId>> leaf_slots;
+  std::vector<Edge> leaf_slots;
   for (const RtNode& nd : nodes)
-    if (nd.is_leaf) leaf_slots.insert({nd.owner, nd.other});
+    if (nd.is_leaf) leaf_slots.emplace_back(nd.owner, nd.other);
+  std::sort(leaf_slots.begin(), leaf_slots.end());
+  const std::vector<NodeId> region_victims = sorted(rc.victims);
   for (const auto& [owner, dead] : rc.anchors) {
-    if (std::find(rc.victims.begin(), rc.victims.end(), dead) == rc.victims.end())
+    if (!std::binary_search(region_victims.begin(), region_victims.end(), dead))
       return ck.fail("anchors", "anchor (" + std::to_string(owner) + ", " +
                                     std::to_string(dead) +
                                     ") names a dead endpoint outside the region");
-    if (!leaf_slots.contains({owner, dead}))
+    if (!std::binary_search(leaf_slots.begin(), leaf_slots.end(), Edge{owner, dead}))
       return ck.fail("anchors", "anchor (" + std::to_string(owner) + ", " +
                                     std::to_string(dead) +
                                     ") has no matching RT leaf");
   }
   for (NodeId v : rc.victims)
-    if (std::find(wave_victims.begin(), wave_victims.end(), v) ==
-        wave_victims.end())
+    if (!std::binary_search(wave_victims.begin(), wave_victims.end(), v))
       return ck.fail("partition",
                      "region victim " + std::to_string(v) + " not in the wave");
 
   // image-edges: the claimed healed-network edges equal the homomorphic
   // image of the witness — tree edges whose endpoints have distinct owners.
-  std::set<std::pair<NodeId, NodeId>> derived;
+  // Both sides sorted; on a mismatch the witness pair is the largest edge
+  // of derived \ claimed, else the largest of claimed \ derived.
+  std::vector<Edge>& derived = *image;
+  derived.clear();
   for (size_t i = 0; i < n; ++i) {
     const RtNode& nd = nodes[i];
     if (nd.parent < 0) continue;
     NodeId a = nd.owner;
     NodeId b = nodes[static_cast<size_t>(nd.parent)].owner;
-    if (a != b) derived.insert({std::min(a, b), std::max(a, b)});
+    if (a != b) derived.emplace_back(std::min(a, b), std::max(a, b));
   }
-  std::set<std::pair<NodeId, NodeId>> claimed(rc.image_edges.begin(),
-                                              rc.image_edges.end());
-  if (claimed.size() != rc.image_edges.size())
+  std::sort(derived.begin(), derived.end());
+  derived.erase(std::unique(derived.begin(), derived.end()), derived.end());
+  const std::vector<Edge> claimed = sorted(rc.image_edges);
+  if (std::adjacent_find(claimed.begin(), claimed.end()) != claimed.end())
     return ck.fail("image-edges", "duplicate claimed image edge");
   if (claimed != derived) {
-    std::pair<NodeId, NodeId> witness{kInvalidNode, kInvalidNode};
-    for (const auto& e : claimed)
-      if (!derived.contains(e)) witness = e;
-    for (const auto& e : derived)
-      if (!claimed.contains(e)) witness = e;
+    std::vector<Edge> diff;
+    std::set_difference(derived.begin(), derived.end(), claimed.begin(),
+                        claimed.end(), std::back_inserter(diff));
+    if (diff.empty())
+      std::set_difference(claimed.begin(), claimed.end(), derived.begin(),
+                          derived.end(), std::back_inserter(diff));
     return ck.fail("image-edges",
                    "claimed edges differ from the RT witness image at (" +
-                       std::to_string(witness.first) + ", " +
-                       std::to_string(witness.second) + ")");
+                       std::to_string(diff.back().first) + ", " +
+                       std::to_string(diff.back().second) + ")");
   }
 
   // rt-connectivity: the region's owners form one connected component under
   // exactly the claimed image edges — the spanning check, run through the
-  // real graph substrate (the checker's one src/graph dependency).
+  // real graph substrate (the checker's one src/graph dependency). The
+  // verified image is sorted and duplicate-free, and renumbering owners by
+  // rank keeps it so: it bulk-loads as is.
   if (n > 0) {
     std::vector<NodeId> owners;
+    owners.reserve(n);
     for (const RtNode& nd : nodes) owners.push_back(nd.owner);
     std::sort(owners.begin(), owners.end());
     owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
-    Graph og(static_cast<int>(owners.size()));
     auto local = [&owners](NodeId v) {
-      return static_cast<NodeId>(
+      return static_cast<uint32_t>(
           std::lower_bound(owners.begin(), owners.end(), v) - owners.begin());
     };
-    for (const auto& [u, v] : rc.image_edges) og.add_edge(local(u), local(v));
+    std::vector<std::pair<uint32_t, uint32_t>> local_edges;
+    local_edges.reserve(derived.size());
+    for (const auto& [u, v] : derived) local_edges.emplace_back(local(u), local(v));
+    Graph og(static_cast<int>(owners.size()));
+    og.add_edges_bulk(local_edges);
     if (!is_connected(og))
       return ck.fail("rt-connectivity",
                      "the RT's image does not connect all its owners");
@@ -590,63 +628,71 @@ CheckResult check(const WaveCertificate& c) {
   // partition: victims distinct, every victim assigned to a declared region,
   // region victim lists consistent with the assignment (wave order).
   {
-    std::set<NodeId> seen;
-    for (NodeId v : c.victims)
-      if (!seen.insert(v).second)
-        return ck.fail("partition", "victim " + std::to_string(v) + " repeated");
+    const std::vector<char> repeated = repeats(c.victims);
+    for (size_t i = 0; i < c.victims.size(); ++i)
+      if (repeated[i])
+        return ck.fail("partition",
+                       "victim " + std::to_string(c.victims[i]) + " repeated");
     const int r_count = static_cast<int>(c.regions.size());
     for (size_t i = 0; i < c.assign.size(); ++i)
       if (c.assign[i] < 0 || c.assign[i] >= r_count)
         return ck.fail("partition", "victim " + std::to_string(c.victims[i]) +
                                         " assigned to unknown region " +
                                         std::to_string(c.assign[i]));
+    std::vector<std::vector<NodeId>> expect(static_cast<size_t>(r_count));
+    for (size_t i = 0; i < c.victims.size() && i < c.assign.size(); ++i)
+      expect[static_cast<size_t>(c.assign[i])].push_back(c.victims[i]);
     for (int r = 0; r < r_count; ++r) {
       if (c.regions[static_cast<size_t>(r)].id != r)
         return ck.fail("partition", "region ids out of order at " +
                                         std::to_string(r));
-      std::vector<NodeId> expect;
-      for (size_t i = 0; i < c.victims.size(); ++i)
-        if (c.assign[i] == r) expect.push_back(c.victims[i]);
-      if (expect != c.regions[static_cast<size_t>(r)].victims)
+      if (expect[static_cast<size_t>(r)] != c.regions[static_cast<size_t>(r)].victims)
         return ck.fail("partition",
                        "region " + std::to_string(r) +
                            " victim list disagrees with the assignment");
     }
   }
 
-  for (const RegionCert& rc : c.regions) {
-    ck.region = rc.id;
-    CheckResult res = check_region(ck, rc, c.victims);
+  const std::vector<NodeId> victims = sorted(c.victims);
+  std::vector<std::vector<Edge>> images(c.regions.size());
+  for (size_t r = 0; r < c.regions.size(); ++r) {
+    ck.region = c.regions[r].id;
+    CheckResult res = check_region(ck, c.regions[r], victims, &images[r]);
     if (!res.ok) return res;
   }
   ck.region = -1;
 
-  // The wave's deduplicated image edges, for the degree-delta bound.
-  std::set<std::pair<NodeId, NodeId>> wave_edges;
-  for (const RegionCert& rc : c.regions)
-    wave_edges.insert(rc.image_edges.begin(), rc.image_edges.end());
-  // Incident counts up front: after sustained churn a wave's affected set
-  // (and so both the edge list and the degree section) can run to tens of
-  // thousands of entries, and a per-claim scan of wave_edges turns the
-  // in-process guardrail check quadratic — seconds per certificate, which
-  // the healer service's sampling budget cannot absorb.
-  std::unordered_map<NodeId, int> incident_count;
-  incident_count.reserve(2 * wave_edges.size());
-  for (const auto& [u, v] : wave_edges) {
-    ++incident_count[u];
-    ++incident_count[v];
+  // The wave's deduplicated image edges, for the degree-delta bound, as a
+  // sorted endpoint list: a node's incident count is its equal_range.
+  std::vector<NodeId> endpoints;
+  {
+    std::vector<Edge> wave_edges;
+    for (const std::vector<Edge>& image : images)
+      wave_edges.insert(wave_edges.end(), image.begin(), image.end());
+    std::sort(wave_edges.begin(), wave_edges.end());
+    wave_edges.erase(std::unique(wave_edges.begin(), wave_edges.end()),
+                     wave_edges.end());
+    endpoints.reserve(2 * wave_edges.size());
+    for (const auto& [u, v] : wave_edges) {
+      endpoints.push_back(u);
+      endpoints.push_back(v);
+    }
+    std::sort(endpoints.begin(), endpoints.end());
   }
 
   // degree: no victim may be claimed as a survivor; every claim respects the
   // accounting constant and the wave's own new incident edges.
   {
-    std::set<NodeId> victims(c.victims.begin(), c.victims.end());
-    std::set<NodeId> listed;
-    for (const DegreeClaim& d : c.degrees) {
-      if (victims.contains(d.node))
+    std::vector<NodeId> listed;
+    listed.reserve(c.degrees.size());
+    for (const DegreeClaim& d : c.degrees) listed.push_back(d.node);
+    const std::vector<char> repeated = repeats(listed);
+    for (size_t i = 0; i < c.degrees.size(); ++i) {
+      const DegreeClaim& d = c.degrees[i];
+      if (std::binary_search(victims.begin(), victims.end(), d.node))
         return ck.fail("degree", "victim " + std::to_string(d.node) +
                                      " listed as a surviving node");
-      if (!listed.insert(d.node).second)
+      if (repeated[i])
         return ck.fail("degree",
                        "node " + std::to_string(d.node) + " listed twice");
       if (d.gprime < 0 || d.g_before < 0 || d.g_after < 0)
@@ -658,8 +704,9 @@ CheckResult check(const WaveCertificate& c) {
                            std::to_string(d.g_after) + " > " +
                            std::to_string(c.degree_constant) + " * " +
                            std::to_string(d.gprime) + " (Theorem 1.1)");
-      auto it = incident_count.find(d.node);
-      const int incident = it == incident_count.end() ? 0 : it->second;
+      const auto [lo, hi] =
+          std::equal_range(endpoints.begin(), endpoints.end(), d.node);
+      const int incident = static_cast<int>(hi - lo);
       if (d.g_after > d.g_before + incident)
         return ck.fail("degree", "node " + std::to_string(d.node) + " gained " +
                                      std::to_string(d.g_after - d.g_before) +
@@ -667,10 +714,11 @@ CheckResult check(const WaveCertificate& c) {
                                      std::to_string(incident) + " incident");
     }
     // Every anchor owner survives the wave and must be accounted for.
+    std::sort(listed.begin(), listed.end());
     for (const RegionCert& rc : c.regions)
       for (const auto& [owner, dead] : rc.anchors) {
         (void)dead;
-        if (!listed.contains(owner)) {
+        if (!std::binary_search(listed.begin(), listed.end(), owner)) {
           ck.region = rc.id;
           return ck.fail("degree", "anchor owner " + std::to_string(owner) +
                                        " missing from the degree section");
@@ -682,28 +730,32 @@ CheckResult check(const WaveCertificate& c) {
   // stretch: witness paths continuous, every hop justified by an edge fact,
   // length within stretch-bound * dist_G'.
   {
-    std::set<std::pair<NodeId, NodeId>> fact_set;
-    for (const EdgeFact& f : c.facts) {
+    std::vector<Edge> fact_keys;
+    fact_keys.reserve(c.facts.size());
+    for (const EdgeFact& f : c.facts) fact_keys.emplace_back(f.u, f.v);
+    const std::vector<char> repeated = repeats(fact_keys);
+    for (size_t i = 0; i < c.facts.size(); ++i) {
+      const EdgeFact& f = c.facts[i];
       if (f.u >= f.v)
         return ck.fail("stretch", "edge fact (" + std::to_string(f.u) + ", " +
                                       std::to_string(f.v) +
                                       ") not normalized (u < v)");
-      if (!fact_set.insert({f.u, f.v}).second)
+      if (repeated[i])
         return ck.fail("stretch", "edge fact (" + std::to_string(f.u) + ", " +
                                       std::to_string(f.v) + ") repeated");
       if (f.kind == EdgeFact::Kind::kRtWave) {
         if (f.region < 0 || f.region >= static_cast<int>(c.regions.size()))
           return ck.fail("stretch", "edge fact names unknown region " +
                                         std::to_string(f.region));
-        const RegionCert& rc = c.regions[static_cast<size_t>(f.region)];
-        if (!std::count(rc.image_edges.begin(), rc.image_edges.end(),
-                        std::make_pair(f.u, f.v)))
+        const std::vector<Edge>& image = images[static_cast<size_t>(f.region)];
+        if (!std::binary_search(image.begin(), image.end(), Edge{f.u, f.v}))
           return ck.fail("stretch",
                          "edge fact (" + std::to_string(f.u) + ", " +
                              std::to_string(f.v) + ") is not an image edge of region " +
                              std::to_string(f.region));
       }
     }
+    std::sort(fact_keys.begin(), fact_keys.end());
     for (const StretchWitness& s : c.stretch) {
       if (s.path.size() < 2 || s.path.front() != s.x || s.path.back() != s.y)
         return ck.fail("stretch", "witness path endpoints do not match pair (" +
@@ -719,7 +771,7 @@ CheckResult check(const WaveCertificate& c) {
         if (u == v)
           return ck.fail("stretch", "witness path repeats node " +
                                         std::to_string(u));
-        if (!fact_set.contains({u, v}))
+        if (!std::binary_search(fact_keys.begin(), fact_keys.end(), Edge{u, v}))
           return ck.fail("stretch", "witness hop (" + std::to_string(u) + ", " +
                                         std::to_string(v) +
                                         ") has no supporting edge fact");

@@ -207,10 +207,11 @@ Analysis analyze(const core::StructuralCore& core) {
     int stage;
   };
   std::vector<Frame> stack;
+  std::vector<VNodeId> comp_root(static_cast<size_t>(out.n_comps), kNoVNode);
   for (int c = 0; c < out.n_comps; ++c) {
     if (out.condemned[static_cast<size_t>(c)]) continue;
     const std::vector<VNodeId>& m = members[static_cast<size_t>(c)];
-    VNodeId root = kNoVNode;
+    VNodeId& root = comp_root[static_cast<size_t>(c)];
     int roots = 0;
     for (VNodeId h : m)
       if (row(h).parent == kNoVNode) {
@@ -292,35 +293,72 @@ Analysis analyze(const core::StructuralCore& core) {
   }
 
   // --- I3 per clean component: rep == the unique helper-free leaf. --------
+  // A clean component is a verified tree whose links are all mutual, so
+  // for a leaf y with slot helper h, "h lies in subtree(x)" holds exactly
+  // when x is an ancestor-or-self of h: y stops being free at the
+  // ancestors-or-self of lca(y, h). A helper that is missing, not a live
+  // row, or in another component leaves y free everywhere (a mutual-link
+  // climb never leaves its component). One preorder (depths), one lca
+  // climb per leaf and one bottom-up pass that sums free-leaf counts and
+  // XORs free-leaf handles (a count of 1 leaves exactly that handle) decide
+  // every helper at once, in O(rows * depth). The shape pass is done with
+  // its recount buffers, so depths and free-leaf counts reuse them (every
+  // slot of a component is written before it is read).
+  std::vector<int>& depth = ht;
+  std::vector<int64_t>& free_count = lc;
+  std::vector<VNodeId> free_xor(static_cast<size_t>(n), 0);
+  std::vector<VNodeId> pre;
   std::vector<VNodeId> walk;
   for (int c = 0; c < out.n_comps; ++c) {
     if (out.condemned[static_cast<size_t>(c)]) continue;
+    pre.clear();
+    walk.assign(1, comp_root[static_cast<size_t>(c)]);
+    depth[static_cast<size_t>(walk.back())] = 0;
+    while (!walk.empty()) {
+      const VNodeId z = walk.back();
+      walk.pop_back();
+      pre.push_back(z);
+      const VNode& rz = row(z);
+      free_count[static_cast<size_t>(z)] = rz.is_leaf ? 1 : 0;
+      free_xor[static_cast<size_t>(z)] = rz.is_leaf ? z : 0;
+      if (rz.is_leaf) continue;
+      for (VNodeId k : {rz.right, rz.left}) {
+        depth[static_cast<size_t>(k)] = depth[static_cast<size_t>(z)] + 1;
+        walk.push_back(k);
+      }
+    }
+    for (VNodeId y : pre) {
+      const VNode& ry = row(y);
+      if (!ry.is_leaf) continue;
+      // The leaf's slot exists and backs it (the component is clean).
+      const SlotTable::Entry* s = slots.find(ry.owner, ry.other);
+      VNodeId b = s == nullptr ? kNoVNode : s->helper;
+      if (!row_ok(b) || out.comp[static_cast<size_t>(b)] != c) continue;
+      VNodeId a = y;
+      while (depth[static_cast<size_t>(a)] > depth[static_cast<size_t>(b)])
+        a = row(a).parent;
+      while (depth[static_cast<size_t>(b)] > depth[static_cast<size_t>(a)])
+        b = row(b).parent;
+      while (a != b) {
+        a = row(a).parent;
+        b = row(b).parent;
+      }
+      --free_count[static_cast<size_t>(a)];
+      free_xor[static_cast<size_t>(a)] ^= y;
+    }
+    for (size_t i = pre.size(); i-- > 0;) {
+      const VNode& rz = row(pre[i]);
+      if (rz.is_leaf) continue;
+      const size_t z = static_cast<size_t>(pre[i]);
+      free_count[z] += free_count[static_cast<size_t>(rz.left)] +
+                       free_count[static_cast<size_t>(rz.right)];
+      free_xor[z] ^= free_xor[static_cast<size_t>(rz.left)] ^
+                     free_xor[static_cast<size_t>(rz.right)];
+    }
     for (VNodeId x : members[static_cast<size_t>(c)]) {
       if (row(x).is_leaf) continue;
-      int free_leaves = 0;
-      VNodeId free_leaf = kNoVNode;
-      walk.assign(1, x);
-      while (!walk.empty()) {
-        VNodeId y = walk.back();
-        walk.pop_back();
-        const VNode& ry = row(y);
-        if (!ry.is_leaf) {
-          walk.push_back(ry.right);
-          walk.push_back(ry.left);
-          continue;
-        }
-        // The leaf's slot exists and backs it (the component is clean);
-        // its helper field decides freeness relative to subtree(x).
-        const SlotTable::Entry* s = slots.find(ry.owner, ry.other);
-        const VNodeId helper = s == nullptr ? kNoVNode : s->helper;
-        const bool inside = helper != kNoVNode && row_ok(helper) &&
-                            reaches_up(helper, x);
-        if (!inside) {
-          ++free_leaves;
-          free_leaf = y;
-        }
-      }
-      if (free_leaves != 1 || free_leaf != row(x).rep) {
+      if (free_count[static_cast<size_t>(x)] != 1 ||
+          free_xor[static_cast<size_t>(x)] != row(x).rep) {
         note(rep, ViolationKind::kRepInvariant, x, row(x).owner, row(x).other,
              "rep is not the unique helper-free leaf of its subtree");
         condemn(c);

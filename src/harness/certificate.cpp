@@ -1,9 +1,7 @@
 #include "harness/certificate.h"
 
 #include <algorithm>
-#include <map>
 #include <ostream>
-#include <set>
 #include <utility>
 
 #include "graph/algorithms.h"
@@ -22,18 +20,29 @@ void CertificateBuilder::begin_wave(const core::StructuralCore& core,
   // fresh leaf's tree edges) and the owners of vnodes inside the affected
   // RT subtrees (their virtual edges are torn down and re-merged). Snapshot
   // deg_G for all of them before the commit mutates the image.
-  degree_before_.clear();
   const Graph& g = core.image();
   const VirtualForest& forest = core.forest();
-  auto note = [&](NodeId v) {
-    if (!degree_before_.contains(v)) degree_before_.emplace(v, g.degree(v));
-  };
+  std::vector<NodeId> affected(plan.victims.begin(), plan.victims.end());
+  std::vector<VNodeId> stack;
   for (const core::RegionPlan& region : plan.regions) {
-    for (const core::RegionPlan::FreshLeaf& fl : region.fresh) note(fl.owner);
-    for (VNodeId root : region.roots)
-      for (VNodeId h : forest.subtree_of(root)) note(forest.node(h).owner);
+    for (const core::RegionPlan::FreshLeaf& fl : region.fresh)
+      affected.push_back(fl.owner);
+    for (VNodeId root : region.roots) {
+      stack.assign(1, root);
+      while (!stack.empty()) {
+        const VirtualForest::VNode& n = forest.node(stack.back());
+        stack.pop_back();
+        affected.push_back(n.owner);
+        if (n.left != kNoVNode) stack.push_back(n.left);
+        if (n.right != kNoVNode) stack.push_back(n.right);
+      }
+    }
   }
-  for (NodeId v : plan.victims) note(v);
+  std::sort(affected.begin(), affected.end());
+  affected.erase(std::unique(affected.begin(), affected.end()), affected.end());
+  degree_before_.clear();
+  degree_before_.reserve(affected.size());
+  for (NodeId v : affected) degree_before_.emplace_back(v, g.degree(v));
 }
 
 namespace {
@@ -82,7 +91,15 @@ cert::WaveCertificate CertificateBuilder::end_wave(
   // Region witnesses: each final RT in preorder, handles normalized to
   // local indices — identical across the centralized (reserved) and
   // distributed (on-demand) arenas, because only the tree shape survives.
-  std::map<std::pair<NodeId, NodeId>, int> edge_region;
+  // One explicit-stack walk numbers each node by its preorder position; a
+  // child carries its parent's local index and fills in the parent's
+  // left/right link, so no handle-to-index map is needed.
+  struct Pending {
+    VNodeId h;
+    int parent;
+    bool is_right;
+  };
+  std::vector<Pending> stack;
   for (size_t r = 0; r < plan.regions.size(); ++r) {
     const core::RegionPlan& region = plan.regions[r];
     cert::RegionCert rc;
@@ -91,52 +108,40 @@ cert::WaveCertificate CertificateBuilder::end_wave(
     for (const core::RegionPlan::FreshLeaf& fl : region.fresh)
       rc.anchors.emplace_back(fl.owner, fl.dead);
     if (region_roots[r] != kNoVNode) {
-      std::vector<VNodeId> pre = forest.subtree_of(region_roots[r]);
-      std::unordered_map<VNodeId, int> local;
-      local.reserve(pre.size());
-      for (size_t i = 0; i < pre.size(); ++i)
-        local.emplace(pre[i], static_cast<int>(i));
-      auto idx = [&local](VNodeId h) {
-        return h == kNoVNode ? -1 : local.at(h);
-      };
-      std::set<std::pair<NodeId, NodeId>> image;
-      for (VNodeId h : pre) {
-        const VirtualForest::VNode& n = forest.node(h);
-        cert::RtNode rn;
-        rn.owner = n.owner;
-        rn.other = n.other;
-        rn.is_leaf = n.is_leaf;
-        rn.parent = h == region_roots[r] ? -1 : idx(n.parent);
-        rn.left = idx(n.left);
-        rn.right = idx(n.right);
-        rc.nodes.push_back(rn);
-        if (h != region_roots[r]) {
-          NodeId a = n.owner;
-          NodeId b = forest.node(n.parent).owner;
-          if (a != b) image.insert({std::min(a, b), std::max(a, b)});
+      stack.assign(1, Pending{region_roots[r], -1, false});
+      while (!stack.empty()) {
+        const Pending p = stack.back();
+        stack.pop_back();
+        const int i = static_cast<int>(rc.nodes.size());
+        const VirtualForest::VNode& n = forest.node(p.h);
+        rc.nodes.push_back(cert::RtNode{n.owner, n.other, n.is_leaf, p.parent, -1, -1});
+        if (p.parent >= 0) {
+          cert::RtNode& up = rc.nodes[static_cast<size_t>(p.parent)];
+          (p.is_right ? up.right : up.left) = i;
+          if (n.owner != up.owner)
+            rc.image_edges.emplace_back(std::min(n.owner, up.owner),
+                                        std::max(n.owner, up.owner));
         }
+        if (n.right != kNoVNode) stack.push_back(Pending{n.right, i, true});
+        if (n.left != kNoVNode) stack.push_back(Pending{n.left, i, false});
       }
-      rc.image_edges.assign(image.begin(), image.end());
-      for (const auto& e : image) edge_region.emplace(e, region.id);
+      std::sort(rc.image_edges.begin(), rc.image_edges.end());
+      rc.image_edges.erase(std::unique(rc.image_edges.begin(), rc.image_edges.end()),
+                           rc.image_edges.end());
     }
     c.regions.push_back(std::move(rc));
   }
 
   // Degree claims for the surviving affected set, sorted by node id.
-  {
-    std::vector<std::pair<NodeId, int>> before(degree_before_.begin(),
-                                               degree_before_.end());
-    std::sort(before.begin(), before.end());
-    for (const auto& [v, deg0] : before) {
-      if (!g.is_alive(v)) continue;  // victims carry no survivor claim
-      c.degrees.push_back(cert::DegreeClaim{v, gp.degree(v), deg0, g.degree(v)});
-    }
+  for (const auto& [v, deg0] : degree_before_) {
+    if (!g.is_alive(v)) continue;  // victims carry no survivor claim
+    c.degrees.push_back(cert::DegreeClaim{v, gp.degree(v), deg0, g.degree(v)});
   }
 
   // Stretch witnesses: a deterministic stride over the sorted alive nodes
   // picks the sources; each source pairs with its G'-farthest alive node
   // (smallest id on ties) and witnesses the healed-graph BFS path.
-  std::map<std::pair<NodeId, NodeId>, cert::EdgeFact> facts;
+  std::vector<std::pair<NodeId, NodeId>> hops;
   std::vector<NodeId> alive = g.alive_nodes();
   if (alive.size() >= 2) {
     size_t stride = std::max<size_t>(1, alive.size() / kStretchSamples);
@@ -165,29 +170,33 @@ cert::WaveCertificate CertificateBuilder::end_wave(
       }
       std::reverse(w.path.begin(), w.path.end());
       FG_CHECK(w.path.front() == x && w.path.back() == y);
-
-      for (size_t h = 0; h + 1 < w.path.size(); ++h) {
-        NodeId u = std::min(w.path[h], w.path[h + 1]);
-        NodeId v = std::max(w.path[h], w.path[h + 1]);
-        if (facts.contains({u, v})) continue;
-        cert::EdgeFact f;
-        f.u = u;
-        f.v = v;
-        if (gp.has_edge(u, v)) {
-          f.kind = cert::EdgeFact::Kind::kGPrime;
-        } else if (auto it = edge_region.find({u, v}); it != edge_region.end()) {
-          f.kind = cert::EdgeFact::Kind::kRtWave;
-          f.region = it->second;
-        } else {
-          f.kind = cert::EdgeFact::Kind::kRtPrior;
-        }
-        facts.emplace(std::make_pair(u, v), f);
-      }
+      for (size_t h = 0; h + 1 < w.path.size(); ++h)
+        hops.emplace_back(std::min(w.path[h], w.path[h + 1]),
+                          std::max(w.path[h], w.path[h + 1]));
       c.stretch.push_back(std::move(w));
     }
   }
-  for (const auto& [key, f] : facts) {
-    (void)key;
+
+  // One edge fact per distinct hop, in (u, v) order. A hop of this wave's
+  // RT image credits the first region in id order holding it.
+  std::sort(hops.begin(), hops.end());
+  hops.erase(std::unique(hops.begin(), hops.end()), hops.end());
+  for (const auto& [u, v] : hops) {
+    cert::EdgeFact f;
+    f.u = u;
+    f.v = v;
+    f.kind = cert::EdgeFact::Kind::kRtPrior;
+    if (gp.has_edge(u, v)) {
+      f.kind = cert::EdgeFact::Kind::kGPrime;
+    } else {
+      for (const cert::RegionCert& rc : c.regions)
+        if (std::binary_search(rc.image_edges.begin(), rc.image_edges.end(),
+                               std::make_pair(u, v))) {
+          f.kind = cert::EdgeFact::Kind::kRtWave;
+          f.region = rc.id;
+          break;
+        }
+    }
     c.facts.push_back(f);
   }
 

@@ -30,7 +30,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cert/certificate.h"
@@ -99,9 +99,10 @@ class CertificateBuilder {
                                  const cert::CostClaim* cost) const;
 
  private:
-  /// deg_G before the commit, for every node whose degree the wave can
-  /// change (keys are the affected set; victims included, filtered later).
-  std::unordered_map<NodeId, int> degree_before_;
+  /// (node, deg_G before the commit) for every node whose degree the wave
+  /// can change, sorted by node id (the affected set; victims included,
+  /// filtered later).
+  std::vector<std::pair<NodeId, int>> degree_before_;
 };
 
 }  // namespace fg::harness

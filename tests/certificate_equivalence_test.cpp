@@ -8,6 +8,7 @@
 // difference between engines, localized to the first differing wave.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -61,6 +62,14 @@ struct CorpusCase {
   int steps;
   uint64_t seed;
 };
+
+// gtest_discover_tests keeps the "# GetParam() = ..." comment in each CTest
+// name. Without a printer that comment is a byte dump of the struct (the
+// `graph` pointer and padding), which differs from run to run.
+void PrintTo(const CorpusCase& c, std::ostream* os) {
+  *os << c.graph << " n=" << c.n << " adversary=" << c.adversary << " steps=" << c.steps
+      << " seed=" << c.seed;
+}
 
 class CertificateEquivalence : public ::testing::TestWithParam<CorpusCase> {};
 

@@ -13,6 +13,8 @@
 // is a determinism regression.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -22,8 +24,10 @@
 #include "cert/certificate.h"
 #include "fg/dist/dist_forgiving_graph.h"
 #include "fg/forgiving_graph.h"
+#include "fg/healer_service.h"
 #include "graph/generators.h"
 #include "harness/certificate.h"
+#include "util/rng.h"
 
 namespace fg {
 namespace {
@@ -92,6 +96,78 @@ TEST(CertificateGolden, CorpusValidates) {
     EXPECT_TRUE(res.ok) << name << ": " << res.diagnostic;
     EXPECT_EQ(res.waves_checked, 3) << name;
   }
+}
+
+/// FNV-1a (64-bit) over a byte string: pins a stream too large to commit.
+uint64_t fnv1a(const std::string& bytes) {
+  uint64_t h = 14695981039346656037ULL;
+  for (unsigned char ch : bytes) {
+    h ^= ch;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// The two streams above come from make_star(9): one small RT per wave. This
+// pin covers the bytes of deep, multi-region waves at service scale — a
+// seeded churn stream (the bench/churn_common.h generator, inlined) through
+// HealerService with every wave certified, teed and re-checked offline.
+TEST(CertificateGolden, ServiceStreamDigestIsPinned) {
+  constexpr int kNodes = 4096;
+  constexpr int kOps = 2000;
+  Rng rng(17);
+  Graph g0 = make_sparse_random(kNodes, 8.0, rng);
+  HealerConfig config;
+  config.certify_every = 1;
+  HealerService service(g0, config);
+  std::ostringstream tee;
+  service.set_certificate_stream(&tee);
+
+  std::vector<NodeId> pool(static_cast<size_t>(kNodes));
+  for (NodeId v = 0; v < kNodes; ++v) pool[static_cast<size_t>(v)] = v;
+  NodeId next_id = kNodes;
+  for (int i = 0; i < kOps; ++i) {
+    if (pool.size() > 64 && rng.next_bool(0.5)) {
+      size_t j = static_cast<size_t>(rng.next_below(pool.size()));
+      NodeId victim = pool[j];
+      pool[j] = pool.back();
+      pool.pop_back();
+      service.push(ChurnOp::Delete(victim));
+    } else {
+      NodeId a = rng.pick(pool);
+      NodeId b = a;
+      while (b == a) b = rng.pick(pool);
+      service.push(ChurnOp::Insert({a, b}));
+      pool.push_back(next_id++);
+    }
+  }
+  service.flush();
+  ASSERT_EQ(service.stats().cert_rejections, 0);
+
+  const std::string stream = tee.str();
+  {
+    std::istringstream is(stream);
+    cert::StreamResult res = cert::check_stream(is);
+    ASSERT_TRUE(res.ok) << res.diagnostic;
+    EXPECT_EQ(res.waves_checked, service.stats().certified_waves);
+  }
+  size_t largest_rt = 0;
+  int regions = 0;
+  {
+    std::istringstream is(stream);
+    cert::WaveCertificate c;
+    bool eof = false;
+    while (cert::parse(is, &c, &eof).ok && !eof)
+      for (const cert::RegionCert& rc : c.regions) {
+        largest_rt = std::max(largest_rt, rc.nodes.size());
+        ++regions;
+      }
+  }
+  EXPECT_GE(largest_rt, 1000u) << "the stream no longer reaches a deep RT";
+  EXPECT_GT(regions, static_cast<int>(service.stats().certified_waves))
+      << "the stream no longer splits waves into several regions";
+  EXPECT_EQ(fnv1a(stream), 8235632626532799063ULL)
+      << "service certificate stream drifted (" << stream.size() << " bytes)";
 }
 
 // ---------------------------------------------------------------------------
@@ -206,6 +282,77 @@ TEST(CertificateNegative, VictimListedAsSurvivor) {
   ASSERT_FALSE(c.victims.empty());
   c.degrees.push_back(cert::DegreeClaim{c.victims[0], 1, 1, 1});
   expect_rejected(c, "degree", "victim listed as survivor");
+}
+
+TEST(CertificateNegative, DuplicateImageEdgeOutOfOrder) {
+  cert::WaveCertificate c = parse_first_golden_wave();
+  // Repeat the last claimed edge at the front: the copy is not adjacent to
+  // its twin in the claimed order.
+  std::vector<std::pair<NodeId, NodeId>>& edges = c.regions[0].image_edges;
+  ASSERT_GE(edges.size(), 2u);
+  edges.insert(edges.begin(), edges.back());
+  expect_rejected(c, "image-edges: duplicate claimed image edge",
+                  "duplicate image edge out of order");
+}
+
+TEST(CertificateNegative, ExtraImageEdgeIsNamed) {
+  cert::WaveCertificate c = parse_first_golden_wave();
+  // Two owners of the witness that no RT edge joins.
+  std::vector<std::pair<NodeId, NodeId>>& edges = c.regions[0].image_edges;
+  const std::pair<NodeId, NodeId> extra{1, 8};
+  ASSERT_EQ(std::count(edges.begin(), edges.end(), extra), 0);
+  edges.push_back(extra);
+  expect_rejected(c, "image-edges: claimed edges differ from the RT witness image at (1, 8)",
+                  "extra image edge");
+}
+
+TEST(CertificateNegative, DegreeClaimListedTwiceOutOfOrder) {
+  cert::WaveCertificate c = parse_first_golden_wave();
+  // Repeat the first (smallest) claim at the end of the sorted section.
+  ASSERT_GE(c.degrees.size(), 2u);
+  const NodeId node = c.degrees.front().node;
+  c.degrees.push_back(c.degrees.front());
+  expect_rejected(c, "degree: node " + std::to_string(node) + " listed twice",
+                  "degree claim listed twice");
+}
+
+TEST(CertificateNegative, AnchorOwnerMissingFromDegrees) {
+  cert::WaveCertificate c = parse_first_golden_wave();
+  const NodeId owner = c.regions[0].anchors.back().first;
+  auto it = std::find_if(c.degrees.begin(), c.degrees.end(),
+                         [owner](const cert::DegreeClaim& d) { return d.node == owner; });
+  ASSERT_NE(it, c.degrees.end());
+  c.degrees.erase(it);
+  expect_rejected(c, "region 0: degree: anchor owner " + std::to_string(owner) +
+                         " missing from the degree section",
+                  "anchor owner without a degree claim");
+}
+
+TEST(CertificateNegative, RtFactOutsideRegionImage) {
+  cert::WaveCertificate c = parse_first_golden_wave();
+  // A normalized, unrepeated fact crediting region 0 with an edge its RT
+  // image does not have.
+  const std::pair<NodeId, NodeId> forged{1, 8};
+  ASSERT_EQ(std::count(c.regions[0].image_edges.begin(),
+                       c.regions[0].image_edges.end(), forged),
+            0);
+  c.facts.push_back(cert::EdgeFact{forged.first, forged.second,
+                                   cert::EdgeFact::Kind::kRtWave, 0});
+  expect_rejected(c, "stretch: edge fact (1, 8) is not an image edge of region 0",
+                  "rt fact outside the region image");
+}
+
+TEST(CertificateNegative, RepeatedVictimReportsFirstRepeat) {
+  cert::WaveCertificate c = parse_first_golden_wave();
+  // victims [v0, 50, 50, v0]: the first repeat in list order is 50, although
+  // v0 < 50 repeats too.
+  ASSERT_EQ(c.victims.size(), 1u);
+  ASSERT_LT(c.victims[0], 50);
+  for (NodeId v : {50, 50, c.victims[0]}) {
+    c.victims.push_back(v);
+    c.assign.push_back(0);
+  }
+  expect_rejected(c, "partition: victim 50 repeated", "repeated victim");
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 // docs/CERTIFICATES.md).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -85,6 +86,14 @@ struct OracleCase {
   int steps;
   uint64_t seed;
 };
+
+// gtest_discover_tests keeps the "# GetParam() = ..." comment in each CTest
+// name. Without a printer that comment is a byte dump of the struct (the
+// `graph` pointer and padding), which differs from run to run.
+void PrintTo(const OracleCase& c, std::ostream* os) {
+  *os << c.graph << " n=" << c.n << " adversary=" << c.adversary << " steps=" << c.steps
+      << " seed=" << c.seed;
+}
 
 class CertificateOracle : public ::testing::TestWithParam<OracleCase> {};
 

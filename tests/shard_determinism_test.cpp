@@ -8,6 +8,7 @@
 // ThreadSanitizer through the tsan preset (the concurrency satellite gate).
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,6 +47,14 @@ struct CorpusCase {
   int steps;
   uint64_t seed;
 };
+
+// gtest_discover_tests keeps the "# GetParam() = ..." comment in each CTest
+// name. Without a printer that comment is a byte dump of the struct (the
+// `graph` pointer and padding), which differs from run to run.
+void PrintTo(const CorpusCase& c, std::ostream* os) {
+  *os << c.graph << " n=" << c.n << " adversary=" << c.adversary << " steps=" << c.steps
+      << " seed=" << c.seed;
+}
 
 class ShardDeterminism : public ::testing::TestWithParam<CorpusCase> {};
 

@@ -12,6 +12,7 @@
 //      checkpoints and certificate bytes (the recovery wave commits through
 //      the ordinary schedule-independent pipeline, so worker counts must
 //      not be observable).
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -148,6 +149,124 @@ TEST(StabilizerProperty, RecoveryIsScheduleIndependent) {
       EXPECT_EQ(cert_os.str(), ref_cert);
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// I3 pinned by name: hand-placed rep corruptions on a multi-wave core. A
+// helper's rep is read by no other rule, so each corruption must surface as
+// exactly one rep-invariant report, located at the first failing helper of
+// its RT in handle order.
+
+Graph rep_substrate() {
+  Rng gen(404);
+  return make_sparse_random(512, 3.0, gen);
+}
+
+/// A multi-wave engine and its largest RT: the root and its subtree in
+/// preorder.
+struct RepFixture {
+  ForgivingGraph fg;
+  VNodeId root = kNoVNode;
+  std::vector<VNodeId> subtree;
+
+  RepFixture() : fg(rep_substrate()) {
+    Rng rng(405);
+    churn(fg, rng, 6, 24);
+    expect_clean(fg, "rep fixture");
+    const std::vector<VirtualForest::VNode>& rows = fg.core().forest().dump();
+    for (VNodeId h = 0; h < static_cast<VNodeId>(rows.size()); ++h) {
+      const VirtualForest::VNode& r = rows[static_cast<size_t>(h)];
+      if (r.alive && r.parent == kNoVNode &&
+          (root == kNoVNode ||
+           r.leaf_count > rows[static_cast<size_t>(root)].leaf_count))
+        root = h;
+    }
+    subtree = fg.core().forest().subtree_of(root);
+  }
+
+  const VirtualForest::VNode& row(VNodeId h) const {
+    return fg.core().forest().node(h);
+  }
+  std::vector<VNodeId> helpers() const {
+    std::vector<VNodeId> out;
+    for (VNodeId h : subtree)
+      if (!row(h).is_leaf) out.push_back(h);
+    return out;
+  }
+  /// A leaf of subtree(x) other than `not_this`.
+  VNodeId other_leaf(VNodeId x, VNodeId not_this) const {
+    for (VNodeId y : fg.core().forest().subtree_of(x))
+      if (row(y).is_leaf && y != not_this) return y;
+    return kNoVNode;
+  }
+  void set_rep(VNodeId h, VNodeId rep) {
+    VirtualForest::VNode r = row(h);
+    r.rep = rep;
+    fg.core().inject_vnode_row(h, r);
+  }
+};
+
+void expect_single_rep_report(const AuditReport& report, VNodeId at) {
+  EXPECT_EQ(report.total, 1) << report.summary();
+  EXPECT_EQ(report.count(ViolationKind::kRepInvariant), 1) << report.summary();
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0].kind, ViolationKind::kRepInvariant);
+  EXPECT_EQ(report.violations[0].h, at);
+}
+
+TEST(StabilizerProperty, RepMovedWithinSubtreeIsReportedAtThatHelper) {
+  RepFixture f;
+  ASSERT_GE(f.row(f.root).leaf_count, 16);
+  // A helper below the root, so the report cannot default to the root.
+  std::vector<VNodeId> helpers = f.helpers();
+  ASSERT_GE(helpers.size(), 3u);
+  const VNodeId x = helpers[helpers.size() / 2];
+  ASSERT_NE(x, f.root);
+  const VNodeId moved = f.other_leaf(x, f.row(x).rep);
+  ASSERT_NE(moved, kNoVNode);
+  f.set_rep(x, moved);
+
+  expect_single_rep_report(audit(f.fg.core()), x);
+  Stabilizer stabilizer(f.fg);
+  RecoveryStats recovery = stabilizer.stabilize();
+  EXPECT_TRUE(recovery.recovered);
+  EXPECT_EQ(recovery.condemned_components, 1);
+  expect_clean(f.fg, "after stabilizing a moved rep");
+}
+
+TEST(StabilizerProperty, SwappedRepsAreReportedAtTheSmallerHandle) {
+  RepFixture f;
+  std::vector<VNodeId> helpers = f.helpers();
+  // Two helpers of the same RT whose reps differ.
+  VNodeId a = kNoVNode;
+  VNodeId b = kNoVNode;
+  for (size_t i = 1; i < helpers.size() && b == kNoVNode; ++i)
+    if (f.row(helpers[i]).rep != f.row(helpers.back()).rep) {
+      a = helpers[i];
+      b = helpers.back();
+    }
+  ASSERT_NE(b, kNoVNode);
+  const VNodeId rep_a = f.row(a).rep;
+  const VNodeId rep_b = f.row(b).rep;
+  f.set_rep(a, rep_b);
+  f.set_rep(b, rep_a);
+
+  expect_single_rep_report(audit(f.fg.core()), std::min(a, b));
+  Stabilizer stabilizer(f.fg);
+  EXPECT_TRUE(stabilizer.stabilize().recovered);
+  expect_clean(f.fg, "after stabilizing swapped reps");
+}
+
+TEST(StabilizerProperty, CorruptRootRepIsReportedAtTheRoot) {
+  RepFixture f;
+  const VNodeId wrong = f.other_leaf(f.root, f.row(f.root).rep);
+  ASSERT_NE(wrong, kNoVNode);
+  f.set_rep(f.root, wrong);
+
+  expect_single_rep_report(audit(f.fg.core()), f.root);
+  Stabilizer stabilizer(f.fg);
+  EXPECT_TRUE(stabilizer.stabilize().recovered);
+  expect_clean(f.fg, "after stabilizing a corrupt root rep");
 }
 
 }  // namespace
