@@ -13,12 +13,16 @@
 
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <numeric>
 #include <ostream>
+#include <string>
 #include <vector>
 
 #include "fg/healer_service.h"
 #include "graph/generators.h"
+#include "snap/snapshot.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -40,7 +44,21 @@ struct ChurnDriverResult {
   double p50_ms = 0.0;          ///< Per-wave repair latency percentiles.
   double p99_ms = 0.0;
   HealerStats stats;            ///< Final service counters (copied).
+  // Memory once the stream has drained.
+  int64_t arena_rows = 0;       ///< Virtual-forest arena rows, tombstones included.
+  int64_t live_rows = 0;        ///< Live forest rows.
+  double rss_mb = 0.0;          ///< Resident set (VmRSS; 0 where /proc is absent).
+  uint64_t base_bytes = 0;      ///< Size of the base image a snapshot would write.
 };
+
+/// The process's resident set in MB, from /proc/self/status (0 if absent).
+inline double resident_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmRSS:", 0) == 0) return std::atof(line.c_str() + 6) / 1024.0;
+  return 0.0;
+}
 
 inline ChurnDriverResult run_churn_driver(const ChurnDriverConfig& cfg,
                                           std::ostream* cert_stream = nullptr,
@@ -92,6 +110,16 @@ inline ChurnDriverResult run_churn_driver(const ChurnDriverConfig& cfg,
       result.elapsed_ms > 0.0 ? 1000.0 * static_cast<double>(cfg.ops) / result.elapsed_ms : 0.0;
   result.p50_ms = result.stats.latency_percentile(50.0);
   result.p99_ms = result.stats.latency_percentile(99.0);
+
+  // The resident set is read before the base image below is built, so it
+  // counts the service, not the measurement.
+  const VirtualForest& forest = service.engine().forest();
+  result.arena_rows = forest.arena_size();
+  result.live_rows = forest.live_count();
+  result.rss_mb = resident_mb();
+  snap::BaseImage image;
+  service.engine().core().to_base_image(&image);
+  result.base_bytes = snap::encode_base(image).size();
   return result;
 }
 

@@ -3,7 +3,9 @@
 // ingesting a continuous seeded insert/delete stream against a large sparse
 // substrate (n >= 10^6 at the defaults), each wave healed inside the push
 // that fills it, with the sampled certificate guardrail on. Reports
-// steady-state throughput and per-wave repair latency percentiles; the
+// steady-state throughput, per-wave repair latency percentiles, and memory
+// once the stream has drained: forest arena and live rows, the resident set
+// (rss_mb), and the base image a snapshot would write (base_bytes). The
 // tracked rows land in BENCH_repair_path.json via bench/repair_path.cpp,
 // which runs the same churn loop (bench/churn_common.h).
 //
@@ -107,6 +109,10 @@ int main(int argc, char** argv) {
   row("stale_replans", static_cast<double>(r.stats.stale_replans), "%.0f");
   row("certified_waves", static_cast<double>(r.stats.certified_waves), "%.0f");
   row("cert_rejections", static_cast<double>(r.stats.cert_rejections), "%.0f");
+  row("arena_rows", static_cast<double>(r.arena_rows), "%.0f");
+  row("live_rows", static_cast<double>(r.live_rows), "%.0f");
+  row("rss_mb", r.rss_mb, "%.1f");
+  row("base_bytes", static_cast<double>(r.base_bytes), "%.0f");
   t.print(std::cout);
 
   if (!cert_path.empty())

@@ -118,6 +118,25 @@ class SlotTable {
     return {data(h), static_cast<size_t>(h.count)};
   }
 
+  /// Rewrite every entry's leaf and helper through `renumber` (indexed by
+  /// old handle; the map VirtualForest::compact returns). A handle outside
+  /// the map becomes kNoVNode. Keys are untouched, so every table stays
+  /// sorted.
+  void remap_handles(std::span<const VNodeId> renumber) {
+    auto map = [&](VNodeId x) {
+      return x >= 0 && static_cast<size_t>(x) < renumber.size()
+                 ? renumber[static_cast<size_t>(x)]
+                 : kNoVNode;
+    };
+    for (Head& h : heads_) {
+      Entry* first = data(h);
+      for (Entry* e = first; e != first + h.count; ++e) {
+        e->leaf = map(e->leaf);
+        e->helper = map(e->helper);
+      }
+    }
+  }
+
  private:
   static constexpr int32_t kInlineCap = 2;
   static constexpr int32_t kSpillMinCap = 4;

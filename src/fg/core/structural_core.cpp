@@ -43,6 +43,12 @@ void StructuralCore::remove_image_edge(NodeId u, NodeId v) {
 
 NodeId StructuralCore::insert_node(std::span<const NodeId> neighbors) {
   ++epoch_;  // any outstanding plan is stale from here on
+  // Compact here rather than at the end of a commit: the bump above already
+  // stales every plan, and the wave that freed the rows has emitted its
+  // certificate and delta, both of which read its handles. Snapshot replay
+  // re-runs this insertion, so a restore compacts at the same position.
+  if (2 * static_cast<int64_t>(forest_.live_count()) < forest_.arena_size())
+    slots_.remap_handles(forest_.compact());
   NodeId id = gprime_.add_node();
   NodeId id2 = g_.add_node();
   FG_CHECK(id == id2);
@@ -772,10 +778,26 @@ std::string check_arena_rows(const std::vector<VirtualForest::VNode>& rows,
         return "forest row " + std::to_string(h) + ": link outside the live arena";
     if (n.rep != kNoVNode && (n.rep < 0 || n.rep >= arena))
       return "forest row " + std::to_string(h) + ": representative out of range";
-    if (n.leaf_count < 1 || n.height < 0)
-      return "forest row " + std::to_string(h) + ": non-positive aggregates";
   }
   return {};
+}
+
+/// Narrow a snapshot row into a 32-byte VNode, or return false when its
+/// aggregates lie outside Lemma 1's range (VirtualForest::aggregates_fit).
+/// The check reads the wide wire values, so nothing is ever truncated.
+bool narrow_row(const snap::VRow& r, VirtualForest::VNode* n) {
+  if (!VirtualForest::aggregates_fit(r.leaf_count, r.height)) return false;
+  n->owner = r.owner;
+  n->other = r.other;
+  n->parent = r.parent;
+  n->left = r.left;
+  n->right = r.right;
+  n->rep = r.rep;
+  n->leaf_count = static_cast<int32_t>(r.leaf_count);
+  n->height = static_cast<int16_t>(r.height);
+  n->is_leaf = r.is_leaf;
+  n->alive = r.alive;
+  return true;
 }
 
 }  // namespace
@@ -842,9 +864,15 @@ bool StructuralCore::try_load(std::istream& is, StructuralCore* out,
   // instead of allocating a corrupt count's worth of arena up front.
   for (int64_t i = 0; i < arena_size; ++i) {
     VirtualForest::VNode n;
+    int64_t height = 0;
+    int64_t leaf_count = 0;
     if (!(is >> n.alive >> n.is_leaf >> n.owner >> n.other >> n.parent >> n.left >>
-          n.right >> n.height >> n.leaf_count >> n.rep))
+          n.right >> height >> leaf_count >> n.rep))
       return fail("truncated vnode row");
+    if (!VirtualForest::aggregates_fit(leaf_count, height))
+      return fail("forest row " + std::to_string(i) + ": aggregates out of range");
+    n.height = static_cast<int16_t>(height);
+    n.leaf_count = static_cast<int32_t>(leaf_count);
     arena.push_back(n);
   }
   if (!expect("end")) return fail("missing end marker");
@@ -988,16 +1016,9 @@ bool StructuralCore::from_base_image(const snap::BaseImage& image, StructuralCor
   arena.reserve(image.rows.size());
   for (const snap::VRow& r : image.rows) {
     VirtualForest::VNode n;
-    n.owner = r.owner;
-    n.other = r.other;
-    n.parent = r.parent;
-    n.left = r.left;
-    n.right = r.right;
-    n.rep = r.rep;
-    n.height = r.height;
-    n.leaf_count = r.leaf_count;
-    n.is_leaf = r.is_leaf;
-    n.alive = r.alive;
+    if (!narrow_row(r, &n))
+      return fail("forest row " + std::to_string(arena.size()) +
+                  ": aggregates out of range");
     arena.push_back(n);
   }
   if (std::string why = check_arena_rows(
@@ -1154,18 +1175,8 @@ bool StructuralCore::apply_wave_delta(const snap::WaveDelta& delta,
   forest_.restore_grow(arena_after);
   for (const snap::WaveDelta::Row& rec : delta.rows) {
     if (rec.handle >= delta.arena_size_after) return fail("row handle out of range");
-    const snap::VRow& r = rec.row;
     VirtualForest::VNode n;
-    n.owner = r.owner;
-    n.other = r.other;
-    n.parent = r.parent;
-    n.left = r.left;
-    n.right = r.right;
-    n.rep = r.rep;
-    n.height = r.height;
-    n.leaf_count = r.leaf_count;
-    n.is_leaf = r.is_leaf;
-    n.alive = r.alive;
+    if (!narrow_row(rec.row, &n)) return fail("row aggregates out of range");
     if (n.alive) {
       if (n.owner < 0 || n.owner >= capacity)
         return fail("row owner out of range");

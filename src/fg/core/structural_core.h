@@ -321,6 +321,14 @@ class StructuralCore {
 
   /// Adversarial insertion: a new processor attached to `neighbors` (all
   /// alive, no duplicates). Returns the new processor id.
+  ///
+  /// First, when 2 * live_count() < arena_size(), it compacts the forest
+  /// arena (VirtualForest::compact) and rewrites the slot table's handles,
+  /// so the arena stays within twice the live structure after every
+  /// insertion. The renumbering is monotone, so plans, certificates and
+  /// delta sizes are unchanged; only handle values move (V4). A run of
+  /// deletions with no insertion keeps its tombstones until the next
+  /// insertion.
   NodeId insert_node(std::span<const NodeId> neighbors);
 
   // --- Plan phase (read-only; safe to run concurrently per region). ------

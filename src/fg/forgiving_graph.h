@@ -56,8 +56,11 @@ class ForgivingGraph {
       : core_(std::move(restored)) {}
 
   /// Adversarial insertion: a new processor attached to `neighbors` (all
-  /// alive, no duplicates). Returns the new processor id.
+  /// alive, no duplicates). Returns the new processor id. The insertion may
+  /// compact the forest arena, renumbering every vnode handle (V4 in
+  /// virtual_forest.h), so it also clears shards().last_region_roots().
   NodeId insert(std::span<const NodeId> neighbors) {
+    shards_.clear_region_roots();
     return core_.insert_node(neighbors);
   }
 

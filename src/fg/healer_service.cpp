@@ -135,29 +135,32 @@ void HealerService::heal_wave() {
   if (snapshot_) snapshot_->set_cursor(static_cast<uint64_t>(stats_.ops));
 
   Clock::time_point t0 = Clock::now();
+  // Drop the victims that died since they were queued, counting them, and
+  // say whether any is left. engine() may be mutated between calls into the
+  // service (a delete through it kills a queued victim), and so may the
+  // admission hook; planning a dead victim would abort in the core. A wave
+  // left empty still counts as a wave.
+  auto keep_alive = [&] {
+    const size_t queued = victims.size();
+    std::erase_if(victims, [&](NodeId v) { return !fg_.is_alive(v); });
+    stats_.dropped_deletes += static_cast<int64_t>(queued - victims.size());
+    if (!victims.empty()) return true;
+    ++stats_.waves;
+    stats_.wave_ms.push_back(ms_since(t0));
+    return false;
+  };
+  if (!keep_alive()) return;
   core::RepairPlan plan = fg_.plan_delete_batch(victims);
 
   if (admission_hook_) admission_hook_(wave);
 
   // The epoch gate: the plan records the epoch it was computed against; if
   // the admission hook mutated the engine since, the plan is stale, and
-  // committing it would die on the core's FG_CHECK. Detect, re-plan, never
-  // commit.
+  // committing it would die on the core's FG_CHECK. Detect, re-validate the
+  // victims, re-plan, never commit.
   if (plan.epoch != fg_.mutation_epoch()) {
     ++stats_.stale_replans;
-    // The intervening mutation may even have killed victims (a delete
-    // through engine()); re-validate before re-planning.
-    std::vector<NodeId> alive;
-    alive.reserve(victims.size());
-    for (NodeId v : victims)
-      if (fg_.is_alive(v)) alive.push_back(v);
-    stats_.dropped_deletes += static_cast<int64_t>(victims.size() - alive.size());
-    victims = std::move(alive);
-    if (victims.empty()) {
-      ++stats_.waves;
-      stats_.wave_ms.push_back(ms_since(t0));
-      return;
-    }
+    if (!keep_alive()) return;
     plan = fg_.plan_delete_batch(victims);
   }
 

@@ -137,7 +137,7 @@ struct HealerStats {
   int64_t ops = 0;              ///< Ops pushed (inserts + deletes, dropped and rejected included).
   int64_t inserts = 0;          ///< Insertions applied.
   int64_t deletes = 0;          ///< Deletions healed (committed in some wave).
-  int64_t dropped_deletes = 0;  ///< Deletes of dead victims or of victims already queued.
+  int64_t dropped_deletes = 0;  ///< Deletes of dead, already queued, or since-killed victims.
   int64_t rejected_inserts = 0; ///< Inserts with a dead, out-of-range or repeated neighbour.
   int64_t waves = 0;            ///< Repair waves committed.
   int64_t stale_replans = 0;    ///< Plans the epoch gate rejected and re-planned.
@@ -191,8 +191,9 @@ class HealerService {
 
   /// The engine the service drives. Mutate it only between calls into the
   /// service, or from the admission hook, after which the epoch gate
-  /// re-plans the wave. The service owns the engine's certificate sink;
-  /// don't install your own.
+  /// re-plans the wave. A queued victim killed through it is dropped when
+  /// its wave heals (stats().dropped_deletes). The service owns the
+  /// engine's certificate sink; don't install your own.
   ForgivingGraph& engine() { return fg_; }
   const ForgivingGraph& engine() const { return fg_; }
 
@@ -223,9 +224,10 @@ class HealerService {
 
  private:
   void init();
-  /// Plan, admit (test hook, epoch gate: stale -> re-validate victims,
-  /// re-plan), commit, check the sampled certificate, audit, and keep the
-  /// snapshot up to date: one whole wave, on the calling thread.
+  /// Re-validate the victims, plan, admit (test hook, epoch gate: stale ->
+  /// re-validate victims, re-plan), commit, check the sampled certificate,
+  /// audit, and keep the snapshot up to date: one whole wave, on the
+  /// calling thread.
   void heal_wave();
   /// Why an insert must be rejected (a dead, out-of-range or repeated
   /// neighbour), or empty when it may apply.

@@ -45,9 +45,9 @@
 // every wave from a single thread.
 //
 // It also remembers, for the most recently committed wave, which region
-// every victim belonged to and each region's final RT root — the
-// assignment trace `r` lines record so a replay divergence can be
-// localized to one region.
+// every victim belonged to and, until the next insertion, each region's
+// final RT root — the assignment trace `r` lines record so a replay
+// divergence can be localized to one region.
 #pragma once
 
 #include <condition_variable>
@@ -172,10 +172,17 @@ class ShardedForest {
   /// with that wave's plan.regions (kNoVNode for a region that produced no
   /// RT). What the certificate layer normalizes into per-region witnesses
   /// (harness/certificate.h) — identical at every worker count, like the
-  /// rest of the commit (contract C4).
+  /// rest of the commit (contract C4). The handles are valid until the next
+  /// insertion, which may renumber the arena (V4 in virtual_forest.h):
+  /// ForgivingGraph::insert therefore clears the list (clear_region_roots),
+  /// and it stays empty until the next commit. last_assignment() names no
+  /// handles and is kept.
   const std::vector<VNodeId>& last_region_roots() const {
     return last_region_roots_;
   }
+
+  /// Forget last_region_roots() (see there).
+  void clear_region_roots() { last_region_roots_.clear(); }
 
  private:
   /// (Re)build the shared pool for the largest of the three knobs; every

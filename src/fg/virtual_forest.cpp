@@ -38,7 +38,7 @@ VNodeId VirtualForest::make_helper(NodeId owner, NodeId other, VNodeId left,
   n.is_leaf = false;
   n.left = left;
   n.right = right;
-  n.height = 1 + std::max(nodes_[left].height, nodes_[right].height);
+  n.height = static_cast<int16_t>(1 + std::max(nodes_[left].height, nodes_[right].height));
   n.leaf_count = nodes_[left].leaf_count + nodes_[right].leaf_count;
   n.rep = nodes_[right].rep;  // Algorithm A.9: inherit the other tree's rep
   nodes_.push_back(n);
@@ -87,7 +87,7 @@ VNodeId VirtualForest::make_helper_in(VNodeId h, NodeId owner, NodeId other,
   n.is_leaf = false;
   n.left = left;
   n.right = right;
-  n.height = 1 + std::max(nodes_[left].height, nodes_[right].height);
+  n.height = static_cast<int16_t>(1 + std::max(nodes_[left].height, nodes_[right].height));
   n.leaf_count = nodes_[left].leaf_count + nodes_[right].leaf_count;
   n.rep = nodes_[right].rep;  // Algorithm A.9: inherit the other tree's rep
   n.alive = true;
@@ -231,6 +231,34 @@ void VirtualForest::restore_row(VNodeId h, const VNode& row) {
 void VirtualForest::restore_live_count(int n) {
   FG_CHECK(n >= 0 && n <= static_cast<int>(nodes_.size()));
   live_count_ = n;
+}
+
+std::vector<VNodeId> VirtualForest::compact() {
+  const size_t arena = nodes_.size();
+  std::vector<VNodeId> renumber(arena, kNoVNode);
+  VNodeId next = 0;
+  for (size_t h = 0; h < arena; ++h)
+    if (nodes_[h].alive) renumber[h] = next++;
+  // A link to a row that is not live maps to kNoVNode (bounds-checked: the
+  // rows may come from a restored snapshot, never trusted to index).
+  auto map = [&](VNodeId h) {
+    return h >= 0 && static_cast<size_t>(h) < arena ? renumber[static_cast<size_t>(h)]
+                                                    : kNoVNode;
+  };
+  std::vector<VNode> rows;
+  rows.reserve(static_cast<size_t>(next));
+  for (const VNode& n : nodes_) {
+    if (!n.alive) continue;
+    VNode m = n;
+    m.parent = map(n.parent);
+    m.left = map(n.left);
+    m.right = map(n.right);
+    m.rep = map(n.rep);
+    rows.push_back(m);
+  }
+  nodes_ = std::move(rows);  // releases the old buffer
+  live_count_ = next;
+  return renumber;
 }
 
 VirtualForest VirtualForest::from_dump(std::vector<VNode> nodes) {

@@ -22,8 +22,14 @@
 //       installs the left child's rep as the new helper's simulator and
 //       propagates the right child's rep upward (Algorithm A.9), keeping
 //       each (owner, other) slot to at most one helper forest-wide.
-//   V4. Tombstoned nodes are never resurrected; handles stay stable across
-//       dump()/from_dump() so engine checkpoints can round-trip.
+//   V4. Tombstoned nodes are never resurrected. Handles are stable between
+//       insertions and across dump()/from_dump(), so engine checkpoints
+//       round-trip. An insertion may renumber them: once tombstones outnumber
+//       live rows, core::StructuralCore::insert_node compacts the arena
+//       (compact), moving the live rows down in ascending handle order. The
+//       renumbering is monotone, so every handle comparison keeps its result.
+//       A run of deletions with no insertion keeps its tombstones until the
+//       next insertion.
 #pragma once
 
 #include <cstdint>
@@ -48,21 +54,33 @@ constexpr uint64_t slot_key(NodeId owner, NodeId other) {
 /// Arena of virtual nodes (RT leaves and helpers).
 class VirtualForest {
  public:
+  /// One arena row, 32 bytes. Lemma 1 bounds the aggregates: an RT has at
+  /// most one leaf per G' edge, so leaf_count fits 32 bits, and its height
+  /// is ceil(log2 leaf_count) <= 31.
   struct VNode {
     NodeId owner = kInvalidNode;  ///< Processor simulating this node.
     NodeId other = kInvalidNode;  ///< Other endpoint of the G' edge slot.
-    bool is_leaf = true;          ///< Real node (leaf) vs helper (internal).
     VNodeId parent = kNoVNode;
     VNodeId left = kNoVNode;
     VNodeId right = kNoVNode;
-    int height = 0;
-    int64_t leaf_count = 1;
     /// Representative: the unique leaf of this subtree whose slot simulates
     /// no helper inside this subtree (leaf nodes are their own
     /// representative). Maintained incrementally per Algorithm A.9.
     VNodeId rep = kNoVNode;
+    int32_t leaf_count = 1;
+    int16_t height = 0;
+    bool is_leaf = true;  ///< Real node (leaf) vs helper (internal).
     bool alive = true;
   };
+  static_assert(sizeof(VNode) == 32, "VNode rows are 32 bytes");
+
+  /// Whether wide aggregates read from outside input (a snapshot row, a
+  /// text checkpoint) fit a VNode without truncation: 1 <= leaf_count <=
+  /// INT32_MAX and 0 <= height <= 31 (Lemma 1). Loaders check this before
+  /// narrowing and reject the row otherwise.
+  static constexpr bool aggregates_fit(int64_t leaf_count, int64_t height) {
+    return leaf_count >= 1 && leaf_count <= INT32_MAX && height >= 0 && height <= 31;
+  }
 
   /// Create the real (leaf) node of edge slot (owner, other).
   VNodeId make_leaf(NodeId owner, NodeId other);
@@ -136,9 +154,16 @@ class VirtualForest {
 
   int live_count() const { return live_count_; }
 
-  /// Total handles ever allocated (live + tombstoned); handles are
-  /// 0..arena_size()-1 and `exists` filters the live ones.
+  /// Rows in the arena (live + tombstoned); handles are 0..arena_size()-1
+  /// and `exists` filters the live ones.
   int arena_size() const { return static_cast<int>(nodes_.size()); }
+
+  /// Drop every tombstone: move the live rows, in ascending handle order,
+  /// into a freshly sized buffer (the old one is released) and rewrite
+  /// their parent/left/right/rep links. Returns the old -> new handle map
+  /// (kNoVNode for a dropped row), which the caller applies to every handle
+  /// it stores outside the arena (V4). Single-threaded, between commits.
+  std::vector<VNodeId> compact();
 
   /// Structural validation of the subtree at `root`: parent/child link
   /// symmetry, height/leaf_count bookkeeping, haft property (left child

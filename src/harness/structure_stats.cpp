@@ -33,8 +33,8 @@ StructureStats structure_stats(const ForgivingGraph& fg, int histogram_buckets) 
     if (n.is_leaf) ++out.total_leaves;
     if (n.parent == kNoVNode) {
       ++out.rt_count;
-      out.largest_rt_leaves = std::max(out.largest_rt_leaves, n.leaf_count);
-      out.max_rt_depth = std::max(out.max_rt_depth, n.height);
+      out.largest_rt_leaves = std::max<int64_t>(out.largest_rt_leaves, n.leaf_count);
+      out.max_rt_depth = std::max<int>(out.max_rt_depth, n.height);
     }
   }
   return out;

@@ -5,6 +5,8 @@
 // strongest correctness evidence for the message-passing implementation.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "fg/dist/dist_forgiving_graph.h"
 #include "fg/forgiving_graph.h"
 #include "graph/algorithms.h"
@@ -21,6 +23,14 @@ struct EquivCase {
   int steps;
   uint64_t seed;
 };
+
+// gtest_discover_tests keeps the "# GetParam() = ..." comment in each CTest
+// name. Without a printer that comment is a byte dump of the struct (the
+// `graph` pointer and padding), which differs from run to run.
+void PrintTo(const EquivCase& c, std::ostream* os) {
+  *os << c.graph << " n=" << c.n << " p_delete=" << c.p_delete << " steps=" << c.steps
+      << " seed=" << c.seed;
+}
 
 Graph build_graph(const std::string& kind, int n, Rng& rng) {
   if (kind == "star") return make_star(n);

@@ -285,6 +285,47 @@ TEST(HealerService, StaleAdmissionRevalidatesKilledVictims) {
   service.engine().validate();
 }
 
+TEST(HealerService, QueuedVictimKilledThroughEngineIsDropped) {
+  // engine() may be mutated between calls into the service. A queued victim
+  // killed through it is dropped when its wave heals; planning it would
+  // abort in the core ("deleting a dead or unknown processor").
+  Rng rng(10);
+  Graph g0 = make_sparse_random(64, 4.0, rng);
+  HealerConfig config;
+  config.wave_size = 2;
+  HealerService service(g0, config);
+  service.push(ChurnOp::Delete(NodeId{5}));
+  service.engine().remove(NodeId{5});
+  service.push(ChurnOp::Delete(NodeId{7}));
+
+  EXPECT_EQ(service.stats().waves, 1);
+  EXPECT_EQ(service.stats().deletes, 1);
+  EXPECT_EQ(service.stats().dropped_deletes, 1);
+  EXPECT_EQ(service.stats().stale_replans, 0);
+  EXPECT_FALSE(service.engine().is_alive(NodeId{7}));
+  service.engine().validate();
+}
+
+TEST(HealerService, WaveOfKilledVictimsOnlyCommitsNothing) {
+  // Every queued victim died through engine(): the wave counts, like the
+  // epoch gate's empty wave, but nothing is planned or committed.
+  Rng rng(11);
+  Graph g0 = make_sparse_random(64, 4.0, rng);
+  HealerConfig config;
+  config.wave_size = 2;
+  HealerService service(g0, config);
+  service.push(ChurnOp::Delete(NodeId{5}));
+  service.engine().remove(NodeId{5});
+  const uint64_t epoch = service.engine().mutation_epoch();
+  service.flush();
+
+  EXPECT_EQ(service.engine().mutation_epoch(), epoch);
+  EXPECT_EQ(service.stats().waves, 1);
+  EXPECT_EQ(service.stats().deletes, 0);
+  EXPECT_EQ(service.stats().dropped_deletes, 1);
+  service.engine().validate();
+}
+
 TEST(HealerServiceDeathTest, ForcedStaleCommitDiesWithoutTheGate) {
   // What the admission gate protects against: bypass the service and drive
   // the engine's plan/commit split directly — a mutation between the two

@@ -95,6 +95,52 @@ TEST(VirtualForest, ValidHaftRejectsLeftImbalance) {
   EXPECT_FALSE(f.valid_haft(bad));
 }
 
+TEST(VirtualForest, CompactRenumbersLiveRowsMonotonically) {
+  VirtualForest f;
+  VNodeId x = f.make_leaf(5, 9);   // torn down below
+  VNodeId a = f.make_leaf(0, 9);
+  VNodeId y = f.make_leaf(6, 9);   // torn down below
+  VNodeId b = f.make_leaf(1, 9);
+  VNodeId h = f.make_helper(0, 9, a, b);
+  VNodeId z = f.make_leaf(7, 9);   // torn down below
+  f.remove(x);
+  f.remove(y);
+  f.remove(z);
+  ASSERT_EQ(f.arena_size(), 6);
+  ASSERT_EQ(f.live_count(), 3);
+
+  std::vector<VNodeId> renumber = f.compact();
+  EXPECT_EQ(renumber,
+            (std::vector<VNodeId>{kNoVNode, 0, kNoVNode, 1, 2, kNoVNode}));
+  EXPECT_EQ(f.arena_size(), 3);
+  EXPECT_EQ(f.live_count(), 3);
+  const VNodeId a2 = renumber[static_cast<size_t>(a)];
+  const VNodeId b2 = renumber[static_cast<size_t>(b)];
+  const VNodeId h2 = renumber[static_cast<size_t>(h)];
+  const auto& n = f.node(h2);
+  EXPECT_EQ(n.left, a2);
+  EXPECT_EQ(n.right, b2);
+  EXPECT_EQ(n.rep, b2);
+  EXPECT_EQ(n.owner, 0);
+  EXPECT_EQ(f.node(a2).parent, h2);
+  EXPECT_EQ(f.node(b2).rep, b2);
+  EXPECT_TRUE(f.valid_haft(h2));
+
+  // Nothing left to drop: the map is the identity.
+  EXPECT_EQ(f.compact(), (std::vector<VNodeId>{0, 1, 2}));
+}
+
+TEST(VirtualForest, AggregatesFitLemma1Range) {
+  EXPECT_TRUE(VirtualForest::aggregates_fit(1, 0));
+  EXPECT_TRUE(VirtualForest::aggregates_fit(INT32_MAX, 31));
+  EXPECT_FALSE(VirtualForest::aggregates_fit(0, 0));
+  EXPECT_FALSE(VirtualForest::aggregates_fit(int64_t{1} << 31, 31));
+  EXPECT_FALSE(VirtualForest::aggregates_fit((int64_t{1} << 32) + 1, 0));  // truncates to 1
+  EXPECT_FALSE(VirtualForest::aggregates_fit(1, 32));
+  EXPECT_FALSE(VirtualForest::aggregates_fit(1, 40000));
+  EXPECT_FALSE(VirtualForest::aggregates_fit(1, -1));
+}
+
 TEST(VirtualForestDeathTest, HelperOverNonRootsRejected) {
   VirtualForest f;
   VNodeId a = f.make_leaf(0, 9);
