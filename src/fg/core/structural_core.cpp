@@ -6,7 +6,6 @@
 #include <numeric>
 #include <ostream>
 #include <sstream>
-#include <tuple>
 
 #include "snap/snapshot.h"
 #include "util/check.h"
@@ -14,14 +13,12 @@
 namespace fg::core {
 
 StructuralCore::StructuralCore(const Graph& g0) : gprime_(g0), g_(g0) {
+  // Every G0 edge has multiplicity 1: g_ records it, the excess table
+  // starts empty.
+  FG_CHECK_MSG(g0.alive_count() == g0.node_capacity(),
+               "initial graph must have no tombstones");
   procs_.resize(static_cast<size_t>(g0.node_capacity()));
   slots_.resize(static_cast<size_t>(g0.node_capacity()));
-  image_multiplicity_.reserve(static_cast<size_t>(g0.edge_count()));
-  for (NodeId v = 0; v < g0.node_capacity(); ++v) {
-    FG_CHECK_MSG(g0.is_alive(v), "initial graph must have no tombstones");
-    for (NodeId w : g0.neighbors(v))
-      if (v < w) image_multiplicity_.increment(edge_key(v, w));
-  }
 }
 
 uint64_t StructuralCore::edge_key(NodeId u, NodeId v) {
@@ -32,13 +29,26 @@ uint64_t StructuralCore::edge_key(NodeId u, NodeId v) {
 void StructuralCore::add_image_edge(NodeId u, NodeId v) {
   if (u == v) return;  // homomorphism collapses same-processor virtual edges
   note_image_touch(u, v);
-  if (image_multiplicity_.increment(edge_key(u, v)) == 1) g_.add_edge(u, v);
+  if (!g_.add_edge(u, v)) image_excess_.increment(edge_key(u, v));
 }
 
 void StructuralCore::remove_image_edge(NodeId u, NodeId v) {
   if (u == v) return;
   note_image_touch(u, v);
-  if (image_multiplicity_.decrement(edge_key(u, v)) == 0) g_.remove_edge(u, v);
+  if (image_excess_.decrement(edge_key(u, v))) return;
+  FG_CHECK_MSG(g_.remove_edge(u, v), "removing an absent image edge");
+}
+
+void StructuralCore::drop_image_edge(NodeId u, NodeId v) {
+  note_image_touch(u, v);
+  if (!image_excess_.decrement(edge_key(u, v)))
+    delta_scratch_.push_back({u, v, EdgeDelta::Op::kRemove});
+}
+
+void StructuralCore::flush_edge_drops() {
+  FG_CHECK_MSG(g_.apply_edge_deltas(delta_scratch_) ==
+                   static_cast<int>(delta_scratch_.size()),
+               "image edge dropped below multiplicity zero");
 }
 
 NodeId StructuralCore::insert_node(std::span<const NodeId> neighbors) {
@@ -409,7 +419,7 @@ std::vector<VNodeId> StructuralCore::break_region(const RegionPlan& region,
   if (effects) {
     // Recorded mode: everything mutated below is region-local — this
     // region's own forest nodes (unlinks, uncounted tombstones) and its
-    // reserved arena handles. Shared state (multiplicity map, image graph,
+    // reserved arena handles. Shared state (excess table, image graph,
     // slot tables, counters, the forest's live count) is only ever
     // *recorded*, which is what makes disjoint regions safe to break
     // concurrently (docs/CONCURRENCY.md, the break-effects argument).
@@ -460,11 +470,12 @@ std::vector<VNodeId> StructuralCore::break_region(const RegionPlan& region,
   // Spawn the anchor leaves and drop the victims' surviving image edges.
   // Under kReserved the j-th fresh leaf lands at its plan-time handle
   // arena_base + j; the region's helpers follow in the same range. The
-  // edge drops are batched: multiplicities update inline (or at the
-  // stitch), but the 1 -> 0 transitions collect into the pooled delta
-  // buffer and flip in one apply_edge_deltas sweep per region — nothing
-  // below reads or adds image edges, so the deferral is invisible (and a
-  // hub teardown costs O(degree), not O(degree^2) sorted-list erases).
+  // edge drops are batched: each consumes the edge's excess inline (or at
+  // the stitch), and a drop that finds none queues the edge's removal in
+  // the pooled delta buffer, flipped in one apply_edge_deltas sweep per
+  // region — nothing below reads or adds image edges, so the deferral is
+  // invisible (and a hub teardown costs O(degree), not O(degree^2)
+  // sorted-list erases).
   int fresh_at = region.arena_base;
   for (const RegionPlan::FreshLeaf& f : region.fresh) {
     VNodeId leaf;
@@ -479,11 +490,7 @@ std::vector<VNodeId> StructuralCore::break_region(const RegionPlan& region,
       effects->slot_ops.push_back({f.owner, f.dead, leaf, true, true});
       ++effects->new_leaves;
     } else {
-      if (g_.is_alive(f.dead)) {
-        note_image_touch(f.dead, f.owner);
-        if (image_multiplicity_.decrement(edge_key(f.dead, f.owner)) == 0)
-          delta_scratch_.push_back({f.dead, f.owner, EdgeDelta::Op::kRemove});
-      }
+      if (g_.is_alive(f.dead)) drop_image_edge(f.dead, f.owner);
       if (alloc == CommitAlloc::kReserved) {
         leaf = fresh_at++;
         forest_.make_leaf_in(leaf, f.owner, f.dead);
@@ -505,12 +512,8 @@ std::vector<VNodeId> StructuralCore::break_region(const RegionPlan& region,
   if (effects) {
     for (const auto& [v, y] : region.victim_edges) effects->edge_drops.push_back({v, y});
   } else {
-    for (const auto& [v, y] : region.victim_edges) {
-      note_image_touch(v, y);
-      if (image_multiplicity_.decrement(edge_key(v, y)) == 0)
-        delta_scratch_.push_back({v, y, EdgeDelta::Op::kRemove});
-    }
-    g_.apply_edge_deltas(delta_scratch_);
+    for (const auto& [v, y] : region.victim_edges) drop_image_edge(v, y);
+    flush_edge_drops();
     last_repair_.pieces += static_cast<int>(out.size());
   }
 
@@ -526,19 +529,16 @@ void StructuralCore::apply_break_effects(const RegionPlan& region,
   last_repair_.new_leaves += effects.new_leaves;
   last_repair_.pieces += static_cast<int>(region.pieces.size());
 
-  // The batched stitch, mirror image of apply_merge_effects: replay every
-  // multiplicity decrement in break order, collecting only the 1 -> 0
-  // transitions, then flip the image edges in one Graph::apply_edge_deltas
-  // pass. Each undirected edge reaches zero at most once per wave (the
-  // break only ever decrements), so the batch contract holds.
+  // The batched stitch: replay every drop in break order — each consumes
+  // the edge's excess first, and only a drop that finds none queues the
+  // edge's removal — then flip the image edges in one
+  // Graph::apply_edge_deltas pass. Each undirected edge reaches zero at
+  // most once per wave (the break only ever drops), so the batch contract
+  // holds, and flush_edge_drops FG_CHECKs it.
   delta_scratch_.clear();
-  for (const auto& [u, v] : effects.edge_drops) {
-    if (u == v) continue;  // homomorphism collapses same-processor edges
-    note_image_touch(u, v);
-    if (image_multiplicity_.decrement(edge_key(u, v)) == 0)
-      delta_scratch_.push_back({u, v, EdgeDelta::Op::kRemove});
-  }
-  g_.apply_edge_deltas(delta_scratch_);
+  for (const auto& [u, v] : effects.edge_drops)
+    if (u != v) drop_image_edge(u, v);  // homomorphism collapses same-processor edges
+  flush_edge_drops();
 
   // Replay the slot writes in script order — identical semantics (and
   // FG_CHECKs) to what the sequential break applies inline.
@@ -632,17 +632,10 @@ VNodeId StructuralCore::merge_region(const RegionPlan& region,
 }
 
 VNodeId StructuralCore::apply_merge_effects(const MergeEffects& effects) {
-  // The batched stitch: bump every multiplicity first, collecting only the
-  // 0 -> 1 transitions, then flip the image edges in one
-  // Graph::apply_edge_deltas pass over the pooled delta buffer.
-  delta_scratch_.clear();
-  for (const auto& [u, v] : effects.image_edges) {
-    if (u == v) continue;  // homomorphism collapses same-processor edges
-    note_image_touch(u, v);
-    if (image_multiplicity_.increment(edge_key(u, v)) == 1)
-      delta_scratch_.push_back({u, v, EdgeDelta::Op::kAdd});
-  }
-  g_.apply_edge_deltas(delta_scratch_);
+  // The stitch applies each recorded edge through the funnel, in join
+  // order, as the inline merge does: a key recorded k times lands as one G
+  // edge plus k - 1 excess.
+  for (const auto& [u, v] : effects.image_edges) add_image_edge(u, v);
   last_repair_.helpers_created += effects.helpers_created;
   if (effects.root != kNoVNode) finish_repair(effects.root);
   return effects.root;
@@ -843,17 +836,13 @@ bool StructuralCore::try_load(std::istream& is, StructuralCore* out,
   if (!expect("edges")) return fail("missing edges section");
   int64_t edges = 0;
   if (!(is >> edges) || edges < 0) return fail("bad edge count");
-  core.image_multiplicity_.reserve(static_cast<size_t>(edges));
   for (int64_t i = 0; i < edges; ++i) {
     NodeId u = kInvalidNode, w = kInvalidNode;
     if (!(is >> u >> w)) return fail("truncated edge list");
     if (u < 0 || u >= capacity || w < 0 || w >= capacity || u == w)
       return fail("edge endpoint out of range");
     if (!core.gprime_.add_edge(u, w)) return fail("duplicate G' edge");
-    if (core.g_.is_alive(u) && core.g_.is_alive(w)) {
-      core.image_multiplicity_.increment(edge_key(u, w));
-      core.g_.add_edge(u, w);
-    }
+    if (core.g_.is_alive(u) && core.g_.is_alive(w)) core.add_image_edge(u, w);
   }
 
   if (!expect("vnodes")) return fail("missing vnodes section");
@@ -941,16 +930,16 @@ void StructuralCore::to_base_image(snap::BaseImage* out) const {
     for (const SlotTable::Entry& s : slots_.entries(v))
       out->slots.push_back({static_cast<uint32_t>(v), s.other, s.leaf, s.helper});
 
+  // MULT walks G's sorted adjacency (u < w), which is already in (u, v)
+  // order: each edge counts its first unit plus its excess.
   out->mult.clear();
-  out->mult.reserve(image_multiplicity_.size());
-  image_multiplicity_.for_each([out](uint64_t key, int32_t count) {
-    out->mult.push_back({static_cast<uint32_t>(key >> 32),
-                         static_cast<uint32_t>(key & 0xFFFFFFFFu), count});
-  });
-  std::sort(out->mult.begin(), out->mult.end(),
-            [](const snap::BaseImage::MultEntry& a, const snap::BaseImage::MultEntry& b) {
-              return std::tie(a.u, a.v) < std::tie(b.u, b.v);
-            });
+  out->mult.reserve(static_cast<size_t>(g_.edge_count()));
+  for (NodeId u = 0; u < g_.node_capacity(); ++u) {
+    NeighborView nb = g_.neighbors(u);
+    for (const NodeId* w = std::upper_bound(nb.begin(), nb.end(), u); w != nb.end(); ++w)
+      out->mult.push_back({static_cast<uint32_t>(u), static_cast<uint32_t>(*w),
+                           1 + image_excess_.count(edge_key(u, *w))});
+  }
 }
 
 bool StructuralCore::from_base_image(const snap::BaseImage& image, StructuralCore* out,
@@ -992,11 +981,12 @@ bool StructuralCore::from_base_image(const snap::BaseImage& image, StructuralCor
   }
   core.gprime_.add_edges_bulk(image.gprime_edges);
 
-  // The healed image G and the multiplicity table are rebuilt straight from
-  // the CRC-protected MULT section (a G edge exists iff its multiplicity is
-  // positive). The section is not taken on faith: after the forest walk
-  // below it is verified entry-by-entry against ground truth — the
-  // alive-alive G' edges plus the forest's cross-processor parent links.
+  // The healed image G and the excess table are rebuilt straight from the
+  // CRC-protected MULT section (a G edge exists iff its multiplicity is
+  // positive; its excess is count - 1 when that is positive). The section
+  // is not taken on faith: after the forest walk below it is verified
+  // entry-by-entry against ground truth — the alive-alive G' edges plus
+  // the forest's cross-processor parent links.
   std::vector<std::pair<uint64_t, int32_t>> mult_entries;
   mult_entries.reserve(image.mult.size());
   {
@@ -1131,7 +1121,10 @@ bool StructuralCore::from_base_image(const snap::BaseImage& image, StructuralCor
                                static_cast<uint32_t>(key & 0xFFFFFFFFu));
     core.g_.add_edges_bulk(image_pairs);
   }
-  core.image_multiplicity_.load(mult_entries);
+  // Only the edges of multiplicity >= 2 carry an excess.
+  std::erase_if(mult_entries, [](const auto& entry) { return entry.second < 2; });
+  for (auto& entry : mult_entries) --entry.second;
+  core.image_excess_.load(mult_entries);
 
   core.epoch_ = image.epoch;
   *out = std::move(core);
@@ -1195,18 +1188,18 @@ bool StructuralCore::apply_wave_delta(const snap::WaveDelta& delta,
     return fail("forest live count out of range");
   forest_.restore_live_count(static_cast<int>(delta.forest_live_after));
 
-  // 3. Multiplicities (final values), flipping the healed image's edges on
-  //    present/absent transitions. Victims are still alive here, exactly as
-  //    they were when the live wave dropped their edges to zero.
+  // 3. Multiplicities (final values): G's presence decides whether the
+  //    edge flips, and the excess becomes max(count - 1, 0). Victims are
+  //    still alive here, exactly as they were when the live wave dropped
+  //    their edges to zero.
   for (const snap::WaveDelta::MultOp& m : delta.mult) {
     if (m.u >= m.v || m.v >= static_cast<uint32_t>(capacity) || m.count < 0)
       return fail("malformed multiplicity record");
     auto u = static_cast<NodeId>(m.u);
     auto v = static_cast<NodeId>(m.v);
-    const uint64_t key = slot_key(u, v);
-    const bool had = image_multiplicity_.count(key) > 0;
+    const bool had = g_.has_edge(u, v);
     const bool has = m.count > 0;
-    image_multiplicity_.set_count(key, m.count);
+    image_excess_.set_count(slot_key(u, v), has ? m.count - 1 : 0);
     if (has && !had) {
       if (!g_.is_alive(u) || !g_.is_alive(v))
         return fail("image edge incident to a dead processor");
@@ -1281,13 +1274,12 @@ void StructuralCore::rebuild_for_recovery(const std::vector<uint8_t>& keep) {
   slots_.resize(static_cast<size_t>(capacity));
 
   // 3. Healed image from ground truth: alive-alive G' edges plus the kept
-  //    parent links, with multiplicities recounted (same rebuild as load()).
+  //    parent links, recounted through the funnel (same rebuild as load()).
   g_ = Graph{};
   for (NodeId v = 0; v < capacity; ++v) g_.add_node();
   for (NodeId v = 0; v < capacity; ++v)
     if (!procs_[static_cast<size_t>(v)].alive) g_.remove_node(v);
-  image_multiplicity_ = util::FlatCountMap{};
-  image_multiplicity_.reserve(static_cast<size_t>(gprime_.edge_count()));
+  image_excess_ = util::FlatCountMap{};
   for (NodeId v = 0; v < capacity; ++v) {
     if (!procs_[static_cast<size_t>(v)].alive) continue;
     for (NodeId w : gprime_.neighbors(v))
@@ -1341,7 +1333,7 @@ void StructuralCore::inject_image_edge_flip(NodeId u, NodeId v) {
 
 void StructuralCore::inject_multiplicity_bump(NodeId u, NodeId v) {
   ++epoch_;
-  image_multiplicity_.increment(edge_key(u, v));
+  image_excess_.increment(edge_key(u, v));
 }
 
 void StructuralCore::validate() const {

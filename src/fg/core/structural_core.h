@@ -7,8 +7,10 @@
 //
 //   * G'  — the graph of all insertions, with no deletions applied;
 //   * G   — the healed network: the homomorphic image of G' minus deleted
-//           processors plus the virtual forest (maintained incrementally
-//           through an edge-multiplicity map);
+//           processors plus the virtual forest, maintained incrementally.
+//           One G edge can stand for several virtual edges: G's edge set
+//           records multiplicity >= 1, and an excess table holds count - 1
+//           for the edges of multiplicity >= 2;
 //   * the virtual forest of Reconstruction Trees and the per-processor
 //     slot table (Table 1 of the paper).
 //
@@ -297,9 +299,10 @@ class DeltaRecorder {
   }
 
   /// The image multiplicity of edge (u, v) is about to change (u != v).
-  /// Fired by every multiplicity funnel — add/remove_image_edge and the
-  /// batched break/merge stitches — so the accumulated key set covers
-  /// every healed-image edge the wave (or an insertion) touched.
+  /// Fired by every multiplicity funnel — add/remove_image_edge (which the
+  /// merge stitch goes through) and the batched break drops — so the
+  /// accumulated key set covers every healed-image edge the wave (or an
+  /// insertion) touched.
   virtual void on_image_touch(NodeId u, NodeId v) { (void)u, (void)v; }
 
   /// A wave's commit fully settled (fired by fg::ShardedForest::execute,
@@ -429,7 +432,8 @@ class StructuralCore {
                                     CommitAlloc alloc = CommitAlloc::kReserved);
 
   /// Fold one region's recorded break effects into the shared state:
-  /// multiplicity decrements (1 -> 0 transitions flip image edges in one
+  /// multiplicity drops (each consumes the edge's excess first; a drop that
+  /// finds none queues the edge's removal, and the queue flips in one
   /// batched Graph::apply_edge_deltas pass), slot writes in script order,
   /// counters, live-count credit. Single-threaded, called in region id
   /// order — the deterministic stitch.
@@ -473,7 +477,8 @@ class StructuralCore {
                        MergeEffects* effects);
 
   /// Fold one region's recorded merge effects into the shared state:
-  /// image edges in join order, repair counters, final-RT bookkeeping.
+  /// image edges in join order (each through add_image_edge, exactly as the
+  /// inline merge applies it), repair counters, final-RT bookkeeping.
   /// Single-threaded, called in region id order — the deterministic
   /// stitch. Returns the region's final RT root.
   VNodeId apply_merge_effects(const MergeEffects& effects);
@@ -513,9 +518,17 @@ class StructuralCore {
   /// every slot entry against the forest rows and vice versa.
   const SlotTable& slot_table() const { return slots_; }
 
-  /// The healed image's edge-multiplicity map, read-only — the auditor
-  /// recomputes expected multiplicities and compares.
-  const util::FlatCountMap& image_multiplicity() const { return image_multiplicity_; }
+  /// The multiplicity of image edge (u, v): G's presence of the edge plus
+  /// its excess (0 for a non-edge). The snapshot recorder emits it per
+  /// touched key; the auditor holds the same sum against its recount.
+  int32_t image_multiplicity(NodeId u, NodeId v) const {
+    return (g_.has_edge(u, v) ? 1 : 0) + image_excess_.count(edge_key(u, v));
+  }
+
+  /// The excess table, read-only: slot_key(u, v) with u < v maps to
+  /// multiplicity - 1, for exactly the image edges of multiplicity >= 2
+  /// (never a 0 entry).
+  const util::FlatCountMap& image_excess() const { return image_excess_; }
 
   // --- Recovery surface (fg::Stabilizer). --------------------------------
 
@@ -524,7 +537,8 @@ class StructuralCore {
   /// within the kept set — FG_CHECKed), tombstone and unlink everything
   /// else, then rebuild all derived state from ground truth: the slot table
   /// from the kept rows, and the healed image (edges + multiplicities) from
-  /// alive-alive G' edges plus kept parent links. Bumps the mutation epoch;
+  /// alive-alive G' edges plus kept parent links, through the same funnel
+  /// as every other image edge. Bumps the mutation epoch;
   /// the caller then plans and commits a recovery wave (RepairPlan::recovery)
   /// to re-anchor every dead edge the quarantine left uncovered.
   void rebuild_for_recovery(const std::vector<uint8_t>& keep);
@@ -545,11 +559,12 @@ class StructuralCore {
   /// Erase the slot entry (owner, other) if present.
   void inject_erase_slot(NodeId owner, NodeId other);
 
-  /// Toggle the healed-image edge (u, v) in G without touching the
-  /// multiplicity map (both endpoints must be alive).
+  /// Toggle the healed-image edge (u, v) in G without touching the excess
+  /// table (both endpoints must be alive).
   void inject_image_edge_flip(NodeId u, NodeId v);
 
-  /// Bump the image multiplicity of (u, v) by one, desyncing it from G.
+  /// Bump the excess of (u, v) by one, desyncing the multiplicity from the
+  /// forest. On a non-edge this leaves an excess entry with no G edge.
   void inject_multiplicity_bump(NodeId u, NodeId v);
 
   /// Monotone counter bumped by every structural mutation (insert_node,
@@ -626,8 +641,21 @@ class StructuralCore {
   };
 
   static uint64_t edge_key(NodeId u, NodeId v);
+  /// The multiplicity funnels: add bumps (u, v) — a new G edge, or one more
+  /// unit of excess if the edge exists; remove consumes the excess first,
+  /// else removes the G edge (FG_CHECKed to exist).
   void add_image_edge(NodeId u, NodeId v);
   void remove_image_edge(NodeId u, NodeId v);
+
+  /// The break's batched drop: consume (u, v)'s excess if it has one, else
+  /// queue the edge's removal in delta_scratch_ for flush_edge_drops().
+  void drop_image_edge(NodeId u, NodeId v);
+
+  /// Remove every queued edge in one Graph::apply_edge_deltas pass, and
+  /// FG_CHECK that each one was removed: a duplicate or absent removal (a
+  /// drop below multiplicity zero) is skipped by the batch, so the count
+  /// catches it in every build type.
+  void flush_edge_drops();
 
   /// Tell the delta recorder (if any) that edge (u, v)'s multiplicity is
   /// about to change. Called from every multiplicity funnel, all of which
@@ -663,12 +691,13 @@ class StructuralCore {
   /// by the far endpoint — see slot_table.h for the storage model and the
   /// concurrency contract the parallel commit relies on.
   SlotTable slots_;
-  /// Multiplicity of every healed-image edge (flat open addressing — an
-  /// edge flip probes a contiguous cell array, no hash-node allocation).
-  util::FlatCountMap image_multiplicity_;
-  /// Reusable buffer for the batched image-edge stitch (apply_merge_effects
-  /// collects a region's 0 -> 1 transitions here, then hands the whole span
-  /// to Graph::apply_edge_deltas). Pooled wave to wave.
+  /// Excess multiplicity (count - 1) of the image edges whose multiplicity
+  /// is >= 2; an edge of multiplicity 1 lives in g_ alone. Flat open
+  /// addressing, about a seventh of the image edges on churn.
+  util::FlatCountMap image_excess_;
+  /// Reusable buffer for the batched break drops (a region's queued edge
+  /// removals, handed whole to Graph::apply_edge_deltas). Pooled wave to
+  /// wave.
   std::vector<EdgeDelta> delta_scratch_;
   RepairStats last_repair_;
   uint64_t epoch_ = 0;  ///< See mutation_epoch().

@@ -22,18 +22,6 @@ double ms_since(Clock::time_point t0) {
 
 }  // namespace
 
-double HealerStats::latency_percentile(double p) const {
-  if (wave_ms.empty()) return 0.0;
-  std::vector<double> sorted = wave_ms;
-  std::sort(sorted.begin(), sorted.end());
-  // Linear interpolation between closest ranks (the numpy default).
-  double rank = (p / 100.0) * static_cast<double>(sorted.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, sorted.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
-}
-
 HealerService::HealerService(const Graph& g0, HealerConfig config)
     : fg_(g0), config_(config) {
   init();
@@ -146,7 +134,7 @@ void HealerService::heal_wave() {
     stats_.dropped_deletes += static_cast<int64_t>(queued - victims.size());
     if (!victims.empty()) return true;
     ++stats_.waves;
-    stats_.wave_ms.push_back(ms_since(t0));
+    stats_.wave_latency.record_ms(ms_since(t0));
     return false;
   };
   if (!keep_alive()) return;
@@ -210,7 +198,7 @@ void HealerService::heal_wave() {
   }
   stats_.deletes += static_cast<int64_t>(victims.size());
   ++stats_.waves;
-  stats_.wave_ms.push_back(ms_since(t0));
+  stats_.wave_latency.record_ms(ms_since(t0));
 
   // Snapshot upkeep: the wave's delta was appended when the commit fired
   // on_wave_committed; rotate to a fresh base when due, or rebase after

@@ -45,6 +45,7 @@
 #include "fg/forgiving_graph.h"
 #include "fg/snapshot_writer.h"
 #include "graph/graph.h"
+#include "util/latency_histogram.h"
 
 namespace fg {
 
@@ -147,13 +148,16 @@ struct HealerStats {
   int64_t audit_violations = 0; ///< Total violations those audits reported.
   int64_t recoveries = 0;       ///< Stabilize passes that rebuilt state.
 
-  /// Per-wave repair latency (milliseconds) as the service loop saw it:
-  /// plan + admission (re-plan included) + commit + the sampled
-  /// certificate check and audit. Snapshot upkeep is not included.
-  std::vector<double> wave_ms;
+  /// Per-wave repair latency as the service loop saw it: plan + admission
+  /// (re-plan included) + commit + the sampled certificate check and
+  /// audit. Snapshot upkeep is not included. A fixed-size log-linear
+  /// histogram: its memory does not grow with the number of waves.
+  util::LatencyHistogram wave_latency;
 
-  /// Percentile over wave_ms (p in [0, 100]; 0 for an empty record).
-  double latency_percentile(double p) const;
+  /// Percentile of the per-wave latency, in milliseconds (p in [0, 100];
+  /// 0 for an empty record). Read off wave_latency's buckets: within 1/32
+  /// (about 3%) of the exact interpolated percentile over every wave.
+  double latency_percentile(double p) const { return wave_latency.percentile_ms(p); }
 };
 
 /// The long-running healer loop: continuous churn in, repaired waves out,

@@ -132,7 +132,7 @@ void SnapshotRecorder::on_wave_committed(const core::StructuralCore& core,
     snap::WaveDelta::MultOp op;
     op.u = static_cast<uint32_t>(key >> 32);
     op.v = static_cast<uint32_t>(key);
-    op.count = core.image_multiplicity().count(key);
+    op.count = core.image_multiplicity(static_cast<NodeId>(op.u), static_cast<NodeId>(op.v));
     d.mult.push_back(op);
   }
   touched_mult_.clear();

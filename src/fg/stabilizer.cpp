@@ -505,26 +505,33 @@ Analysis analyze(const core::StructuralCore& core) {
       expected.push_back(slot_key(std::min(a, b), std::max(a, b)));
     }
     std::sort(expected.begin(), expected.end());
-    const util::FlatCountMap& mult = core.image_multiplicity();
+    // An image edge's multiplicity is G's presence plus its excess; the
+    // excess table must hold exactly the expected edges recounted >= 2.
+    const util::FlatCountMap& excess = core.image_excess();
     const Graph& g = core.image();
     size_t distinct = 0;
+    size_t excess_expected = 0;
     for (size_t i = 0; i < expected.size();) {
       size_t j = i;
       while (j < expected.size() && expected[j] == expected[i]) ++j;
       ++distinct;
       const NodeId a = static_cast<NodeId>(expected[i] >> 32);
       const NodeId b = static_cast<NodeId>(expected[i] & 0xffffffffu);
-      if (mult.count(expected[i]) != static_cast<int32_t>(j - i))
+      const auto recount = static_cast<int32_t>(j - i);
+      const bool present = g.has_edge(a, b);
+      const int32_t extra = excess.count(expected[i]);
+      if (recount >= 2 && extra > 0) ++excess_expected;
+      if ((present ? 1 : 0) + extra != recount)
         note(rep, ViolationKind::kMultiplicityDrift, kNoVNode, a, b,
              "image multiplicity diverges from recount");
-      if (!g.has_edge(a, b))
+      if (!present)
         note(rep, ViolationKind::kImageDrift, kNoVNode, a, b,
              "healed image is missing an expected edge");
       i = j;
     }
-    if (mult.size() != distinct)
+    if (excess.size() != excess_expected)
       note(rep, ViolationKind::kMultiplicityDrift, kNoVNode, kInvalidNode,
-           kInvalidNode, "multiplicity map carries phantom edges");
+           kInvalidNode, "excess table carries phantom edges");
     if (g.edge_count() != static_cast<int64_t>(distinct))
       note(rep, ViolationKind::kImageDrift, kNoVNode, kInvalidNode,
            kInvalidNode, "healed image carries unexpected edges");

@@ -11,7 +11,7 @@
 // Ground truth vs derived state. G' (the insertions-only graph) and the
 // liveness bits are ground truth: the adversary corrupts *state the healing
 // layer derives* — the virtual forest, the slot tables, the healed image and
-// its multiplicity map. Recovery therefore never guesses: it audits every
+// its excess table. Recovery therefore never guesses: it audits every
 // derived structure against G' + liveness, quarantines whatever is
 // inconsistent, keeps every RT component that still checks out whole, and
 // rebuilds the rest through the ordinary plan/commit pipeline
@@ -30,8 +30,9 @@
 //                       G'-connected dead cluster live in a single RT (the
 //                       co-location law — legal executions maintain it, and
 //                       losing it can disconnect G even when I1-I5 pass);
-//   * image fidelity  — healed image and multiplicity map equal the rebuild
-//                       from alive-alive G' edges plus RT parent links (I5).
+//   * image fidelity  — healed image and multiplicities (G's presence plus
+//                       the excess) equal the rebuild from alive-alive G'
+//                       edges plus RT parent links (I5).
 //
 // Every traversal is cycle-safe and step-capped: arbitrary corruption yields
 // a typed AuditReport, never an FG_CHECK abort.
@@ -62,7 +63,7 @@ enum class ViolationKind {
   kMissingAnchor,      ///< I1: dead G' edge with no anchor slot.
   kSplitDeadCluster,   ///< Co-location law: one dead cluster, several RTs.
   kImageDrift,         ///< I5: healed image diverges from the rebuild.
-  kMultiplicityDrift,  ///< Multiplicity map diverges from the recount.
+  kMultiplicityDrift,  ///< Presence + excess diverges from the recount.
 };
 inline constexpr int kViolationKinds = 12;
 

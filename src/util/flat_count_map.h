@@ -1,10 +1,12 @@
-// Open-addressing multiplicity map: uint64 key -> positive int32 count.
+// Open-addressing count map: uint64 key -> positive int32 count.
 //
-// The structural core's image-multiplicity table lives here (one entry per
-// distinct healed-image edge). Flat storage, linear probing, backward-shift
-// deletion — an edge flip is a probe over a contiguous cell array instead
-// of an unordered_map hash-node allocation/free, which is what made the
-// commit phase allocation-bound (ROADMAP "next perf candidates").
+// The structural core's image-edge *excess* table lives here. The healed
+// image G records every edge of multiplicity >= 1 in its own sorted
+// adjacency, so this map holds only count - 1 for the edges whose
+// multiplicity is >= 2 (about one image edge in seven on churn), and never
+// a 0. Flat storage, linear probing, backward-shift deletion: an excess
+// change is a probe over a contiguous cell array, with no hash-node
+// allocation.
 //
 // Key 0 is reserved as the empty marker; edge keys are slot_key(u, v) with
 // u < v, whose low word is v >= 1, so 0 never occurs as a real key.
@@ -21,8 +23,8 @@ namespace fg::util {
 
 class FlatCountMap {
  public:
-  /// Bump key's count (inserting at 1) and return the new count.
-  int32_t increment(uint64_t key) {
+  /// Bump key's count (inserting at 1).
+  void increment(uint64_t key) {
     FG_DCHECK(key != 0);
     if ((size_ + 1) * 8 > cells_.size() * 7) grow();
     size_t i = find_slot(key);
@@ -30,19 +32,19 @@ class FlatCountMap {
       cells_[i].key = key;
       ++size_;
     }
-    return ++cells_[i].count;
+    ++cells_[i].count;
   }
 
-  /// Drop key's count (erasing at 0) and return the new count. The key
-  /// must be present — decrementing an absent key is a bookkeeping bug.
-  int32_t decrement(uint64_t key) {
+  /// Drop key's count by one (erasing at 0) if key is present; returns
+  /// whether it was. An absent key is left alone — the caller decides
+  /// whether that is a bookkeeping bug.
+  bool decrement(uint64_t key) {
     FG_DCHECK(key != 0);
-    FG_CHECK_MSG(!cells_.empty(), "decrement on an empty count map");
+    if (cells_.empty()) return false;
     size_t i = find_slot(key);
-    FG_CHECK_MSG(cells_[i].key == key, "decrement of an absent key");
-    int32_t left = --cells_[i].count;
-    if (left == 0) erase_at(i);
-    return left;
+    if (cells_[i].key != key) return false;
+    if (--cells_[i].count == 0) erase_at(i);
+    return true;
   }
 
   /// The count stored for key (0 if absent).
@@ -55,19 +57,10 @@ class FlatCountMap {
   /// Number of distinct keys.
   size_t size() const { return size_; }
 
-  /// Visit every (key, count) entry in unspecified (storage) order. The
-  /// snapshot layer collects and sorts these for its canonical MULT section
-  /// (src/snap); the map itself stays order-free.
-  template <class F>
-  void for_each(F&& f) const {
-    for (const Cell& c : cells_)
-      if (c.key != 0) f(c.key, c.count);
-  }
-
   /// Overwrite key's count outright: count > 0 inserts or replaces,
   /// count == 0 erases (no-op if absent). The snapshot delta replay applies
-  /// final-value multiplicity records through this — never the engines,
-  /// whose mutations are all increment/decrement.
+  /// final-value multiplicity records through this (as count - 1) — never
+  /// the engines, whose mutations are all increment/decrement.
   void set_count(uint64_t key, int32_t count) {
     FG_DCHECK(key != 0);
     FG_CHECK_MSG(count >= 0, "negative multiplicity");
@@ -84,12 +77,6 @@ class FlatCountMap {
       ++size_;
     }
     cells_[i].count = count;
-  }
-
-  void reserve(size_t n) {
-    size_t need = 16;
-    while (need * 7 < n * 8) need <<= 1;
-    if (need > cells_.size()) rehash(need);
   }
 
   /// Bulk-load distinct (key, positive count) entries into an empty map:
@@ -150,6 +137,12 @@ class FlatCountMap {
     }
     cells_[hole] = Cell{};
     --size_;
+  }
+
+  void reserve(size_t n) {
+    size_t need = 16;
+    while (need * 7 < n * 8) need <<= 1;
+    if (need > cells_.size()) rehash(need);
   }
 
   void grow() { rehash(cells_.empty() ? 16 : cells_.size() * 2); }

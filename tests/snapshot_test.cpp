@@ -18,6 +18,7 @@
 //      the trusted-path load() wrapper keeps the FG_CHECK death.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <numeric>
@@ -622,6 +623,64 @@ TEST(SnapshotTornWrite, TruncationsAndFlipsRecoverToAuditCleanState) {
   SnapshotRestore res = restore_snapshot(bad_base_path, files.log, &restored);
   EXPECT_FALSE(res.ok);
   EXPECT_FALSE(res.error.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Snapshot bytes pinned across commits.
+
+uint64_t fnv1a(const std::vector<uint8_t>& bytes) {
+  uint64_t h = 14695981039346656037ULL;
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+// A seeded churn stream through a snapshotting service whose base rotates
+// once, so the final .base carries image edges of multiplicity >= 2 and
+// the .log the waves after the rotation. The digests were recorded from
+// the engine that kept every image-edge multiplicity in one hash table;
+// MULT, now derived from G's sorted adjacency plus the excess table, must
+// not move a byte.
+TEST(SnapshotGolden, ServiceBaseAndLogArePinned) {
+  constexpr int kNodes = 2048;
+  Rng rng(29);
+  Graph g0 = make_sparse_random(kNodes, 4.0, rng);
+  std::vector<ChurnOp> ops = make_stream(kNodes, 20000, 0x60D5);
+  const std::string tag = "golden";
+  HealerConfig config;
+  config.wave_size = 64;
+  config.snapshot_every = 100;
+  config.snapshot_path = testing::TempDir() + "/snapshot_" + tag;
+  ServiceFiles files = service_paths(tag);
+  int64_t waves = 0;
+  {
+    HealerService service(g0, config);
+    int64_t alerts = 0;
+    service.set_alert([&alerts](int64_t, const std::string&) { ++alerts; });
+    VectorChurnStream stream(ops);
+    service.run(stream);
+    waves = service.stats().waves;
+    EXPECT_EQ(alerts, 0);
+  }
+  ASSERT_GT(waves, 100);
+  ASSERT_LT(waves, 200);  // exactly one rotation
+
+  std::vector<uint8_t> base;
+  std::vector<uint8_t> log;
+  std::string error;
+  ASSERT_TRUE(snap::read_file(files.base, &base, &error)) << error;
+  ASSERT_TRUE(snap::read_file(files.log, &log, &error)) << error;
+  snap::BaseImage image;
+  ASSERT_TRUE(snap::decode_base(base, &image, &error)) << error;
+  EXPECT_TRUE(std::any_of(image.mult.begin(), image.mult.end(),
+                          [](const snap::BaseImage::MultEntry& m) { return m.count >= 2; }));
+
+  EXPECT_EQ(base.size(), 787239u);
+  EXPECT_EQ(fnv1a(base), 15430390303210209519ULL);
+  EXPECT_EQ(log.size(), 5906833u);
+  EXPECT_EQ(fnv1a(log), 14053711628645251479ULL);
 }
 
 // ---------------------------------------------------------------------------
