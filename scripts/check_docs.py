@@ -18,9 +18,11 @@
    exist and be named by docs/DESIGN.md, and unordered_set must never
    reappear in the Graph header.
 4b. The repair path stays hash-free: no unordered_map/unordered_set code
-   token in the structural core, the sharded forest, or the dist engine
-   (the PR-8 flat-container acceptance criterion — SlotTable, sorted-flat
-   analysis sets, and binary-searched DAG knowledge replaced them all).
+   token in the structural core, the sharded forest, the dist engine, or
+   the healer service's serving loop (the PR-8 flat-container acceptance
+   criterion — SlotTable, the wave-sized open-addressing dirty set, a flat
+   per-id queued mark, and binary-searched DAG knowledge replaced them
+   all).
    The sampled guardrails (certificate emit and check, the stabilizer
    audit) go further: no std::set, std::map or unordered container at all,
    since each one reads a whole RT in one linear pass over flat arrays.
@@ -198,8 +200,10 @@ GRAPH_HEADER = "src/graph/graph.h"
 FLAT_MAP_HEADER = "src/util/flat_count_map.h"
 
 # The hash-free repair path (PR 8): these files must never regrow an
-# unordered container — the hot paths run on SlotTable, sorted-flat
-# victim/dirty sets, and binary-searched DAG knowledge instead.
+# unordered container — the hot paths run on SlotTable, a sorted victim
+# set, the wave-sized open-addressing dirty set, and binary-searched DAG
+# knowledge instead; the serving loop marks queued victims in a flat
+# per-id array.
 FLAT_ONLY_FILES = (
     "src/fg/core/structural_core.h",
     "src/fg/core/structural_core.cpp",
@@ -208,6 +212,8 @@ FLAT_ONLY_FILES = (
     "src/fg/sharded_forest.cpp",
     "src/fg/dist/dist_forgiving_graph.h",
     "src/fg/dist/dist_forgiving_graph.cpp",
+    "src/fg/healer_service.h",
+    "src/fg/healer_service.cpp",
 )
 
 
@@ -254,9 +260,10 @@ def check_graph_api_sync():
         if re.search(r"\bunordered_(?:map|set)\b", header_code(path)):
             problems.append(
                 f"{rel}: unordered_map/unordered_set crept back into the "
-                "repair path — the core, the sharded forest, and the dist "
-                "engine are sorted-flat only (SlotTable, binary-searched "
-                "analysis sets; docs/DESIGN.md, docs/CONCURRENCY.md)")
+                "repair path — the core, the sharded forest, the dist "
+                "engine and the serving loop are flat only (SlotTable, the "
+                "open-addressing dirty set; docs/DESIGN.md, "
+                "docs/CONCURRENCY.md)")
     for rel in GUARDRAIL_FLAT_FILES:
         path = REPO / rel
         if not path.exists():

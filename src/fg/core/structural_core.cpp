@@ -1,6 +1,7 @@
 #include "fg/core/structural_core.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <istream>
 #include <numeric>
@@ -106,7 +107,86 @@ double ms_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
 
+/// Lemma 1: an RT's height is at most 31, so a chain from any vnode up to
+/// its root has at most 32 nodes.
+constexpr int kMaxChain = 32;
+
+/// Initial table sizing: dirty handles expected per slot entry of the
+/// wave's victims. A slot holds a leaf and usually a helper, and their
+/// chains share most ancestors: the churn stream (n = 2^16, 64-victim
+/// waves) averages 9.6, so a typical wave never rehashes.
+constexpr size_t kDirtyPerSlot = 12;
+
+/// Mark dead vnode `h` of wave position `victim` and walk up its chain
+/// until the RT root or the first ancestor an earlier walk marked, then
+/// set every cell the walk added to the chain's root. A root the walk
+/// reaches itself is appended to `*roots` with `victim` as its claimant.
+/// Returns the victim of the earlier walk it met (the two share an RT), or
+/// -1. A cell of the walk's own path still has no root, so meeting one
+/// means a parent cycle; both that and a chain over Lemma 1's bound abort
+/// instead of spinning.
+int walk_dirty_chain(const VirtualForest& forest, VNodeId h, int victim,
+                     DirtySet* dirty, std::vector<std::pair<VNodeId, int>>* roots) {
+  dirty->reserve_more(kMaxChain);
+  std::array<DirtySet::Cell*, kMaxChain> path;
+  int len = 0;
+  DirtySet::Cell* c = dirty->insert(h);
+  c->dead = true;
+  VNodeId root = kNoVNode;
+  int met = -1;
+  for (VNodeId x = h;;) {
+    if (c->victim >= 0) {
+      FG_CHECK_MSG(c->root != kNoVNode, "parent cycle on a dirty chain");
+      root = c->root;
+      met = c->victim;
+      break;
+    }
+    c->victim = victim;
+    path[static_cast<size_t>(len++)] = c;
+    const VNodeId p = forest.node(x).parent;
+    if (p == kNoVNode) {
+      root = x;
+      roots->push_back({x, victim});
+      break;
+    }
+    FG_CHECK_MSG(len < kMaxChain, "dirty chain longer than Lemma 1 allows");
+    c = dirty->insert(p);
+    x = p;
+  }
+  for (int i = 0; i < len; ++i) path[static_cast<size_t>(i)]->root = root;
+  return met;
+}
+
 }  // namespace
+
+void DirtySet::reserve_more(size_t more) {
+  size_t cap = cells_.empty() ? 16 : cells_.size();
+  while (cap < 2 * (size_ + more)) cap <<= 1;
+  if (cap != cells_.size()) rehash(cap);
+}
+
+DirtySet::Cell* DirtySet::insert(VNodeId h) {
+  size_t i = home_of(h);
+  while (cells_[i].h != kNoVNode && cells_[i].h != h) i = (i + 1) & mask_;
+  if (cells_[i].h == kNoVNode) {
+    FG_DCHECK(2 * (size_ + 1) <= cells_.size());
+    cells_[i].h = h;
+    ++size_;
+  }
+  return &cells_[i];
+}
+
+void DirtySet::rehash(size_t capacity) {
+  std::vector<Cell> old = std::move(cells_);
+  cells_.assign(capacity, Cell{});
+  mask_ = capacity - 1;
+  for (const Cell& c : old) {
+    if (c.h == kNoVNode) continue;
+    size_t i = home_of(c.h);
+    while (cells_[i].h != kNoVNode) i = (i + 1) & mask_;
+    cells_[i] = c;
+  }
+}
 
 DeletionAnalysis StructuralCore::analyze_deletion(std::span<const NodeId> victims,
                                                   RegionSplit split) const {
@@ -141,15 +221,26 @@ DeletionAnalysis StructuralCore::analyze_deletion(std::span<const NodeId> victim
   //    a structure spanning *both* neighborhoods or the network could
   //    disconnect. (A victim never has a slot keyed by another victim:
   //    slots only exist for neighbors that were already dead.)
+  //
+  //    The dirty region — the dead vnodes and all their ancestors; a node
+  //    is clean (its subtree holds no dead vnode) iff it is not dirty — is
+  //    marked by one walk per dead vnode that stops at the first ancestor
+  //    an earlier walk marked, so every dirty node is read once. The walk
+  //    also yields the RT root: a walk that meets an earlier one shares its
+  //    RT, which unites the two victims (the same partition as grouping the
+  //    victims by root), and a walk that reaches a root first claims it.
+  size_t slot_count = 0;
+  for (NodeId v : a.victims) slot_count += slots_.entries(v).size();
+  a.dirty.reserve_more(kDirtyPerSlot * slot_count);
   Dsu dsu(k);
-  std::vector<std::pair<VNodeId, int>> root_claims;  // (RT root, wave position)
+  std::vector<std::pair<VNodeId, int>> roots;  // (RT root, claimant wave position)
   for (int i = 0; i < k; ++i) {
     NodeId v = a.victims[static_cast<size_t>(i)];
     for (const SlotTable::Entry& slot : slots_.entries(v)) {
       for (VNodeId h : {slot.leaf, slot.helper}) {
         if (h == kNoVNode) continue;
-        a.dead_vnodes.push_back(h);
-        root_claims.push_back({forest_.root_of(h), i});
+        const int met = walk_dirty_chain(forest_, h, i, &a.dirty, &roots);
+        if (met >= 0) dsu.unite(i, met);
       }
     }
     for (NodeId y : gprime_.neighbors(v)) {
@@ -158,43 +249,8 @@ DeletionAnalysis StructuralCore::analyze_deletion(std::span<const NodeId> victim
       if (it != wave_index.end() && it->first == y) dsu.unite(i, it->second);
     }
   }
-  // Every vnode belongs to exactly one (owner, other) slot, so the
-  // collected handles are already duplicate-free; sort for binary search.
-  std::sort(a.dead_vnodes.begin(), a.dead_vnodes.end());
-  // Victims sharing an RT repair together: group the claims by root and
-  // unite each group (equivalent to the old first-claimant map — the
-  // partition is independent of union order).
-  std::sort(root_claims.begin(), root_claims.end());
-  for (size_t j = 1; j < root_claims.size(); ++j)
-    if (root_claims[j].first == root_claims[j - 1].first)
-      dsu.unite(root_claims[j - 1].second, root_claims[j].second);
   if (split == RegionSplit::kGlobal)
     for (int i = 1; i < k; ++i) dsu.unite(0, i);
-
-  // The dirty region: the dead vnodes and all their ancestors. A node is
-  // clean — its subtree contains no dead vnode — iff it is not dirty.
-  // Chains are walked in full (Lemma 1 bounds RT depth by O(log n), so
-  // this is O(dead * log n)) and deduplicated by one sort.
-  a.dirty.reserve(a.dead_vnodes.size() * 2);
-  for (VNodeId h : a.dead_vnodes)
-    for (VNodeId x = h; x != kNoVNode; x = forest_.node(x).parent)
-      a.dirty.push_back(x);
-  std::sort(a.dirty.begin(), a.dirty.end());
-  a.dirty.erase(std::unique(a.dirty.begin(), a.dirty.end()), a.dirty.end());
-  // Dense marks for the collect walk's O(1) membership probes (dead marks
-  // second: dead ⊂ dirty, and kDeadMark must win) — but only when the
-  // wave is dense enough to amortize zeroing the whole arena; a sparse
-  // wave (e.g. one victim deep into a long-lived arena) keeps the marks
-  // empty and binary-searches the sorted vectors instead.
-  if (static_cast<int64_t>(forest_.arena_size()) <=
-      static_cast<int64_t>(a.dirty.size()) * 64) {
-    a.vnode_marks.assign(static_cast<size_t>(forest_.arena_size()),
-                         DeletionAnalysis::kClean);
-    for (VNodeId x : a.dirty)
-      a.vnode_marks[static_cast<size_t>(x)] = DeletionAnalysis::kDirtyMark;
-    for (VNodeId h : a.dead_vnodes)
-      a.vnode_marks[static_cast<size_t>(h)] = DeletionAnalysis::kDeadMark;
-  }
 
   // 2. Materialize the regions in deterministic commit order: sorted by the
   //    smallest victim id they contain (the shard ordering rule). Victims
@@ -225,12 +281,12 @@ DeletionAnalysis StructuralCore::analyze_deletion(std::span<const NodeId> victim
     a.victim_seed[static_cast<size_t>(i)] = s;
     a.seeds[static_cast<size_t>(s)].victims.push_back(a.victims[static_cast<size_t>(i)]);
   }
-  // One root entry per group (claims are sorted by root, so groups are
-  // contiguous and the per-seed root lists come out ascending).
-  for (size_t j = 0; j < root_claims.size(); ++j) {
-    if (j > 0 && root_claims[j].first == root_claims[j - 1].first) continue;
-    int s = seed_of_rep[static_cast<size_t>(rep[static_cast<size_t>(root_claims[j].second)])];
-    a.seeds[static_cast<size_t>(s)].roots.push_back(root_claims[j].first);
+  // One entry per distinct root, claimed by the first walk to reach it;
+  // sorting the roots (one per broken RT) makes each seed's list ascending.
+  std::sort(roots.begin(), roots.end());
+  for (const auto& [root, claimant] : roots) {
+    int s = seed_of_rep[static_cast<size_t>(rep[static_cast<size_t>(claimant)])];
+    a.seeds[static_cast<size_t>(s)].roots.push_back(root);
   }
   return a;
 }
@@ -339,13 +395,16 @@ void StructuralCore::collect_events(VNodeId root, const DeletionAnalysis& analys
     VNodeId left = kNoVNode;
     VNodeId right = kNoVNode;
     int stage = 0;
+    bool dead = false;
   };
   std::vector<Frame> stack;
   stack.push_back({root});
   while (!stack.empty()) {
     Frame& f = stack.back();
     if (f.stage == 0) {
-      if (!analysis.is_dirty(f.h) && forest_.is_perfect(f.h)) {
+      // One probe answers both questions: dirty, and if so, dead.
+      const DirtySet::Cell* c = analysis.dirty.find(f.h);
+      if (c == nullptr && forest_.is_perfect(f.h)) {
         // Maximal clean perfect subtree: the next piece, detached whole.
         out->events.push_back({true, f.h});
         stack.pop_back();
@@ -355,6 +414,7 @@ void StructuralCore::collect_events(VNodeId root, const DeletionAnalysis& analys
       const auto& n = forest_.node(f.h);
       f.left = n.left;
       f.right = n.right;
+      f.dead = c != nullptr && c->dead;
       f.stage = 1;
       if (f.left != kNoVNode) stack.push_back({f.left});
     } else if (f.stage == 1) {
@@ -362,7 +422,7 @@ void StructuralCore::collect_events(VNodeId root, const DeletionAnalysis& analys
       if (f.right != kNoVNode) stack.push_back({f.right});
     } else {
       out->events.push_back({false, f.h});
-      if (!analysis.is_dead_vnode(f.h)) ++out->red_teardowns;  // red helper
+      if (!f.dead) ++out->red_teardowns;  // red helper
       stack.pop_back();
     }
   }

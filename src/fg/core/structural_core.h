@@ -198,30 +198,71 @@ struct RepairPlan {
   } profile;
 };
 
+/// A wave's dirty vnodes: the victims' leaves and helpers (dead) and all
+/// their ancestors, each mapped to its mark and the root of its RT. Flat
+/// open addressing keyed by handle, linear probing, load <= 1/2, no
+/// erase; the capacity follows the number of handles inserted, never the
+/// arena size.
+class DirtySet {
+ public:
+  struct Cell {
+    VNodeId h = kNoVNode;     ///< Key; kNoVNode marks an empty cell.
+    VNodeId root = kNoVNode;  ///< RT root of h (kNoVNode while h's walk is open).
+    int32_t victim = -1;      ///< Wave position whose walk marked h first.
+    bool dead = false;        ///< A victim's leaf or helper (else a strict ancestor).
+  };
+
+  /// Grow, if needed, so `more` inserts keep the load at or below 1/2.
+  /// Cell pointers stay valid until the next call.
+  void reserve_more(size_t more);
+
+  /// The cell of h, or nullptr when h is clean.
+  const Cell* find(VNodeId h) const {
+    if (cells_.empty()) return nullptr;
+    for (size_t i = home_of(h);; i = (i + 1) & mask_) {
+      const Cell& c = cells_[i];
+      if (c.h == kNoVNode) return nullptr;
+      if (c.h == h) return &c;
+    }
+  }
+
+  /// The cell of h; a new blank one (victim -1) when h was absent. Room
+  /// must have been reserved.
+  Cell* insert(VNodeId h);
+
+  size_t size() const { return size_; }
+  size_t capacity() const { return cells_.size(); }
+
+ private:
+  /// Fibonacci-hashed home cell (capacity is a power of two).
+  size_t home_of(VNodeId h) const {
+    return static_cast<size_t>((static_cast<uint64_t>(static_cast<uint32_t>(h)) *
+                                0x9E3779B97F4A7C15ull) >> 32) & mask_;
+  }
+  void rehash(size_t capacity);
+
+  std::vector<Cell> cells_;
+  size_t mask_ = 0;
+  size_t size_ = 0;
+};
+
 /// The region partition and shared lookup sets a plan is built from.
 /// Produced once per wave by analyze_deletion; plan_region then fills each
 /// RegionPlan independently (and, if the caller wishes, concurrently — it
 /// only ever reads the core and this analysis).
-/// Membership is flat, not hashed (PR 5's shedding argument; the `is_*`
-/// helpers below are the only lookup API): the small victim set is a
-/// sorted vector probed by binary search. The vnode sets — probed once
-/// per visited node on the collect walk's hot path — switch
-/// representation by density: when the wave's dirty set is a meaningful
-/// fraction of the arena, one O(arena) zeroed mark array buys O(1)
-/// probes; for a tiny wave in an old arena (where the memset would dwarf
-/// the handful of probes it serves) the sorted vectors are binary-searched
-/// instead.
+/// Membership is flat, not hashed into nodes (the `is_*` helpers below,
+/// plus DirtySet::find for a handle's root, are the lookup API): the small
+/// victim set is a sorted vector probed by binary search, and the vnode
+/// sets are one DirtySet, filled by a single walk per dead vnode that
+/// stops at the first ancestor an earlier walk marked. The table is sized
+/// to the wave, not to the arena: Lemma 1 keeps a wave's dirty set at
+/// O(dead * log n) however long-lived the arena is, so one representation
+/// gives O(1) probes and O(wave) setup both for a dense wave in a young
+/// arena and for one victim deep in an old one.
 struct DeletionAnalysis {
   std::vector<NodeId> victims;              ///< Wave order.
   std::vector<NodeId> victim_sorted;        ///< Victims, ascending.
-  std::vector<VNodeId> dead_vnodes;         ///< Victims' leaves and helpers, ascending.
-  std::vector<VNodeId> dirty;               ///< Dead vnodes + ancestors, ascending.
-  /// Dense marks over [0, arena), or empty when the wave is too sparse to
-  /// amortize the zeroing: kClean, kDirtyMark (a dead vnode's strict
-  /// ancestor — a red helper), or kDeadMark. dirty ⊇ dead, so one byte
-  /// answers both membership probes.
-  enum : uint8_t { kClean = 0, kDirtyMark = 1, kDeadMark = 2 };
-  std::vector<uint8_t> vnode_marks;
+  DirtySet dirty;                           ///< Dead vnodes + ancestors.
   /// Seed index per victim, aligned with `victims` (finalize_plan derives
   /// RepairPlan::victim_region from it without any lookup table).
   std::vector<int> victim_seed;
@@ -240,13 +281,10 @@ struct DeletionAnalysis {
     return std::binary_search(victim_sorted.begin(), victim_sorted.end(), v);
   }
   bool is_dead_vnode(VNodeId h) const {
-    if (!vnode_marks.empty()) return vnode_marks[static_cast<size_t>(h)] == kDeadMark;
-    return std::binary_search(dead_vnodes.begin(), dead_vnodes.end(), h);
+    const DirtySet::Cell* c = dirty.find(h);
+    return c != nullptr && c->dead;
   }
-  bool is_dirty(VNodeId h) const {
-    if (!vnode_marks.empty()) return vnode_marks[static_cast<size_t>(h)] != kClean;
-    return std::binary_search(dirty.begin(), dirty.end(), h);
-  }
+  bool is_dirty(VNodeId h) const { return dirty.find(h) != nullptr; }
 };
 
 /// Hooks a protocol layer installs to mirror structural mutations. The

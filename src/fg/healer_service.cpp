@@ -77,12 +77,20 @@ void HealerService::push(const ChurnOp& op) {
     ++stats_.inserts;
     return;
   }
-  if (!fg_.is_alive(op.victim) || forming_set_.contains(op.victim)) {
+  // is_alive is false for ids the engine never created, so the id indexes
+  // queued_ once it passes.
+  if (!fg_.is_alive(op.victim)) {
+    ++stats_.dropped_deletes;
+    return;
+  }
+  const size_t v = static_cast<size_t>(op.victim);
+  if (v >= queued_.size()) queued_.resize(v + 1, 0);
+  if (queued_[v] != 0) {
     ++stats_.dropped_deletes;
     return;
   }
   forming_.push_back(op.victim);
-  forming_set_.insert(op.victim);
+  queued_[v] = 1;
   if (static_cast<int>(forming_.size()) >= config_.wave_size) heal_wave();
 }
 
@@ -113,7 +121,7 @@ std::string HealerService::insert_error(const std::vector<NodeId>& neighbors) co
 void HealerService::heal_wave() {
   std::vector<NodeId> victims = std::move(forming_);
   forming_.clear();
-  forming_set_.clear();
+  for (NodeId v : victims) queued_[static_cast<size_t>(v)] = 0;
   const int64_t wave = stats_.waves;
 
   // The wave's resume cursor: every op pushed so far is either applied

@@ -39,7 +39,6 @@
 #include <iosfwd>
 #include <memory>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "fg/forgiving_graph.h"
@@ -246,7 +245,10 @@ class HealerService {
 
   /// The wave being formed (victims validated against the live engine).
   std::vector<NodeId> forming_;
-  std::unordered_set<NodeId> forming_set_;
+  /// queued_[v] != 0 iff v is in forming_: a flat mark per processor id,
+  /// set at push and cleared for every victim of a wave when it heals
+  /// (dropped ones included), so the wave's marks cost O(wave_size).
+  std::vector<uint8_t> queued_;
 
   /// Durable-snapshot writer (HealerConfig::snapshot_every), installed as
   /// the core's delta recorder.

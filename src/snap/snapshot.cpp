@@ -340,17 +340,21 @@ std::vector<uint8_t> encode_log_header() {
 }
 
 void append_delta(std::vector<uint8_t>* out, const WaveDelta& delta) {
-  std::vector<uint8_t> payload;
-  put_delta_payload(&payload, delta);
   put_u8(out, 'D');
-  // The frame CRC covers the header fields too, so a bit flip in the wave
-  // id or the length is as detectable as one in the payload.
-  std::vector<uint8_t> framed;
-  put_u64(&framed, delta.wave);
-  put_u64(&framed, payload.size());
-  framed.insert(framed.end(), payload.begin(), payload.end());
-  out->insert(out->end(), framed.begin(), framed.end());
-  put_u32(out, crc32(framed));
+  // The payload is encoded in place behind a length placeholder, which is
+  // patched once the payload's size is known. The frame CRC covers the
+  // header fields too, so a bit flip in the wave id or the length is as
+  // detectable as one in the payload.
+  const size_t header = out->size();
+  put_u64(out, delta.wave);
+  put_u64(out, 0);
+  put_delta_payload(out, delta);
+  const uint64_t len = out->size() - header - 16;
+  for (int i = 0; i < 8; ++i)
+    (*out)[header + 8 + static_cast<size_t>(i)] = static_cast<uint8_t>(len >> (8 * i));
+  const uint32_t crc =
+      crc32(std::span<const uint8_t>(*out).subspan(header, out->size() - header));
+  put_u32(out, crc);
 }
 
 bool decode_base(std::span<const uint8_t> bytes, BaseImage* out,
@@ -495,12 +499,10 @@ bool scan_log(std::span<const uint8_t> bytes, LogScan* out, std::string* error) 
     std::span<const uint8_t> payload = bytes.subspan(r.at(), len);
     r.take(len);
     uint32_t want = r.get_u32();
-    // Recompute the frame CRC exactly as append_delta framed it.
-    std::vector<uint8_t> framed;
-    put_u64(&framed, wave);
-    put_u64(&framed, len);
-    framed.insert(framed.end(), payload.begin(), payload.end());
-    if (crc32(framed) != want) return torn("record CRC mismatch");
+    // The frame CRC as append_delta computed it: the 16 header bytes (wave
+    // id, length), then the payload, chained without copying either.
+    std::span<const uint8_t> header = bytes.subspan(frame_start + 1, 16);
+    if (crc32(payload, crc32(header)) != want) return torn("record CRC mismatch");
 
     WaveDelta delta;
     std::string derr;
@@ -508,7 +510,6 @@ bool scan_log(std::span<const uint8_t> bytes, LogScan* out, std::string* error) 
     delta.wave = wave;
     out->deltas.push_back(std::move(delta));
     out->valid_bytes = r.at();
-    (void)frame_start;
   }
   return true;
 }
@@ -518,6 +519,17 @@ bool read_file(const std::string& path, std::vector<uint8_t>* out,
   std::FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) return set_error(error, "cannot open " + path);
   out->clear();
+  // Size the buffer from the file length and read it in one call; then
+  // keep reading to EOF, so a file that grew since (or one whose length
+  // cannot be taken, like a pipe) is still read whole.
+  if (std::fseek(f, 0, SEEK_END) == 0) {
+    const long size = std::ftell(f);
+    std::rewind(f);
+    if (size > 0) {
+      out->resize(static_cast<size_t>(size));
+      out->resize(std::fread(out->data(), 1, out->size(), f));
+    }
+  }
   std::array<uint8_t, 1 << 16> buf;
   size_t n = 0;
   while ((n = std::fread(buf.data(), 1, buf.size(), f)) > 0)

@@ -201,7 +201,8 @@ bool scan_log(std::span<const uint8_t> bytes, LogScan* out, std::string* error);
 
 // --- File helpers (crash-consistency rules; docs/SNAPSHOTS.md). -------------
 
-/// Read a whole file. False + *error if unreadable.
+/// Read a whole file: one read sized from its length, then on to EOF.
+/// False + *error if unreadable.
 bool read_file(const std::string& path, std::vector<uint8_t>* out,
                std::string* error);
 
