@@ -3,8 +3,6 @@
 // the BFS used by the metrics pipeline.
 #include <benchmark/benchmark.h>
 
-#include <sstream>
-
 #include "fg/dist/dist_forgiving_graph.h"
 #include "fg/forgiving_graph.h"
 #include "graph/algorithms.h"
@@ -89,9 +87,7 @@ void BM_BreakPhase(benchmark::State& state) {
     state.PauseTiming();
     ForgivingGraph fg(make_star(n));
     fg.remove(0);
-    std::stringstream ss;
-    fg.save(ss);
-    core::StructuralCore core = core::StructuralCore::load(ss);
+    core::StructuralCore core = fg.core();
     std::vector<NodeId> wave;
     for (NodeId v = 1; v <= kWave; ++v) wave.push_back(v);
     core::RepairPlan plan =

@@ -61,24 +61,16 @@ struct JsonRow {
   int work = 0;
   double ms = 0.0;
   double per_op_us = 0.0;
-  /// Worker-count-dependent rows (the w1/w2/w4 arms and their speedup
-  /// ratios) carry an explicit "single_core" field in the JSON: on a box
-  /// with one hardware thread the engine never fans out (the CommitPool
-  /// gate), so a speedup of ~1.0 there is the gate working, not a
-  /// regression — consumers must not compare such rows against multi-core
-  /// baselines.
-  bool worker_dependent = false;
 };
 
 std::vector<JsonRow> g_rows;
 
-bool single_core() {
-  static const bool one = std::thread::hardware_concurrency() == 1;
-  return one;
+/// The complete structure as base-image bytes: the state C4 pins.
+std::vector<uint8_t> checkpoint(const core::StructuralCore& core) {
+  snap::BaseImage image;
+  core.to_base_image(&image);
+  return snap::encode_base(image);
 }
-
-/// Mark the most recent row as worker-count-dependent.
-void mark_worker_dependent() { g_rows.back().worker_dependent = true; }
 
 void record(Table& t, const std::string& scenario, int n, int work, double ms) {
   double per_op_us = work > 0 ? 1000.0 * ms / work : 0.0;
@@ -312,15 +304,11 @@ void sharded_wave(Table& t, Table& cost) {
   FG_CHECK(action.has_value() && action->targets.size() == kWave);
   const std::vector<NodeId>& wave = action->targets;
 
-  // Snapshot the pre-wave state once; every variant replays from it.
-  std::stringstream snapshot;
-  probe.engine().save(snapshot);
-  auto fresh_engine = [&]() {
-    std::stringstream ss(snapshot.str());
-    return ForgivingGraph::load(ss);
-  };
+  // Snapshot the pre-wave state once; every variant replays from a copy.
+  const core::StructuralCore snapshot = probe.engine().core();
+  auto fresh_engine = [&]() { return ForgivingGraph(core::StructuralCore(snapshot)); };
 
-  std::string reference;  // checkpoint after the wave, workers=1
+  std::vector<uint8_t> reference;  // checkpoint after the wave, workers=1
   double plan_w1_ms = 0.0;
   for (int workers : {1, 4}) {
     ForgivingGraph fg = fresh_engine();
@@ -333,23 +321,19 @@ void sharded_wave(Table& t, Table& cost) {
     double commit_ms = ms_since(t1);
 
     FG_CHECK(plan.regions.size() == kWave);  // the wave really is disjoint
-    std::stringstream after;
-    fg.save(after);
     if (workers == 1)
-      reference = after.str();
+      reference = checkpoint(fg.core());
     else
-      FG_CHECK_MSG(after.str() == reference,
+      FG_CHECK_MSG(checkpoint(fg.core()) == reference,
                    "sharded repair diverged from sequential (C4)");
 
     std::string name = workers == 1 ? "sharded_wave_plan_w1" : "sharded_wave_plan_w4";
     record(t, name, kN, kWave, plan_ms);
-    mark_worker_dependent();
     if (workers == 1) plan_w1_ms = plan_ms;
     if (workers == 4 && plan_ms > 0.0) {
       // > 1 when the worker fan-out wins (multi-core); < 1 where thread
       // spawn dominates (single-core boxes). Recorded either way.
       g_rows.push_back({"sharded_plan_speedup_w4", kN, kWave, plan_w1_ms / plan_ms, 0.0});
-      mark_worker_dependent();
     }
     if (workers == 1) {
       // The per-phase split of the wave (partition/collect/merge from the
@@ -367,8 +351,8 @@ void sharded_wave(Table& t, Table& cost) {
   // every handle at plan time — so worker counts are an A/B on wall clock
   // only (FG_CHECKed against the reference above). On a box with a single
   // hardware thread the engine never fans out (see ShardedForest::commit),
-  // so w > 1 measures the gate, not a pool; docs/REPRODUCING.md has the
-  // caveat.
+  // so w > 1 measures the gate, not a pool; the JSON's hw_threads field
+  // records the machine.
   double commit_w1_ms = 0.0;
   for (int workers : {1, 2, 4}) {
     ForgivingGraph fg = fresh_engine();
@@ -378,18 +362,14 @@ void sharded_wave(Table& t, Table& cost) {
     fg.commit_delete_batch(plan);
     double commit_ms = ms_since(t0);
 
-    std::stringstream after;
-    fg.save(after);
-    FG_CHECK_MSG(after.str() == reference,
+    FG_CHECK_MSG(checkpoint(fg.core()) == reference,
                  "parallel commit diverged from sequential (C4)");
 
     record(t, "sharded_commit_w" + std::to_string(workers), kN, kWave, commit_ms);
-    mark_worker_dependent();
     if (workers == 1) commit_w1_ms = commit_ms;
     if (workers == 4 && commit_ms > 0.0) {
       g_rows.push_back(
           {"sharded_commit_speedup_w4", kN, kWave, commit_w1_ms / commit_ms, 0.0});
-      mark_worker_dependent();
     }
   }
   // R7: the break phase alone per break-worker count, driven through the
@@ -400,8 +380,7 @@ void sharded_wave(Table& t, Table& cost) {
   // reference (C4 covers the break fan-out too).
   double break_w1_ms = 0.0;
   for (int workers : {1, 2, 4}) {
-    std::stringstream ss(snapshot.str());
-    core::StructuralCore core = core::StructuralCore::load(ss);
+    core::StructuralCore core = snapshot;
     ShardedForest shards;
     core::RepairPlan plan = shards.plan(core, wave);
     const int regions = static_cast<int>(plan.regions.size());
@@ -444,27 +423,15 @@ void sharded_wave(Table& t, Table& cost) {
     double break_ms = ms_since(t0);
 
     shards.commit(core, plan, std::move(pieces));  // untimed merge
-    std::stringstream after;
-    core.save(after);
-    FG_CHECK_MSG(after.str() == reference,
+    FG_CHECK_MSG(checkpoint(core) == reference,
                  "parallel break diverged from sequential (C4)");
 
     record(t, "break_w" + std::to_string(workers), kN, kWave, break_ms);
-    mark_worker_dependent();
     if (workers == 1) break_w1_ms = break_ms;
     if (workers == 4 && break_ms > 0.0) {
       g_rows.push_back(
           {"break_speedup_w4", kN, kWave, break_w1_ms / break_ms, 0.0});
-      mark_worker_dependent();
     }
-  }
-
-  if (single_core()) {
-    std::cout << "note: hardware_concurrency() == 1 — the engine never fans "
-                 "out here (the CommitPool gate), so the w4 speedup rows "
-                 "measure the gate, not parallelism. They are marked "
-                 "\"single_core\": true in BENCH_repair_path.json; do not "
-                 "compare them against multi-core baselines.\n\n";
   }
 
   // Region split vs the pre-sharding single wave-wide RT, wall clock.
@@ -566,19 +533,15 @@ void churn_service(Table& t) {
 }
 
 // Scenario I (R8): the durable-snapshot subsystem (src/snap) at the
-// acceptance scale, n = 2^20. Four costs and one size:
+// acceptance scale, n = 2^20. Three costs and one size:
 //
 //   snapshot_base   — to_base_image + encode_base of the full engine
 //   snapshot_delta  — framing one 64-victim wave delta (the steady-state
 //                     per-wave cost the healer service pays)
-//   restore_full    — the pre-snapshot path: parse a text checkpoint
-//   restore_delta   — the snapshot path: decode base + replay ONE delta
+//   restore_delta   — decode base + replay ONE delta
 //   bytes_per_node  — base-image size over n
 //
-// The point of the subsystem is the restore_full / restore_delta ratio:
-// recovery cost proportional to the delta tail, not to n-scale text
-// parsing. Both restores are FG_CHECKed to land on the identical
-// checkpoint before the ratio is recorded.
+// The restored core is FG_CHECKed to land on the live engine's checkpoint.
 void snapshot_cost(Table& t) {
   constexpr int kN = 1 << 20;
   constexpr int kWave = 64;
@@ -614,14 +577,6 @@ void snapshot_cost(Table& t) {
   snap::append_delta(&log_bytes, delta);
   record(t, "snapshot_delta", kN, kWave, ms_since(t0));
 
-  std::stringstream text;
-  fg.core().save(text);
-
-  t0 = std::chrono::steady_clock::now();
-  core::StructuralCore from_text = core::StructuralCore::load(text);
-  double full_ms = ms_since(t0);
-  record(t, "restore_full", kN, kN, full_ms);
-
   t0 = std::chrono::steady_clock::now();
   snap::BaseImage decoded;
   std::string err;
@@ -629,15 +584,9 @@ void snapshot_cost(Table& t) {
   core::StructuralCore from_snap;
   FG_CHECK(core::StructuralCore::from_base_image(decoded, &from_snap, &err));
   FG_CHECK(from_snap.apply_wave_delta(delta, &err));
-  double delta_ms = ms_since(t0);
-  record(t, "restore_delta", kN, kWave, delta_ms);
-
-  std::stringstream a, b;
-  from_text.save(a);
-  from_snap.save(b);
-  FG_CHECK_MSG(a.str() == b.str(), "snapshot restore diverged from text load");
-  if (delta_ms > 0.0)
-    g_rows.push_back({"restore_speedup", kN, kN, full_ms / delta_ms, 0.0});
+  record(t, "restore_delta", kN, kWave, ms_since(t0));
+  FG_CHECK_MSG(checkpoint(from_snap) == checkpoint(fg.core()),
+               "snapshot restore diverged from the live engine");
 }
 
 void write_json(const std::string& path) {
@@ -648,10 +597,8 @@ void write_json(const std::string& path) {
     const JsonRow& r = g_rows[i];
     os << "    {\"scenario\": \"" << r.scenario << "\", \"n\": " << r.n
        << ", \"work\": " << r.work << ", \"value\": " << r.ms
-       << ", \"per_op_us\": " << r.per_op_us;
-    if (r.worker_dependent)
-      os << ", \"single_core\": " << (single_core() ? "true" : "false");
-    os << "}" << (i + 1 < g_rows.size() ? "," : "") << "\n";
+       << ", \"per_op_us\": " << r.per_op_us << "}"
+       << (i + 1 < g_rows.size() ? "," : "") << "\n";
   }
   os << "  ]\n}\n";
 }

@@ -1,16 +1,20 @@
-// Operational runbook demo: checkpoint a live Forgiving Graph, keep
-// attacking the original, then restore the checkpoint and replay the same
-// attack trace — the restored network heals into exactly the same topology.
+// Operational runbook demo: checkpoint a live Forgiving Graph as an fgsnap
+// base image (docs/SNAPSHOTS.md), keep attacking the original, then restore
+// the checkpoint and replay the same attack trace — the restored network
+// heals into exactly the same topology.
 //
 //   $ ./examples/checkpoint_restore
+#include <cstdint>
 #include <iostream>
-#include <sstream>
+#include <string>
+#include <vector>
 
 #include "fg/forgiving_graph.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "harness/trace.h"
 #include "heal/healer.h"
+#include "snap/snapshot.h"
 #include "util/rng.h"
 
 int main() {
@@ -28,10 +32,12 @@ int main() {
             << " alive, connected = " << std::boolalpha
             << is_connected(network.healed()) << "\n";
 
-  // Phase 2: checkpoint to a stream (a file in a real deployment).
-  std::stringstream checkpoint;
-  network.save(checkpoint);
-  std::cout << "checkpoint size: " << checkpoint.str().size() << " bytes\n";
+  // Phase 2: checkpoint to bytes (in a real deployment, a file written
+  // with snap::write_file_atomic).
+  snap::BaseImage image;
+  network.core().to_base_image(&image);
+  const std::vector<uint8_t> checkpoint = snap::encode_base(image);
+  std::cout << "checkpoint size: " << checkpoint.size() << " bytes\n";
 
   // Phase 3: the attack continues; record it as a trace.
   Trace assault;
@@ -43,7 +49,16 @@ int main() {
   }
 
   // Phase 4: restore the checkpoint elsewhere and replay the same assault.
-  ForgivingGraph restored = ForgivingGraph::load(checkpoint);
+  // The loader checks every section and returns an error on bad bytes.
+  snap::BaseImage decoded;
+  core::StructuralCore core;
+  std::string error;
+  if (!snap::decode_base(checkpoint, &decoded, &error) ||
+      !core::StructuralCore::from_base_image(decoded, &core, &error)) {
+    std::cerr << "restore failed: " << error << "\n";
+    return 1;
+  }
+  ForgivingGraph restored(std::move(core));
   restored.validate();
   for (const Action& a : assault.actions()) restored.remove(a.target);
 

@@ -17,10 +17,11 @@
 // byte-identical to the uninterrupted run's.
 //
 //   $ ./examples/healer_service_quickstart
+#include <cstdint>
 #include <filesystem>
 #include <iostream>
 #include <numeric>
-#include <sstream>
+#include <string>
 #include <vector>
 
 #include "fg/healer_service.h"
@@ -28,14 +29,16 @@
 #include "fg/stabilizer.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "snap/snapshot.h"
 #include "util/rng.h"
 
 namespace {
 
-std::string checkpoint(const fg::HealerService& service) {
-  std::ostringstream os;
-  service.engine().core().save(os);
-  return os.str();
+/// The engine's complete state as base-image bytes (docs/SNAPSHOTS.md).
+std::vector<uint8_t> checkpoint(const fg::HealerService& service) {
+  fg::snap::BaseImage image;
+  service.engine().core().to_base_image(&image);
+  return fg::snap::encode_base(image);
 }
 
 }  // namespace
@@ -97,7 +100,7 @@ int main() {
   std::cout << "p50 repair latency " << stats.latency_percentile(50.0)
             << " ms, still connected = " << std::boolalpha
             << is_connected(service.engine().healed()) << '\n';
-  const std::string reference = checkpoint(service);
+  const std::vector<uint8_t> reference = checkpoint(service);
 
   // ---- Part two: crash mid-stream, resume from the durable snapshot. ----
   const std::string prefix =

@@ -43,6 +43,11 @@
    documented in docs/CERTIFICATES.md exist as code tokens in their
    headers, and the "fgcert 1" format version string matches between the
    doc and src/cert/certificate.h.
+7. One state format: the fgsnap base image is the only serialization of
+   engine state. The retired text checkpoint must not come back: no
+   `FGv1` token anywhere under src/, and no save/load/try_load member in
+   src/fg/core/structural_core.h or src/fg/forgiving_graph.h. The
+   certificate and Trace text formats are not state and stay allowed.
 
 Exits non-zero with a per-problem report on any violation.
 """
@@ -442,7 +447,6 @@ SNAP_API_MD_NAMES = (
     "to_base_image",
     "from_base_image",
     "apply_wave_delta",
-    "try_load",
 )
 
 
@@ -592,11 +596,36 @@ def check_certificate_independence():
     return problems
 
 
+# The one-state-format gate (rule 7). A declaration or definition of a
+# text serializer is a save/load/try_load name followed by "(" that is not
+# a member call on some other object (x.load(...), p->save(...)).
+TEXT_STATE_TOKEN = "FGv1"
+STATE_HEADERS = ("src/fg/core/structural_core.h", "src/fg/forgiving_graph.h")
+TEXT_STATE_MEMBER_RE = re.compile(r"(?<![\w.>])(save|load|try_load)\s*\(")
+
+
+def check_single_state_format():
+    problems = []
+    for src in sorted((REPO / "src").rglob("*")):
+        if src.is_file() and TEXT_STATE_TOKEN in src.read_text():
+            problems.append(
+                f"{src.relative_to(REPO)}: contains the retired "
+                f"{TEXT_STATE_TOKEN} text-checkpoint token — the fgsnap base "
+                "image is the only state format (docs/SNAPSHOTS.md)")
+    for rel in STATE_HEADERS:
+        for m in TEXT_STATE_MEMBER_RE.finditer(header_code(REPO / rel)):
+            problems.append(
+                f"{rel}: declares `{m.group(1)}` — engine state serializes "
+                "only through to_base_image / from_base_image "
+                "(docs/SNAPSHOTS.md)")
+    return problems
+
+
 def main():
     problems = (check_links() + check_snippet_sync() + check_concurrency_sync() +
                 check_graph_api_sync() + check_healer_service_sync() +
                 check_stabilizer_sync() + check_snapshot_sync() +
-                check_certificate_independence())
+                check_certificate_independence() + check_single_state_format())
     for p in problems:
         print(p, file=sys.stderr)
     if problems:
@@ -609,7 +638,7 @@ def main():
           "stabilizer API and violation kinds in sync, snapshot format/API "
           "in sync (fgsnap link line engine-free), certificate checker "
           "independent (includes + fgcheck link line) and its API/version "
-          "in sync")
+          "in sync, one state format (no text checkpoint in src/)")
 
 
 if __name__ == "__main__":

@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <istream>
 #include <numeric>
-#include <ostream>
-#include <sstream>
 
 #include "snap/snapshot.h"
 #include "util/check.h"
@@ -788,32 +785,12 @@ std::vector<VNodeId> StructuralCore::slot_roots(NodeId v) const {
   return roots;
 }
 
-void StructuralCore::save(std::ostream& os) const {
-  os << "FGv1\n";
-  os << "capacity " << gprime_.node_capacity() << '\n';
-  os << "dead";
-  for (NodeId v = 0; v < gprime_.node_capacity(); ++v)
-    if (!g_.is_alive(v)) os << ' ' << v;
-  os << '\n';
-  os << "edges " << gprime_.edge_count() << '\n';
-  for (NodeId v = 0; v < gprime_.node_capacity(); ++v)
-    for (NodeId w : gprime_.neighbors(v))
-      if (v < w) os << v << ' ' << w << '\n';
-  const auto& arena = forest_.dump();
-  os << "vnodes " << arena.size() << '\n';
-  for (const auto& n : arena)
-    os << n.alive << ' ' << n.is_leaf << ' ' << n.owner << ' ' << n.other << ' '
-       << n.parent << ' ' << n.left << ' ' << n.right << ' ' << n.height << ' '
-       << n.leaf_count << ' ' << n.rep << '\n';
-  os << "end\n";
-}
-
 namespace {
 
 /// Structural pre-validation of a deserialized arena against the processor
 /// table: every alive row must name an alive owner, an in-range far
 /// endpoint, links into alive in-range rows, and sane aggregates. Returns
-/// an empty string when clean — the typed loaders run this before handing
+/// an empty string when clean — from_base_image runs this before handing
 /// rows to any Graph/forest call whose FG_CHECKs would abort the process.
 template <class IsAlive>
 std::string check_arena_rows(const std::vector<VirtualForest::VNode>& rows,
@@ -854,110 +831,6 @@ bool narrow_row(const snap::VRow& r, VirtualForest::VNode* n) {
 }
 
 }  // namespace
-
-bool StructuralCore::try_load(std::istream& is, StructuralCore* out,
-                              std::string* error) {
-  auto fail = [error](std::string msg) {
-    if (error != nullptr) *error = std::move(msg);
-    return false;
-  };
-  auto expect = [&is](const char* token) {
-    std::string word;
-    return static_cast<bool>(is >> word) && word == token;
-  };
-
-  StructuralCore core;
-  if (!expect("FGv1")) return fail("missing FGv1 header");
-  if (!expect("capacity")) return fail("missing capacity section");
-  NodeId capacity = 0;
-  if (!(is >> capacity) || capacity < 0) return fail("bad capacity");
-  for (NodeId i = 0; i < capacity; ++i) {
-    core.gprime_.add_node();
-    core.g_.add_node();
-  }
-  core.procs_.resize(static_cast<size_t>(capacity));
-  core.slots_.resize(static_cast<size_t>(capacity));
-
-  if (!expect("dead")) return fail("missing dead section");
-  {
-    std::string rest;
-    std::getline(is, rest);
-    std::istringstream ls(rest);
-    NodeId v = kInvalidNode;
-    while (ls >> v) {
-      if (v < 0 || v >= capacity) return fail("dead id out of range");
-      if (!core.g_.is_alive(v)) return fail("duplicate dead id");
-      core.g_.remove_node(v);
-      core.procs_[static_cast<size_t>(v)].alive = false;
-    }
-    if (!ls.eof()) return fail("garbage in dead section");
-  }
-
-  if (!expect("edges")) return fail("missing edges section");
-  int64_t edges = 0;
-  if (!(is >> edges) || edges < 0) return fail("bad edge count");
-  for (int64_t i = 0; i < edges; ++i) {
-    NodeId u = kInvalidNode, w = kInvalidNode;
-    if (!(is >> u >> w)) return fail("truncated edge list");
-    if (u < 0 || u >= capacity || w < 0 || w >= capacity || u == w)
-      return fail("edge endpoint out of range");
-    if (!core.gprime_.add_edge(u, w)) return fail("duplicate G' edge");
-    if (core.g_.is_alive(u) && core.g_.is_alive(w)) core.add_image_edge(u, w);
-  }
-
-  if (!expect("vnodes")) return fail("missing vnodes section");
-  int64_t arena_size = 0;
-  if (!(is >> arena_size) || arena_size < 0) return fail("bad vnode count");
-  std::vector<VirtualForest::VNode> arena;
-  // Row-by-row growth: a truncated stream fails at its first missing row
-  // instead of allocating a corrupt count's worth of arena up front.
-  for (int64_t i = 0; i < arena_size; ++i) {
-    VirtualForest::VNode n;
-    int64_t height = 0;
-    int64_t leaf_count = 0;
-    if (!(is >> n.alive >> n.is_leaf >> n.owner >> n.other >> n.parent >> n.left >>
-          n.right >> height >> leaf_count >> n.rep))
-      return fail("truncated vnode row");
-    if (!VirtualForest::aggregates_fit(leaf_count, height))
-      return fail("forest row " + std::to_string(i) + ": aggregates out of range");
-    n.height = static_cast<int16_t>(height);
-    n.leaf_count = static_cast<int32_t>(leaf_count);
-    arena.push_back(n);
-  }
-  if (!expect("end")) return fail("missing end marker");
-  if (std::string why = check_arena_rows(
-          arena, capacity, [&](NodeId v) { return core.g_.is_alive(v); });
-      !why.empty())
-    return fail(std::move(why));
-  core.forest_ = VirtualForest::from_dump(std::move(arena));
-
-  // Rebuild the derived state: slot table and the virtual part of the image.
-  const auto& nodes = core.forest_.dump();
-  for (VNodeId h = 0; h < static_cast<VNodeId>(nodes.size()); ++h) {
-    const auto& n = nodes[static_cast<size_t>(h)];
-    if (!n.alive) continue;
-    SlotTable::Entry& s = core.slots_.ensure(n.owner, n.other);
-    if (n.is_leaf) {
-      if (s.leaf != kNoVNode) return fail("slot leaf double-booked");
-      s.leaf = h;
-    } else {
-      if (s.helper != kNoVNode) return fail("slot helper double-booked");
-      s.helper = h;
-    }
-    if (n.parent != kNoVNode)
-      core.add_image_edge(n.owner, nodes[static_cast<size_t>(n.parent)].owner);
-  }
-  *out = std::move(core);
-  return true;
-}
-
-StructuralCore StructuralCore::load(std::istream& is) {
-  StructuralCore core;
-  std::string err;
-  bool ok = try_load(is, &core, &err);
-  FG_CHECK_MSG(ok, "malformed checkpoint");
-  return core;
-}
 
 void StructuralCore::to_base_image(snap::BaseImage* out) const {
   out->epoch = epoch_;
@@ -1080,9 +953,8 @@ bool StructuralCore::from_base_image(const snap::BaseImage& image, StructuralCor
   if (core.forest_.live_count() != image.forest_live)
     return fail("forest live count disagrees with the rows");
 
-  // Rebuild the slot table from ground truth (same walk as try_load) and
-  // collect the forest's cross-processor parent-link keys for the MULT
-  // verification merge below.
+  // Rebuild the slot table from ground truth and collect the forest's
+  // cross-processor parent-link keys for the MULT verification merge below.
   std::vector<uint64_t> link_keys;
   const auto& nodes = core.forest_.dump();
   for (VNodeId h = 0; h < static_cast<VNodeId>(nodes.size()); ++h) {
@@ -1334,7 +1206,7 @@ void StructuralCore::rebuild_for_recovery(const std::vector<uint8_t>& keep) {
   slots_.resize(static_cast<size_t>(capacity));
 
   // 3. Healed image from ground truth: alive-alive G' edges plus the kept
-  //    parent links, recounted through the funnel (same rebuild as load()).
+  //    parent links, recounted through the funnel.
   g_ = Graph{};
   for (NodeId v = 0; v < capacity; ++v) g_.add_node();
   for (NodeId v = 0; v < capacity; ++v)

@@ -65,8 +65,8 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <iosfwd>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "fg/core/slot_table.h"
@@ -358,7 +358,7 @@ class StructuralCore {
  public:
   /// Start from a connected network G0; ids 0..n-1 become live processors.
   explicit StructuralCore(const Graph& g0);
-  StructuralCore() = default;  // empty core, populated by load()
+  StructuralCore() = default;  // empty core, populated by from_base_image()
 
   /// Adversarial insertion: a new processor attached to `neighbors` (all
   /// alive, no duplicates). Returns the new processor id.
@@ -621,22 +621,6 @@ class StructuralCore {
   /// tests use this to reason about wave disjointness.)
   std::vector<VNodeId> slot_roots(NodeId v) const;
 
-  /// Checkpoint the complete structure (G', liveness, virtual forest) to a
-  /// line-oriented text stream; `load` restores an equivalent core. The
-  /// slot table and healed image are derived state, rebuilt on load.
-  void save(std::ostream& os) const;
-
-  /// Restore a core from a text checkpoint, or abort on malformed input
-  /// (FG_CHECK) — the trusted-input path. Untrusted streams go through
-  /// try_load below.
-  static StructuralCore load(std::istream& is);
-
-  /// Restore a core from a text checkpoint, returning false with a typed
-  /// parse error instead of aborting: truncated streams, garbage tokens,
-  /// out-of-range ids, and inconsistent derived state are all reported
-  /// through *error (never FG_CHECKed). On failure *out is unspecified.
-  static bool try_load(std::istream& is, StructuralCore* out, std::string* error);
-
   // --- Binary snapshots (src/snap; docs/SNAPSHOTS.md). --------------------
 
   /// Fill a binary base image with the complete structure, derived state
@@ -646,10 +630,10 @@ class StructuralCore {
   /// wave/cursor header fields untouched; epoch is stamped from this core.
   void to_base_image(snap::BaseImage* out) const;
 
-  /// Restore a core from a base image. Same error contract as try_load:
-  /// malformed images (out-of-range handles, duplicate edges, derived
-  /// state inconsistent with the forest) return false + *error, never
-  /// abort. The restored core's mutation epoch is the image's.
+  /// Restore a core from a base image. Malformed images (out-of-range
+  /// handles, duplicate edges, derived state inconsistent with the forest)
+  /// return false + *error, never abort. The restored core's mutation
+  /// epoch is the image's.
   static bool from_base_image(const snap::BaseImage& image, StructuralCore* out,
                               std::string* error);
 

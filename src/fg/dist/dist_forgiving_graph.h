@@ -164,8 +164,8 @@ class DistForgivingGraph {
   void validate() const { core_.validate(); }
 
   /// The structural core, read-only — the fg::Stabilizer audit surface and
-  /// the checkpoint seam (core().save()) the fault tests hand to the
-  /// centralized engine for recovery experiments.
+  /// the checkpoint seam (core().to_base_image()) the fault tests hand to
+  /// the centralized engine for recovery experiments.
   const core::StructuralCore& core() const { return core_; }
 
  private:

@@ -23,12 +23,6 @@ void ForgivingGraph::commit_delete_batch(const core::RepairPlan& plan) {
                                                 roots, /*cost=*/nullptr));
 }
 
-ForgivingGraph ForgivingGraph::load(std::istream& is) {
-  ForgivingGraph fg;
-  fg.core_ = core::StructuralCore::load(is);
-  return fg;
-}
-
 double ForgivingGraph::degree_ratio(NodeId v) const {
   FG_CHECK(healed().is_alive(v));
   int dp = gprime().degree(v);

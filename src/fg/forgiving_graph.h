@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -179,20 +178,10 @@ class ForgivingGraph {
 
   const VirtualForest& forest() const { return core_.forest(); }
 
-  /// Checkpoint the complete structure (G', liveness, virtual forest) to a
-  /// line-oriented text stream; `load` restores an equivalent engine whose
-  /// behaviour is indistinguishable from the original (same topology, same
-  /// future repairs). The slot table and healed image are derived state and
-  /// are rebuilt on load.
-  void save(std::ostream& os) const { core_.save(os); }
-  static ForgivingGraph load(std::istream& is);
-
   /// Full invariant check I1-I5 (expensive; used by tests).
   void validate() const { core_.validate(); }
 
  private:
-  ForgivingGraph() = default;  // for load()
-
   core::StructuralCore core_;
   ShardedForest shards_;
   core::RegionSplit split_ = core::RegionSplit::kPerRegion;

@@ -74,8 +74,8 @@ class VirtualForest {
   };
   static_assert(sizeof(VNode) == 32, "VNode rows are 32 bytes");
 
-  /// Whether wide aggregates read from outside input (a snapshot row, a
-  /// text checkpoint) fit a VNode without truncation: 1 <= leaf_count <=
+  /// Whether wide aggregates read from outside input (a snapshot base or
+  /// delta row) fit a VNode without truncation: 1 <= leaf_count <=
   /// INT32_MAX and 0 <= height <= 31 (Lemma 1). Loaders check this before
   /// narrowing and reject the row otherwise.
   static constexpr bool aggregates_fit(int64_t leaf_count, int64_t height) {
@@ -184,7 +184,8 @@ class VirtualForest {
   std::string to_dot(VNodeId root) const;
 
   /// Snapshot / restore of the whole arena (including tombstones, so node
-  /// handles survive a round-trip). Used by ForgivingGraph::save/load.
+  /// handles survive a round-trip). Used by StructuralCore::to_base_image
+  /// and from_base_image.
   const std::vector<VNode>& dump() const { return nodes_; }
   static VirtualForest from_dump(std::vector<VNode> nodes);
 

@@ -144,8 +144,7 @@ bool get_count(Reader* r, size_t min_elem_bytes, uint64_t* out) {
 }
 
 void append_magic(std::vector<uint8_t>* out) {
-  out->insert(out->end(), reinterpret_cast<const uint8_t*>(kMagic),
-              reinterpret_cast<const uint8_t*>(kMagic) + kMagicLen);
+  for (size_t i = 0; i < kMagicLen; ++i) put_u8(out, static_cast<uint8_t>(kMagic[i]));
 }
 
 bool check_magic(Reader* r) {

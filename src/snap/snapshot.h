@@ -1,13 +1,13 @@
 // The durable snapshot format (version "fgsnap 1"; docs/SNAPSHOTS.md).
 //
-// Checkpoints before this layer were full-image text dumps: O(n) bytes and
-// O(n) parse time per wave, with no crash story at all. This header defines
-// the binary on-disk format that makes restore O(changes) instead — a full
-// *base image* written rarely (write-then-rename, so a crash never leaves a
-// half-written base), plus an append-only *delta log* with one CRC-framed
-// record per committed repair wave. Restore decodes the base, then replays
-// only the delta tail; a torn or corrupt tail is detected by its frame CRC
-// and dropped, recovering to the last consistent wave (scan_log).
+// The base image is the engine's one state format: checkpoints, restores
+// and the suites' byte comparisons all use it. For durability, a full
+// *base image* is written rarely (write-then-rename, so a crash never
+// leaves a half-written base), plus an append-only *delta log* with one
+// CRC-framed record per committed repair wave. Restore decodes the base,
+// then replays only the delta tail — O(changes), not O(n); a torn or
+// corrupt tail is detected by its frame CRC and dropped, recovering to the
+// last consistent wave (scan_log).
 //
 // Layered like src/cert: this library defines the *format* — encoding,
 // decoding, CRC framing, torn-tail recovery — and depends on nothing but

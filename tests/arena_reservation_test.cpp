@@ -2,7 +2,7 @@
 // (contract C4, docs/CONCURRENCY.md):
 //
 //   * Property: every committed wave's final forest has the identical
-//     arena_size() and the identical checkpoint (dump) bytes across commit
+//     arena_size() and the identical checkpoint (base-image) bytes across commit
 //     worker counts {1, 2, 4} and both RegionSplit modes — the handle of
 //     every vnode a commit allocates is fixed at plan time by region order
 //     alone, so the schedule cannot leak into the structure. Runs under
@@ -15,8 +15,6 @@
 
 #include <atomic>
 #include <memory>
-#include <sstream>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -25,16 +23,13 @@
 #include "fg/virtual_forest.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "support/checkpoint.h"
 #include "util/rng.h"
 
 namespace fg {
 namespace {
 
-std::string checkpoint(const ForgivingGraph& fg) {
-  std::stringstream ss;
-  fg.save(ss);
-  return ss.str();
-}
+using support::checkpoint;
 
 // ---------------------------------------------------------------------------
 // Property: checkpoints are a pure function of the schedule, not the
@@ -68,7 +63,7 @@ TEST_P(ArenaReservation, CommitWorkerCountNeverChangesTheForest) {
     alive.resize(6);
     for (ForgivingGraph& fg : engines) fg.delete_batch(alive);
 
-    const std::string reference = checkpoint(engines.front());
+    const std::vector<uint8_t> reference = checkpoint(engines.front());
     for (size_t i = 1; i < engines.size(); ++i) {
       ASSERT_EQ(engines[i].forest().arena_size(),
                 engines.front().forest().arena_size())
@@ -185,10 +180,7 @@ TEST(ArenaReservation, ConcurrentMergeRegionsMatchSequential) {
   run(sequential, /*pooled=*/false);
   run(concurrent, /*pooled=*/true);
 
-  std::stringstream a, b;
-  sequential.save(a);
-  concurrent.save(b);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(checkpoint(sequential), checkpoint(concurrent));
   sequential.validate();
   concurrent.validate();
 }

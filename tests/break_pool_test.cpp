@@ -17,8 +17,6 @@
 
 #include <atomic>
 #include <memory>
-#include <sstream>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -26,16 +24,13 @@
 #include "fg/sharded_forest.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "support/checkpoint.h"
 #include "util/rng.h"
 
 namespace fg {
 namespace {
 
-std::string checkpoint(const ForgivingGraph& fg) {
-  std::stringstream ss;
-  fg.save(ss);
-  return ss.str();
-}
+using support::checkpoint;
 
 // Break every region of one wave concurrently on a CommitPool, recording
 // each region's side effects, then stitch in region id order — the pipeline
@@ -108,10 +103,7 @@ TEST(BreakPool, ConcurrentBreakRegionsMatchSequential) {
     finish_merge(concurrent, plan, pooled_break(concurrent, plan, 3));
   }
 
-  std::stringstream a, b;
-  sequential.save(a);
-  concurrent.save(b);
-  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(checkpoint(sequential), checkpoint(concurrent));
   sequential.validate();
   concurrent.validate();
 }
@@ -138,10 +130,7 @@ TEST(BreakPool, RepeatedWavesThroughTheSamePoolStayIdentical) {
       core::RepairPlan plan = concurrent.plan_deletion(alive);
       finish_merge(concurrent, plan, pooled_break(concurrent, plan, 2));
     }
-    std::stringstream a, b;
-    sequential.save(a);
-    concurrent.save(b);
-    ASSERT_EQ(a.str(), b.str()) << "wave " << wave;
+    ASSERT_EQ(checkpoint(sequential), checkpoint(concurrent)) << "wave " << wave;
   }
   sequential.validate();
   concurrent.validate();

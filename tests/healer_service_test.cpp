@@ -22,16 +22,13 @@
 #include "fg/healer_service.h"
 #include "fg/stabilizer.h"
 #include "graph/generators.h"
+#include "support/checkpoint.h"
 #include "util/rng.h"
 
 namespace fg {
 namespace {
 
-std::string checkpoint(const ForgivingGraph& fg) {
-  std::stringstream ss;
-  fg.save(ss);
-  return ss.str();
-}
+using support::checkpoint;
 
 /// Seeded mixed churn stream over a pool mirror (the bench driver's scheme
 /// in miniature): every delete victim leaves the pool when generated and
@@ -64,7 +61,7 @@ std::vector<ChurnOp> make_stream(int n, int ops, uint64_t seed) {
 }
 
 struct ServiceRun {
-  std::string checkpoint;
+  std::vector<uint8_t> checkpoint;
   std::string cert_bytes;
   HealerStats stats;
 };
@@ -520,7 +517,7 @@ void expect_insert_rejected(std::vector<NodeId> bad, const std::string& fault) {
   service.push(ChurnOp::Delete(NodeId{5}));
   service.push(ChurnOp::Delete(NodeId{6}));
   ASSERT_FALSE(service.engine().is_alive(NodeId{5}));
-  const std::string before = checkpoint(service.engine());
+  const std::vector<uint8_t> before = checkpoint(service.engine());
 
   service.push(ChurnOp::Insert(std::move(bad)));
   EXPECT_EQ(service.stats().ops, 3);

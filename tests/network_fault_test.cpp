@@ -13,10 +13,11 @@
 // already-satisfied dependency count.
 //
 // The last tests cover the recovery seams around the network: a corrupted
-// replica restored from a distributed checkpoint (core().save()) is healed
+// replica restored from a distributed checkpoint (its base image) is healed
 // by fg::Stabilizer, and a stale plan — the one fault the pipeline must
 // refuse rather than absorb — dies on the core's admission check.
-#include <sstream>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -29,6 +30,7 @@
 #include "graph/algorithms.h"
 #include "graph/generators.h"
 #include "harness/certificate.h"
+#include "support/checkpoint.h"
 #include "util/rng.h"
 
 namespace fg {
@@ -124,7 +126,7 @@ TEST(NetworkFault, DropRemovesTrafficDupIsInvisible) {
 }
 
 // The recovery seam across engines: checkpoint a churned distributed
-// replica (core().save()), restore it into the centralized engine, corrupt
+// replica (its base image), restore it into the centralized engine, corrupt
 // the restored copy, and let the stabilizer bring it back — clean audit,
 // valid invariants, certificate ACCEPTed.
 TEST(NetworkFault, CorruptedReplicaCheckpointStabilizes) {
@@ -141,12 +143,14 @@ TEST(NetworkFault, CorruptedReplicaCheckpointStabilizes) {
     net.remove(rng.pick(alive));
   }
 
-  std::ostringstream checkpoint;
-  net.core().save(checkpoint);
-  std::istringstream restore(checkpoint.str());
-  ForgivingGraph replica = ForgivingGraph::load(restore);
+  std::string error;
+  std::optional<ForgivingGraph> restored =
+      support::restore(support::checkpoint(net.core()), &error);
+  ASSERT_TRUE(restored) << error;
+  ForgivingGraph& replica = *restored;
   replica.validate();
   ASSERT_TRUE(replica.healed().same_topology(net.image()));
+  ASSERT_EQ(support::checkpoint(replica), support::checkpoint(net.core()));
 
   fuzz::CorruptionLog log = fuzz::corrupt(replica, 53, 4);
   ASSERT_GT(log.applied, 0);

@@ -19,6 +19,7 @@
 #include "harness/certificate.h"
 #include "harness/trace.h"
 #include "heal/healer.h"
+#include "support/checkpoint.h"
 #include "util/rng.h"
 
 namespace fg {
@@ -34,11 +35,7 @@ Graph build_graph(const std::string& kind, int n, Rng& rng) {
   return Graph(1);
 }
 
-std::string checkpoint(const ForgivingGraph& fg) {
-  std::stringstream ss;
-  fg.save(ss);
-  return ss.str();
-}
+using support::checkpoint;
 
 struct CorpusCase {
   const char* graph;
@@ -68,7 +65,7 @@ TEST_P(ShardDeterminism, ConcurrentReplayIsBitIdentical) {
   auto adversary = make_adversary(c.adversary);
   Trace t = record_run(recorded, *adversary, c.steps, rng);
   ASSERT_GE(t.size(), 1u);
-  std::string reference = checkpoint(recorded.engine());
+  std::vector<uint8_t> reference = checkpoint(recorded.engine());
 
   // The trace round-trips through the text format (r lines included).
   std::stringstream ss;
@@ -131,7 +128,7 @@ TEST(ShardDeterminism, BreakWorkersBitIdenticalAcrossSplits) {
 
   for (core::RegionSplit split :
        {core::RegionSplit::kPerRegion, core::RegionSplit::kGlobal}) {
-    std::string ref_checkpoint;
+    std::vector<uint8_t> ref_checkpoint;
     std::string ref_certs;
     for (int pw : {1, 4}) {
       for (int bw : {1, 2, 4}) {

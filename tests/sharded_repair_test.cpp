@@ -15,6 +15,7 @@
 #include "graph/generators.h"
 #include "harness/trace.h"
 #include "heal/healer.h"
+#include "support/checkpoint.h"
 #include "util/rng.h"
 
 namespace fg {
@@ -34,11 +35,7 @@ std::vector<NodeId> churn(ForgivingGraph& fg, Rng& rng, int deletions) {
   return victims;
 }
 
-std::string checkpoint(const ForgivingGraph& fg) {
-  std::stringstream ss;
-  fg.save(ss);
-  return ss.str();
-}
+using support::checkpoint;
 
 bool same_plans(const core::RepairPlan& a, const core::RepairPlan& b) {
   if (a.victims != b.victims || a.victim_region != b.victim_region ||

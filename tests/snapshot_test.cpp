@@ -3,8 +3,9 @@
 //
 // Four contracts are pinned here:
 //   1. Round-trip: a base image plus the per-wave delta tail restores a core
-//      whose text checkpoint is byte-identical to the live engine's — after
-//      EVERY wave, not just the last (the O(changes) replay path is exact).
+//      whose checkpoint (base-image bytes) is byte-identical to the live
+//      engine's — after EVERY wave, not just the last (the O(changes)
+//      replay path is exact).
 //   2. C4 extended to snapshot bytes: base bytes and every delta frame are
 //      a pure function of the op stream — identical at any break x commit
 //      worker count and either RegionSplit mode.
@@ -13,16 +14,15 @@
 //      wave, and the restored core passes the full I1-I5 audit; a resumed
 //      service replaying the op stream from the restore cursor lands on the
 //      uninterrupted run's checkpoint byte for byte.
-//   4. Typed loader errors: try_load / from_base_image / apply_wave_delta
-//      reject malformed input with an error message, never an abort — only
-//      the trusted-path load() wrapper keeps the FG_CHECK death.
+//   4. Typed loader errors: decode_base / from_base_image / apply_wave_delta
+//      reject malformed input with an error message, never an abort — one
+//      tampered image per from_base_image rule, each pinned by its message.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdlib>
-#include <fstream>
+#include <functional>
 #include <numeric>
-#include <sstream>
 #include <string>
 #include <sys/wait.h>
 #include <vector>
@@ -33,18 +33,13 @@
 #include "fg/stabilizer.h"
 #include "graph/generators.h"
 #include "snap/snapshot.h"
+#include "support/checkpoint.h"
 #include "util/rng.h"
 
 namespace fg {
 namespace {
 
-std::string checkpoint(const core::StructuralCore& core) {
-  std::stringstream ss;
-  core.save(ss);
-  return ss.str();
-}
-
-std::string checkpoint(const ForgivingGraph& fg) { return checkpoint(fg.core()); }
+using support::checkpoint;
 
 /// Seeded mixed churn stream over a pool mirror (the healer-service test's
 /// scheme): valid by construction, fully determined by (n, ops, seed).
@@ -77,15 +72,16 @@ std::vector<ChurnOp> make_stream(int n, int ops, uint64_t seed) {
 /// One engine-level capture: drive a ForgivingGraph through the op stream
 /// in serial-service fashion (inserts in order, deletes batched into waves
 /// of `wave_size`) with a SnapshotRecorder attached, keeping the initial
-/// base image, every delta (record + encoded frame), and the live text
+/// base image, every delta (record + encoded frame), and the live
 /// checkpoint at each wave commit.
 struct Capture {
-  snap::BaseImage base;                       // state before any op
+  snap::BaseImage base;                                // state before any op
   std::vector<uint8_t> base_bytes;
   std::vector<snap::WaveDelta> deltas;
-  std::vector<uint8_t> frame_bytes;           // concatenated delta frames
-  std::vector<std::string> wave_checkpoints;  // live state at each commit
-  std::string final_checkpoint;
+  std::vector<uint8_t> frame_bytes;                    // concatenated delta frames
+  std::vector<std::vector<uint8_t>> wave_checkpoints;  // live state at each commit
+  snap::BaseImage final_image;                         // live state after the stream
+  std::vector<uint8_t> final_checkpoint;
   uint64_t final_epoch = 0;
 };
 
@@ -132,6 +128,7 @@ Capture run_engine(const Graph& g0, const std::vector<ChurnOp>& ops,
   }
   EXPECT_FALSE(rec.needs_rebase());
   fg.core().set_delta_recorder(nullptr);
+  fg.core().to_base_image(&cap.final_image);
   cap.final_checkpoint = checkpoint(fg);
   cap.final_epoch = fg.mutation_epoch();
   return cap;
@@ -171,11 +168,8 @@ TEST(SnapshotFormat, BaseImageRoundTripsThroughBytes) {
   Capture cap =
       run_engine(g0, make_stream(300, 800, 0xABC), 8, 1, core::RegionSplit::kPerRegion);
 
-  // Re-capture the final state as a base image and push it through bytes.
-  std::istringstream is(cap.final_checkpoint);
-  core::StructuralCore live = core::StructuralCore::load(is);
-  snap::BaseImage image;
-  live.to_base_image(&image);
+  // The live engine's final base image, pushed through bytes.
+  snap::BaseImage image = cap.final_image;
   image.wave = 7;
   image.cursor = 800;
 
@@ -189,7 +183,8 @@ TEST(SnapshotFormat, BaseImageRoundTripsThroughBytes) {
   core::StructuralCore restored;
   ASSERT_TRUE(core::StructuralCore::from_base_image(back, &restored, &error)) << error;
   EXPECT_EQ(checkpoint(restored), cap.final_checkpoint);
-  EXPECT_EQ(restored.mutation_epoch(), live.mutation_epoch());
+  ASSERT_GT(cap.final_epoch, 0u);
+  EXPECT_EQ(restored.mutation_epoch(), cap.final_epoch);
   restored.validate();
 }
 
@@ -213,123 +208,78 @@ TEST(SnapshotFormat, FromBaseImageRejectsTamperedDerivedState) {
   }
   snap::BaseImage good;
   fg.core().to_base_image(&good);
+  ASSERT_FALSE(good.dead.empty());
   ASSERT_FALSE(good.mult.empty());
   ASSERT_FALSE(good.slots.empty());
+  std::vector<size_t> leaves, helpers;  // alive rows, ascending handles
+  for (size_t h = 0; h < good.rows.size(); ++h)
+    if (good.rows[h].alive) (good.rows[h].is_leaf ? leaves : helpers).push_back(h);
+  ASSERT_GE(leaves.size(), 2u);
+  ASSERT_GE(helpers.size(), 2u);
+  // Every row below the first alive one is a tombstone, so the row rules
+  // report a tamper here before any other row.
+  const size_t first = std::min(leaves[0], helpers[0]);
+  const auto arena = static_cast<int32_t>(good.rows.size());
+  auto same_slot = [](snap::BaseImage& b, size_t from, size_t to) {
+    b.rows[to].owner = b.rows[from].owner;
+    b.rows[to].other = b.rows[from].other;
+  };
 
-  core::StructuralCore out;
-  std::string error;
-
-  snap::BaseImage bad = good;
-  bad.mult[0].count += 1;  // multiplicity desynced from the forest
-  EXPECT_FALSE(core::StructuralCore::from_base_image(bad, &out, &error));
-  EXPECT_NE(error.find("MULT"), std::string::npos) << error;
-
-  bad = good;
-  bad.slots.pop_back();  // slot table no longer matches the rows
-  EXPECT_FALSE(core::StructuralCore::from_base_image(bad, &out, &error));
-  EXPECT_NE(error.find("SLOT"), std::string::npos) << error;
-
-  bad = good;
-  size_t alive_row = 0;
-  while (alive_row < bad.rows.size() && !bad.rows[alive_row].alive) ++alive_row;
-  ASSERT_LT(alive_row, bad.rows.size());
-  bad.rows[alive_row].leaf_count = -3;  // structural pre-validation
-  EXPECT_FALSE(core::StructuralCore::from_base_image(bad, &out, &error));
-
-  bad = good;
-  bad.gprime_edges.push_back(bad.gprime_edges.back());  // duplicate G' edge
-  EXPECT_FALSE(core::StructuralCore::from_base_image(bad, &out, &error));
-  EXPECT_NE(error.find("duplicate"), std::string::npos) << error;
-}
-
-// ---------------------------------------------------------------------------
-// try_load: typed errors instead of the historical abort.
-
-constexpr const char* kGoodCheckpoint =
-    "FGv1\n"
-    "capacity 3\n"
-    "dead\n"
-    "edges 2\n"
-    "0 1\n"
-    "1 2\n"
-    "vnodes 0\n"
-    "end\n";
-
-std::string replace_once(const std::string& text, const std::string& from,
-                         const std::string& to) {
-  size_t pos = text.find(from);
-  EXPECT_NE(pos, std::string::npos) << "fixture lacks: " << from;
-  return text.substr(0, pos) + to + text.substr(pos + from.size());
-}
-
-TEST(SnapshotTryLoad, AcceptsTheFixtureAndRealCheckpoints) {
-  {
-    std::istringstream is(kGoodCheckpoint);
-    core::StructuralCore out;
-    std::string error;
-    ASSERT_TRUE(core::StructuralCore::try_load(is, &out, &error)) << error;
-    EXPECT_EQ(checkpoint(out), kGoodCheckpoint);
-  }
-  Rng rng(21);
-  Graph g0 = make_sparse_random(200, 4.0, rng);
-  Capture cap =
-      run_engine(g0, make_stream(200, 600, 0xF00), 8, 1, core::RegionSplit::kPerRegion);
-  std::istringstream is(cap.final_checkpoint);
-  core::StructuralCore out;
-  std::string error;
-  ASSERT_TRUE(core::StructuralCore::try_load(is, &out, &error)) << error;
-  EXPECT_EQ(checkpoint(out), cap.final_checkpoint);
-  out.validate();
-}
-
-TEST(SnapshotTryLoad, RejectsMalformedCheckpointsWithTypedErrors) {
+  // One tampered image per from_base_image rule. Each goes through the full
+  // binary loader (encode, decode_base, from_base_image), which must refuse
+  // it with that rule's message and never abort.
   struct Case {
-    const char* label;
-    const char* from;
-    const char* to;
     const char* diag;  ///< Substring the error must contain.
+    std::function<void(snap::BaseImage&)> tamper;
   };
   const Case cases[] = {
-      {"wrong header", "FGv1\n", "FGv2\n", "FGv1"},
-      {"negative capacity", "capacity 3\n", "capacity -3\n", "bad capacity"},
-      {"dead id out of range", "dead\n", "dead 7\n", "dead id out of range"},
-      {"duplicate dead id", "dead\n", "dead 2 2\n", "duplicate dead id"},
-      {"garbage in dead line", "dead\n", "dead 2 x\n", "garbage in dead section"},
-      {"negative edge count", "edges 2\n", "edges -1\n", "bad edge count"},
-      {"overlong edge count", "edges 2\n", "edges 5\n", "truncated edge list"},
-      {"edge endpoint out of range", "0 1\n", "0 9\n", "edge endpoint"},
-      {"self-loop edge", "0 1\n", "1 1\n", "edge endpoint"},
-      {"duplicate edge", "0 1\n1 2\n", "0 1\n0 1\n", "duplicate G' edge"},
-      {"negative vnode count", "vnodes 0\n", "vnodes -2\n", "bad vnode count"},
-      {"truncated vnode rows", "vnodes 0\n", "vnodes 2\n", "truncated vnode row"},
-      {"missing end marker", "end\n", "fin\n", "missing end marker"},
-      {"vnode endpoint out of range", "vnodes 0\nend\n",
-       "vnodes 1\n1 1 0 9 -1 -1 -1 0 1 0\nend\n", "far endpoint out of range"},
-      {"vnode owner dead", "dead\nedges 2\n0 1\n1 2\nvnodes 0\nend\n",
-       "dead 2\nedges 2\n0 1\n1 2\nvnodes 1\n1 1 2 0 -1 -1 -1 0 1 0\nend\n",
-       "owner is not an alive processor"},
-      {"vnode link out of arena", "vnodes 0\nend\n",
-       "vnodes 1\n1 1 0 1 5 -1 -1 0 1 0\nend\n", "link outside the live arena"},
-      {"slot leaf double-booked", "vnodes 0\nend\n",
-       "vnodes 2\n1 1 0 1 -1 -1 -1 0 1 0\n1 1 0 1 -1 -1 -1 0 1 1\nend\n",
-       "slot leaf double-booked"},
-      {"truncated stream", "edges 2\n0 1\n1 2\nvnodes 0\nend\n", "edges 2\n0 1\n",
-       "truncated edge list"},
-      {"empty stream", kGoodCheckpoint, "", "missing FGv1 header"},
+      {"capacity overflows NodeId", [](snap::BaseImage& b) { b.capacity = 1u << 31; }},
+      {"dead id out of range", [](snap::BaseImage& b) { b.dead.push_back(b.capacity); }},
+      {"duplicate dead id", [](snap::BaseImage& b) { b.dead.push_back(b.dead.back()); }},
+      {"G' edge endpoint out of range",
+       [](snap::BaseImage& b) { b.gprime_edges.back().second = b.capacity; }},
+      {"duplicate or out-of-order G' edge",
+       [](snap::BaseImage& b) { b.gprime_edges.push_back(b.gprime_edges.back()); }},
+      {"malformed MULT entry", [](snap::BaseImage& b) { b.mult[0].count = 0; }},
+      {"duplicate or out-of-order MULT entry",
+       [](snap::BaseImage& b) { b.mult.push_back(b.mult.back()); }},
+      {"MULT section disagrees with the rebuild",
+       [](snap::BaseImage& b) { b.mult[0].count += 1; }},
+      {"aggregates out of range", [&](snap::BaseImage& b) { b.rows[first].leaf_count = -3; }},
+      {"owner is not an alive processor",
+       [&](snap::BaseImage& b) { b.rows[first].owner = static_cast<int32_t>(b.dead[0]); }},
+      {"far endpoint out of range",
+       [&](snap::BaseImage& b) { b.rows[first].other = static_cast<int32_t>(b.capacity); }},
+      {"link outside the live arena", [&](snap::BaseImage& b) { b.rows[first].left = arena; }},
+      {"representative out of range", [&](snap::BaseImage& b) { b.rows[first].rep = arena; }},
+      {"forest live count disagrees with the rows",
+       [](snap::BaseImage& b) { b.forest_live += 1; }},
+      {"slot leaf double-booked",
+       [&](snap::BaseImage& b) { same_slot(b, leaves[0], leaves[1]); }},
+      {"slot helper double-booked",
+       [&](snap::BaseImage& b) { same_slot(b, helpers[0], helpers[1]); }},
+      {"SLOT section too short", [](snap::BaseImage& b) { b.slots.pop_back(); }},
+      {"SLOT section disagrees with the forest",
+       [](snap::BaseImage& b) { b.slots[0].other += 1; }},
+      {"SLOT section too long",
+       [](snap::BaseImage& b) { b.slots.push_back(b.slots.back()); }},
   };
+  std::string error;
   for (const Case& c : cases) {
-    std::istringstream is(replace_once(kGoodCheckpoint, c.from, c.to));
-    core::StructuralCore out;
-    std::string error;
-    EXPECT_FALSE(core::StructuralCore::try_load(is, &out, &error)) << c.label;
+    snap::BaseImage bad = good;
+    c.tamper(bad);
+    error.clear();
+    EXPECT_FALSE(support::restore(snap::encode_base(bad), &error)) << c.diag;
     EXPECT_NE(error.find(c.diag), std::string::npos)
-        << c.label << " misdiagnosed as: " << error;
+        << c.diag << " misdiagnosed as: " << error;
   }
-}
 
-TEST(SnapshotTryLoadDeathTest, TrustedLoadStillDiesLoudly) {
-  std::istringstream is("FGv1\ncapacity nope\n");
-  EXPECT_DEATH(core::StructuralCore::load(is), "malformed checkpoint");
+  // And decode_base's first rule: the magic carries the format version.
+  std::vector<uint8_t> bytes = snap::encode_base(good);
+  ASSERT_TRUE(support::restore(bytes, &error)) << error;
+  bytes[0] ^= 1;
+  EXPECT_FALSE(support::restore(bytes, &error));
+  EXPECT_NE(error.find("bad magic"), std::string::npos) << error;
 }
 
 // ---------------------------------------------------------------------------
@@ -470,7 +420,7 @@ TEST(SnapshotService, ResumeMatchesUninterruptedByteForByte) {
   // observer, invisible in everything the service does.
   HealerConfig plain = snapshot_config("unused", 0);
   plain.snapshot_path.clear();
-  std::string reference;
+  std::vector<uint8_t> reference;
   int64_t reference_waves = 0;
   {
     HealerService service(g0, plain);
@@ -522,7 +472,7 @@ TEST(SnapshotService, DeltaLogShrinksRestoreCost) {
   HealerConfig config = snapshot_config(tag, 64);
   ServiceFiles files = service_paths(tag);
   int64_t waves = 0;
-  std::string final_checkpoint;
+  std::vector<uint8_t> final_checkpoint;
   {
     HealerService service(g0, config);
     VectorChurnStream stream(ops);

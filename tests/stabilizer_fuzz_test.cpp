@@ -30,15 +30,12 @@
 #include "fuzz/corruptor.h"
 #include "graph/algorithms.h"
 #include "harness/certificate.h"
+#include "support/checkpoint.h"
 
 namespace fg {
 namespace {
 
-std::string checkpoint(const ForgivingGraph& g) {
-  std::ostringstream os;
-  g.save(os);
-  return os.str();
-}
+using support::checkpoint;
 
 std::string cert_bytes(const cert::WaveCertificate& c) {
   std::ostringstream os;
@@ -131,7 +128,7 @@ TEST(StabilizerFuzz, EveryMutationKindDetectedAndRecovered) {
 // Same seed, same everything: substrate checkpoint, corruption log,
 // post-recovery checkpoint, certificate bytes.
 TEST(StabilizerFuzz, SameSeedReplaysByteIdentically) {
-  auto run = [](uint64_t seed, std::string* ckpt, std::string* cert,
+  auto run = [](uint64_t seed, std::vector<uint8_t>* ckpt, std::string* cert,
                 std::string* log_out) {
     ForgivingGraph fg = fuzz::make_substrate(seed);
     fuzz::CorruptionLog log = fuzz::corrupt(fg, seed, 3);
@@ -146,7 +143,8 @@ TEST(StabilizerFuzz, SameSeedReplaysByteIdentically) {
     *cert = cert_bytes(sink.certs.front());
     *log_out = log.description;
   };
-  std::string ckpt_a, cert_a, log_a, ckpt_b, cert_b, log_b;
+  std::vector<uint8_t> ckpt_a, ckpt_b;
+  std::string cert_a, log_a, cert_b, log_b;
   run(42, &ckpt_a, &cert_a, &log_a);
   run(42, &ckpt_b, &cert_b, &log_b);
   EXPECT_EQ(log_a, log_b);

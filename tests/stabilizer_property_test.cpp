@@ -24,23 +24,20 @@
 #include "fuzz/corruptor.h"
 #include "graph/generators.h"
 #include "harness/certificate.h"
+#include "support/checkpoint.h"
 #include "util/rng.h"
 
 namespace fg {
 namespace {
 
-std::string checkpoint(const ForgivingGraph& g) {
-  std::ostringstream os;
-  g.save(os);
-  return os.str();
-}
+using support::checkpoint;
 
 void expect_clean(ForgivingGraph& fg, const std::string& what) {
   SCOPED_TRACE(what);
   Stabilizer stabilizer(fg);
   AuditReport report = stabilizer.audit();
   EXPECT_TRUE(report.clean()) << report.summary();
-  const std::string before = checkpoint(fg);
+  const std::vector<uint8_t> before = checkpoint(fg);
   const uint64_t epoch = fg.mutation_epoch();
   RecoveryStats recovery = stabilizer.stabilize();
   EXPECT_FALSE(recovery.recovered);
@@ -120,7 +117,7 @@ TEST(StabilizerProperty, StabilizeIsAFixedPoint) {
 // every worker count. The recovery plan's regions and arena reservation
 // are a pure function of the audited state, never of scheduling.
 TEST(StabilizerProperty, RecoveryIsScheduleIndependent) {
-  std::string ref_ckpt;
+  std::vector<uint8_t> ref_ckpt;
   std::string ref_cert;
   for (int workers : {1, 2, 4}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
@@ -139,7 +136,7 @@ TEST(StabilizerProperty, RecoveryIsScheduleIndependent) {
     ASSERT_EQ(sink.certs.size(), 1u);
     std::ostringstream cert_os;
     sink.certs.front().save(cert_os);
-    const std::string ckpt = checkpoint(fg);
+    const std::vector<uint8_t> ckpt = checkpoint(fg);
     if (workers == 1) {
       ref_ckpt = ckpt;
       ref_cert = cert_os.str();
