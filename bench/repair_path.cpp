@@ -12,8 +12,8 @@
 //      regions that plan concurrently and repair in parallel protocol
 //      rounds; the sharded engine's topology is bit-identical to the
 //      single-threaded engine's (contract C4, FG_CHECKed here), and the
-//      per-phase split (partition / collect / merge-plan / commit) is
-//      recorded so regressions bisect to a phase.
+//      per-phase split (partition / plan_region / commit) is recorded so
+//      regressions bisect to a phase.
 //
 // Prints the measured tables and writes the same rows as a
 // BENCH_repair_path.json artifact (cwd) for docs/EXPERIMENTS.md.
@@ -336,11 +336,18 @@ void sharded_wave(Table& t, Table& cost) {
       g_rows.push_back({"sharded_plan_speedup_w4", kN, kWave, plan_w1_ms / plan_ms, 0.0});
     }
     if (workers == 1) {
-      // The per-phase split of the wave (partition/collect/merge from the
-      // planner's own profile; commit measured here).
-      record(t, "sharded_phase_partition", kN, kWave, plan.profile.partition_ms);
-      record(t, "sharded_phase_collect", kN, kWave, plan.profile.collect_ms);
-      record(t, "sharded_phase_merge_plan", kN, kWave, plan.profile.merge_ms);
+      // The per-phase split of the wave, each phase timed around the public
+      // call ShardedForest::plan makes: the partition (analyze_deletion)
+      // and every region's recipe (plan_region), both read-only and run
+      // against the pre-wave state; the commit is the one measured above.
+      auto t2 = std::chrono::steady_clock::now();
+      core::DeletionAnalysis analysis = snapshot.analyze_deletion(wave);
+      record(t, "sharded_phase_partition", kN, kWave, ms_since(t2));
+      std::vector<core::RegionPlan> regions(analysis.seeds.size());
+      auto t3 = std::chrono::steady_clock::now();
+      for (size_t r = 0; r < regions.size(); ++r)
+        snapshot.plan_region(analysis, static_cast<int>(r), &regions[r]);
+      record(t, "sharded_phase_plan_region", kN, kWave, ms_since(t3));
       record(t, "sharded_phase_commit", kN, kWave, commit_ms);
     }
   }
@@ -372,12 +379,15 @@ void sharded_wave(Table& t, Table& cost) {
           {"sharded_commit_speedup_w4", kN, kWave, commit_w1_ms / commit_ms, 0.0});
     }
   }
-  // R7: the break phase alone per break-worker count, driven through the
-  // core's public phase API (begin_break / break_region / apply_break_effects
-  // / finish_break) with a CommitPool fan-out — the same pipeline
-  // ShardedForest::execute runs, timed around the break only. The merge then
-  // completes untimed and the checkpoint is FG_CHECKed against the w=1
-  // reference (C4 covers the break fan-out too).
+  // R7: the break phase alone per break-worker count, timed around the
+  // break only. The w = 1 arm is the core's commit_break, which runs the
+  // same recorded primitives as the pooled arm — begin_break, then per
+  // region break_region and apply_break_effects, then finish_break — one
+  // region after another on the calling thread. The pooled arms run
+  // break_region on a CommitPool, then stitch in region id order, as
+  // ShardedForest::execute does. The merge then completes untimed and the
+  // checkpoint is FG_CHECKed against the w = 1 reference (C4 covers the
+  // break fan-out too).
   double break_w1_ms = 0.0;
   for (int workers : {1, 2, 4}) {
     core::StructuralCore core = snapshot;

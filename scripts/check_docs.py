@@ -48,6 +48,13 @@
    `FGv1` token anywhere under src/, and no save/load/try_load member in
    src/fg/core/structural_core.h or src/fg/forgiving_graph.h. The
    certificate and Trace text formats are not state and stay allowed.
+8. One effect mode: a region breaks and merges only by recording its
+   shared writes for the region-ordered stitch. The inline path must not
+   come back: src/fg/core/structural_core.cpp never tests an `effects`
+   buffer for null (`if (effects)`, `if (effects != nullptr)`,
+   `effects ?`, `!effects`, `effects == nullptr`; the FG_CHECK that it is
+   non-null stays allowed), and no `commit_merge` token appears under
+   src/.
 
 Exits non-zero with a per-problem report on any violation.
 """
@@ -621,11 +628,42 @@ def check_single_state_format():
     return problems
 
 
+# The one-effect-mode gate (rule 8). break_region and merge_region take a
+# required effects buffer; a null test on it is the switch the deleted
+# inline path hung off, and commit_merge was that path's merge entry point.
+EFFECT_MODE_FILE = "src/fg/core/structural_core.cpp"
+NULL_EFFECTS_RE = re.compile(
+    r"\bif\s*\(\s*effects\s*(?:!=\s*nullptr\s*)?(?:\)|&&|\|\|)"
+    r"|\beffects\s*(?:!=\s*nullptr\s*)?\?"
+    r"|!\s*effects\b"
+    r"|\beffects\s*==\s*nullptr\b|\bnullptr\s*==\s*effects\b")
+INLINE_MERGE_RE = re.compile(r"\bcommit_merge\b")
+
+
+def check_single_effect_mode():
+    problems = []
+    code = header_code(REPO / EFFECT_MODE_FILE)
+    for m in NULL_EFFECTS_RE.finditer(code):
+        line = code.count("\n", 0, m.start()) + 1
+        problems.append(
+            f"{EFFECT_MODE_FILE}:{line}: `{m.group(0)}` tests an effects buffer "
+            "for null — break_region and merge_region always record, and the "
+            "stitches apply (docs/CONCURRENCY.md)")
+    for src in sorted((REPO / "src").rglob("*")):
+        if src.is_file() and INLINE_MERGE_RE.search(src.read_text()):
+            problems.append(
+                f"{src.relative_to(REPO)}: names `commit_merge` — a region "
+                "merges only through merge_region + apply_merge_effects "
+                "(docs/CONCURRENCY.md)")
+    return problems
+
+
 def main():
     problems = (check_links() + check_snippet_sync() + check_concurrency_sync() +
                 check_graph_api_sync() + check_healer_service_sync() +
                 check_stabilizer_sync() + check_snapshot_sync() +
-                check_certificate_independence() + check_single_state_format())
+                check_certificate_independence() + check_single_state_format() +
+                check_single_effect_mode())
     for p in problems:
         print(p, file=sys.stderr)
     if problems:
@@ -638,7 +676,8 @@ def main():
           "stabilizer API and violation kinds in sync, snapshot format/API "
           "in sync (fgsnap link line engine-free), certificate checker "
           "independent (includes + fgcheck link line) and its API/version "
-          "in sync, one state format (no text checkpoint in src/)")
+          "in sync, one state format (no text checkpoint in src/), one "
+          "effect mode (no null-effects branch in the core, no commit_merge)")
 
 
 if __name__ == "__main__":

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <chrono>
 #include <numeric>
 
 #include "snap/snapshot.h"
@@ -28,13 +27,6 @@ void StructuralCore::add_image_edge(NodeId u, NodeId v) {
   if (u == v) return;  // homomorphism collapses same-processor virtual edges
   note_image_touch(u, v);
   if (!g_.add_edge(u, v)) image_excess_.increment(edge_key(u, v));
-}
-
-void StructuralCore::remove_image_edge(NodeId u, NodeId v) {
-  if (u == v) return;
-  note_image_touch(u, v);
-  if (image_excess_.decrement(edge_key(u, v))) return;
-  FG_CHECK_MSG(g_.remove_edge(u, v), "removing an absent image edge");
 }
 
 void StructuralCore::drop_image_edge(NodeId u, NodeId v) {
@@ -98,11 +90,6 @@ struct Dsu {
     parent[static_cast<size_t>(b)] = a;
   }
 };
-
-double ms_between(std::chrono::steady_clock::time_point a,
-                  std::chrono::steady_clock::time_point b) {
-  return std::chrono::duration<double, std::milli>(b - a).count();
-}
 
 /// Lemma 1: an RT's height is at most 31, so a chain from any vnode up to
 /// its root has at most 32 nodes.
@@ -297,7 +284,6 @@ void StructuralCore::plan_region(const DeletionAnalysis& analysis, int region,
 
   // Break-phase script: the Strip of Section 4.1.1 over each affected RT,
   // recorded instead of applied.
-  auto t0 = std::chrono::steady_clock::now();
   for (VNodeId r : seed.roots) collect_events(r, analysis, out);
 
   // Surviving direct neighbors lose their edge to the victim and contribute
@@ -327,27 +313,19 @@ void StructuralCore::plan_region(const DeletionAnalysis& analysis, int region,
     if (e.is_piece) out->pieces.push_back(piece_info(e.h));
   for (const RegionPlan::FreshLeaf& f : out->fresh)
     out->pieces.push_back({1, slot_key(f.owner, f.dead)});
-  auto t1 = std::chrono::steady_clock::now();
 
   out->steps = haft::merge_plan(out->pieces);
-  auto t2 = std::chrono::steady_clock::now();
-  out->collect_ms = ms_between(t0, t1);
-  out->merge_ms = ms_between(t1, t2);
 }
 
 RepairPlan StructuralCore::plan_deletion(std::span<const NodeId> victims,
                                          RegionSplit split) const {
-  auto t0 = std::chrono::steady_clock::now();
   DeletionAnalysis analysis = analyze_deletion(victims, split);
-  auto t1 = std::chrono::steady_clock::now();
-
   RepairPlan plan;
   plan.regions.resize(analysis.seeds.size());
   for (int r = 0; r < static_cast<int>(analysis.seeds.size()); ++r)
     plan_region(analysis, r, &plan.regions[static_cast<size_t>(r)]);
 
   finalize_plan(analysis, &plan);
-  plan.profile.partition_ms = ms_between(t0, t1);
   return plan;
 }
 
@@ -363,8 +341,6 @@ void StructuralCore::finalize_plan(const DeletionAnalysis& analysis,
   const int arena_start = forest_.arena_size();
   int next_handle = arena_start;
   for (RegionPlan& region : plan->regions) {
-    plan->profile.collect_ms += region.collect_ms;
-    plan->profile.merge_ms += region.merge_ms;
     region.arena_base = next_handle;
     next_handle += static_cast<int>(region.fresh.size() + region.steps.size());
   }
@@ -430,8 +406,11 @@ std::vector<std::vector<VNodeId>> StructuralCore::commit_break(const RepairPlan&
                                                                CommitAlloc alloc) {
   begin_break(plan, alloc);
   std::vector<std::vector<VNodeId>> pieces(plan.regions.size());
-  for (const RegionPlan& region : plan.regions)
-    pieces[static_cast<size_t>(region.id)] = break_region(region, nullptr, observer, alloc);
+  BreakEffects effects;
+  for (const RegionPlan& region : plan.regions) {
+    pieces[static_cast<size_t>(region.id)] = break_region(region, &effects, observer, alloc);
+    apply_break_effects(region, effects);
+  }
   finish_break(plan);
   return pieces;
 }
@@ -467,112 +446,69 @@ std::vector<VNodeId> StructuralCore::break_region(const RegionPlan& region,
                                                   BreakEffects* effects,
                                                   RepairObserver* observer,
                                                   CommitAlloc alloc) {
-  auto parent_owner_of = [&](VNodeId h) {
-    VNodeId p = forest_.node(h).parent;
-    return p == kNoVNode ? kInvalidNode : forest_.node(p).owner;
-  };
+  // Everything mutated below is region-local — this region's own forest
+  // nodes (unlinks, uncounted tombstones) and its anchor leaves. Shared
+  // state (excess table, image graph, slot tables, counters, the forest's
+  // live count) is only ever *recorded*, which is what makes disjoint
+  // regions safe to break concurrently (docs/CONCURRENCY.md, the
+  // break-effects argument); apply_break_effects folds it in.
+  FG_CHECK_MSG(effects != nullptr, "break_region records into a BreakEffects buffer");
+  effects->reset();
+  effects->affected_rts = static_cast<int>(region.roots.size());
+  effects->edge_drops.reserve(region.events.size() + region.fresh.size() +
+                              region.victim_edges.size());
+  if (observer != nullptr) observer->on_region_begin(region.id);
   std::vector<VNodeId> out;
   out.reserve(region.pieces.size());
-  if (effects) {
-    // Recorded mode: everything mutated below is region-local — this
-    // region's own forest nodes (unlinks, uncounted tombstones) and its
-    // reserved arena handles. Shared state (excess table, image graph,
-    // slot tables, counters, the forest's live count) is only ever
-    // *recorded*, which is what makes disjoint regions safe to break
-    // concurrently (docs/CONCURRENCY.md, the break-effects argument).
-    FG_CHECK_MSG(observer == nullptr && alloc == CommitAlloc::kReserved,
-                 "recorded break: reserved allocation only, no observer");
-    effects->reset();
-    effects->affected_rts = static_cast<int>(region.roots.size());
-    effects->edge_drops.reserve(region.events.size() + region.fresh.size() +
-                                region.victim_edges.size());
-  } else {
-    if (observer) observer->on_region_begin(region.id);
-    last_repair_.affected_rts += static_cast<int>(region.roots.size());
-    delta_scratch_.clear();
-  }
 
   // Replay the break-phase script: detach pieces, tear down dead and red
-  // nodes (children always precede their parent in the script).
+  // nodes (children always precede their parent in the script). Each loses
+  // the image edge to its RT parent.
   for (const RegionPlan::Event& e : region.events) {
+    const auto& n = forest_.node(e.h);
+    const NodeId parent_owner =
+        n.parent == kNoVNode ? kInvalidNode : forest_.node(n.parent).owner;
+    if (parent_owner != kInvalidNode) effects->edge_drops.push_back({n.owner, parent_owner});
     if (e.is_piece) {
-      if (effects) {
-        const auto& n = forest_.node(e.h);
-        if (n.parent != kNoVNode)
-          effects->edge_drops.push_back({n.owner, forest_.node(n.parent).owner});
-        forest_.unlink_from_parent(e.h);
-      } else {
-        if (observer)
-          observer->on_piece(e.h, forest_.node(e.h).owner, parent_owner_of(e.h));
-        detach_vnode(e.h);
-      }
+      if (observer != nullptr) observer->on_piece(e.h, n.owner, parent_owner);
+      forest_.unlink_from_parent(e.h);
       out.push_back(e.h);
     } else {
-      if (effects) {
-        const auto& n = forest_.node(e.h);
-        if (n.parent != kNoVNode)
-          effects->edge_drops.push_back({n.owner, forest_.node(n.parent).owner});
-        effects->slot_ops.push_back({n.owner, n.other, e.h, n.is_leaf, false});
-        forest_.remove_uncounted(e.h);
-        ++effects->teardowns;
-      } else {
-        if (observer)
-          observer->on_teardown(e.h, forest_.node(e.h).owner, parent_owner_of(e.h));
-        remove_vnode(e.h);
-      }
+      if (observer != nullptr) observer->on_teardown(e.h, n.owner, parent_owner);
+      effects->slot_ops.push_back({n.owner, n.other, e.h, n.is_leaf, false});
+      forest_.remove_uncounted(e.h);
+      ++effects->teardowns;
     }
   }
-  if (!effects) last_repair_.helpers_removed += region.red_teardowns;
 
-  // Spawn the anchor leaves and drop the victims' surviving image edges.
-  // Under kReserved the j-th fresh leaf lands at its plan-time handle
-  // arena_base + j; the region's helpers follow in the same range. The
-  // edge drops are batched: each consumes the edge's excess inline (or at
-  // the stitch), and a drop that finds none queues the edge's removal in
-  // the pooled delta buffer, flipped in one apply_edge_deltas sweep per
-  // region — nothing below reads or adds image edges, so the deferral is
-  // invisible (and a hub teardown costs O(degree), not O(degree^2)
-  // sorted-list erases).
-  int fresh_at = region.arena_base;
+  // Spawn the anchor leaves and record the victims' surviving image edges
+  // for the stitch to drop. Under kReserved the j-th fresh leaf lands at
+  // its plan-time handle arena_base + j; the region's helpers follow in the
+  // same range.
+  VNodeId fresh_at = region.arena_base;
   for (const RegionPlan::FreshLeaf& f : region.fresh) {
-    VNodeId leaf;
     // In a deletion wave f.dead is a victim still alive at this point, so
-    // its image edge to the surviving owner drops here. In a recovery wave
+    // its image edge to the surviving owner drops. In a recovery wave
     // (RepairPlan::recovery) f.dead died long ago and the edge is already
     // gone — the anchor simply re-materializes.
-    if (effects) {
-      if (g_.is_alive(f.dead)) effects->edge_drops.push_back({f.dead, f.owner});
+    if (g_.is_alive(f.dead)) effects->edge_drops.push_back({f.dead, f.owner});
+    VNodeId leaf = kNoVNode;
+    if (alloc == CommitAlloc::kReserved) {
       leaf = fresh_at++;
       forest_.make_leaf_in(leaf, f.owner, f.dead);
-      effects->slot_ops.push_back({f.owner, f.dead, leaf, true, true});
-      ++effects->new_leaves;
     } else {
-      if (g_.is_alive(f.dead)) drop_image_edge(f.dead, f.owner);
-      if (alloc == CommitAlloc::kReserved) {
-        leaf = fresh_at++;
-        forest_.make_leaf_in(leaf, f.owner, f.dead);
-      } else {
-        leaf = forest_.make_leaf(f.owner, f.dead);
-      }
-      SlotTable::Entry& s = slots_.ensure(f.owner, f.dead);
-      FG_CHECK(s.leaf == kNoVNode && s.helper == kNoVNode);
-      s.leaf = leaf;
-      if (observer) observer->on_piece(leaf, f.owner, kInvalidNode);
-      ++last_repair_.new_leaves;
+      leaf = forest_.make_leaf(f.owner, f.dead);
     }
+    effects->slot_ops.push_back({f.owner, f.dead, leaf, true, true});
+    ++effects->new_leaves;
+    if (observer != nullptr) observer->on_piece(leaf, f.owner, kInvalidNode);
     out.push_back(leaf);
   }
 
-  // Edges between two victims lose their image edge here; both endpoints
+  // Edges between two victims lose their image edge too; both endpoints
   // are in this region (G'-adjacent victims always share one), and the
   // pairs were fixed at plan time (RegionPlan::victim_edges).
-  if (effects) {
-    for (const auto& [v, y] : region.victim_edges) effects->edge_drops.push_back({v, y});
-  } else {
-    for (const auto& [v, y] : region.victim_edges) drop_image_edge(v, y);
-    flush_edge_drops();
-    last_repair_.pieces += static_cast<int>(out.size());
-  }
+  for (const auto& [v, y] : region.victim_edges) effects->edge_drops.push_back({v, y});
 
   FG_CHECK_MSG(out.size() == region.pieces.size(),
                "committed piece set diverged from the plan");
@@ -597,8 +533,9 @@ void StructuralCore::apply_break_effects(const RegionPlan& region,
     if (u != v) drop_image_edge(u, v);  // homomorphism collapses same-processor edges
   flush_edge_drops();
 
-  // Replay the slot writes in script order — identical semantics (and
-  // FG_CHECKs) to what the sequential break applies inline.
+  // Replay the slot writes in script order. Every teardown's slot entry
+  // must still hold its handle: victims are alive until finish_break, so
+  // no owner's table has been wiped yet.
   for (const BreakEffects::SlotOp& op : effects.slot_ops) {
     if (op.attach) {
       SlotTable::Entry& s = slots_.ensure(op.owner, op.other);
@@ -635,19 +572,20 @@ void StructuralCore::finish_break(const RepairPlan& plan) {
 VNodeId StructuralCore::merge_region(const RegionPlan& region,
                                      std::vector<VNodeId>&& pieces,
                                      MergeEffects* effects) {
+  FG_CHECK_MSG(effects != nullptr, "merge_region records into a MergeEffects buffer");
   FG_CHECK(pieces.size() == region.pieces.size());
-  if (effects) effects->reset();
+  effects->reset();
   if (pieces.empty()) return kNoVNode;
   FG_CHECK_MSG(region.arena_base >= 0, "merge_region requires a reserved plan");
   pieces.reserve(pieces.size() + region.steps.size());
-  if (effects) effects->image_edges.reserve(2 * region.steps.size());
+  effects->image_edges.reserve(2 * region.steps.size());
   // The region's helpers live right after its fresh leaves in the reserved
-  // range; step s constructs handle arena_base + fresh + s. With `effects`
-  // set, everything below touches region-local state only — the helper's
-  // reserved slot in the pre-grown arena, the children's parent links, and
-  // the (existing) slot entry of the representative leaf — which is why
-  // disjoint regions can run this concurrently (docs/CONCURRENCY.md, the
-  // reservation argument); shared-state writes are recorded, not applied.
+  // range; step s constructs handle arena_base + fresh + s. Everything
+  // below touches region-local state only — the helper's reserved slot in
+  // the pre-grown arena, the children's parent links, and the (existing)
+  // slot entry of the representative leaf — which is why disjoint regions
+  // can run this concurrently (docs/CONCURRENCY.md, the reservation
+  // argument); shared-state writes are recorded, not applied.
   VNodeId next = region.arena_base + static_cast<VNodeId>(region.fresh.size());
   for (const auto& step : region.steps) {
     VNodeId l = pieces[static_cast<size_t>(step.left)];
@@ -669,71 +607,29 @@ VNodeId StructuralCore::merge_region(const RegionPlan& region,
     FG_CHECK_MSG(slot->helper == kNoVNode,
                  "representative already simulates a helper");
     slot->helper = h;
-    if (effects) {
-      effects->image_edges.push_back({rep_owner, left_owner});
-      effects->image_edges.push_back({rep_owner, right_owner});
-      ++effects->helpers_created;
-    } else {
-      add_image_edge(rep_owner, left_owner);
-      add_image_edge(rep_owner, right_owner);
-      ++last_repair_.helpers_created;
-    }
+    effects->image_edges.push_back({rep_owner, left_owner});
+    effects->image_edges.push_back({rep_owner, right_owner});
+    ++effects->helpers_created;
     FG_CHECK(static_cast<int>(pieces.size()) == step.result);
     pieces.push_back(h);
   }
-  if (effects)
-    effects->root = pieces.back();
-  else
-    finish_repair(pieces.back());
+  effects->root = pieces.back();
   return pieces.back();
 }
 
 VNodeId StructuralCore::apply_merge_effects(const MergeEffects& effects) {
   // The stitch applies each recorded edge through the funnel, in join
-  // order, as the inline merge does: a key recorded k times lands as one G
-  // edge plus k - 1 excess.
+  // order: a key recorded k times lands as one G edge plus k - 1 excess.
   for (const auto& [u, v] : effects.image_edges) add_image_edge(u, v);
   last_repair_.helpers_created += effects.helpers_created;
   if (effects.root != kNoVNode) finish_repair(effects.root);
   return effects.root;
 }
 
-VNodeId StructuralCore::commit_merge(const RegionPlan& region,
-                                     std::vector<VNodeId> pieces) {
-  return merge_region(region, std::move(pieces), nullptr);
-}
-
 void StructuralCore::check_reservation_settled(const RepairPlan& plan) const {
   FG_CHECK_MSG(forest_.unconstructed_in(plan.arena_start,
                                         plan.arena_start + plan.arena_total) == 0,
                "arena reservation not fully constructed after commit");
-}
-
-void StructuralCore::detach_vnode(VNodeId h) {
-  const auto& n = forest_.node(h);
-  if (n.parent == kNoVNode) return;
-  remove_image_edge(n.owner, forest_.node(n.parent).owner);
-  forest_.unlink_from_parent(h);
-}
-
-void StructuralCore::remove_vnode(VNodeId h) {
-  const auto& n = forest_.node(h);
-  NodeId owner = n.owner;
-  NodeId other = n.other;
-  bool leaf = n.is_leaf;
-  detach_vnode(h);
-  forest_.remove(h);
-  if (!procs_[static_cast<size_t>(owner)].alive) return;  // a victim's slots are wiped wholesale
-  SlotTable::Entry* s = slots_.find(owner, other);
-  FG_CHECK(s != nullptr);
-  if (leaf) {
-    FG_CHECK(s->leaf == h);
-    s->leaf = kNoVNode;
-  } else {
-    FG_CHECK(s->helper == h);
-    s->helper = kNoVNode;
-  }
-  if (s->leaf == kNoVNode && s->helper == kNoVNode) slots_.erase(owner, other);
 }
 
 haft::PieceInfo StructuralCore::piece_info(VNodeId root) const {

@@ -14,12 +14,12 @@
 //   * the virtual forest of Reconstruction Trees and the per-processor
 //     slot table (Table 1 of the paper).
 //
-// The centralized engine applies mutations directly; the distributed engine
-// installs a RepairObserver to mirror each cross-processor structural change
-// into its message-dependency DAG. Because there is exactly one code path,
-// the piece sequence — and therefore the deterministic haft::merge_plan and
-// the healed topology — cannot drift between the engines (docs/DESIGN.md
-// invariant 6).
+// Both engines break and merge through the same primitives; the distributed
+// engine additionally installs a RepairObserver to mirror each
+// cross-processor structural change into its message-dependency DAG.
+// Because there is exactly one code path, the piece sequence — and
+// therefore the deterministic haft::merge_plan and the healed topology —
+// cannot drift between the engines (docs/DESIGN.md invariant 6).
 //
 // A deletion (or a batch of deletions) runs as a two-phase PLAN / COMMIT
 // pipeline (docs/DESIGN.md, "Plan/commit pipeline"):
@@ -34,15 +34,22 @@
 //      k-way ComputeHaft merge steps. Planning never mutates the core, so
 //      disjoint regions can be planned concurrently (fg::ShardedForest);
 //      the resulting RepairPlan is a pure function of (core, victims).
-//   2. commit_break / commit_merge: apply the plan in deterministic region
-//      order — break every region, spawn its anchor leaves, tombstone the
-//      victims, then reassemble each region's pieces into one RT per
-//      region. Under CommitAlloc::kReserved (the centralized engine's
-//      default), the plan also carries a per-region *arena-id reservation*:
-//      every vnode handle the commit will allocate is fixed at plan time by
-//      region-order arithmetic alone, so disjoint regions may merge
-//      concurrently (merge_region) and any worker count replays
-//      byte-identical checkpoints — contract C4, strengthened from
+//   2. Commit: apply the plan in deterministic region order — break every
+//      region, spawn its anchor leaves, tombstone the victims, then
+//      reassemble each region's pieces into one RT per region. There is
+//      one effect mode: break_region and merge_region change only the
+//      region's own forest rows and *record* every write to state shared
+//      across regions (image multiplicities, slot tables, counters, the
+//      forest's live count); the single-threaded stitches
+//      apply_break_effects and apply_merge_effects fold those records in,
+//      in region id order. commit_break runs the break primitives region by
+//      region; fg::ShardedForest runs the same primitives and may hand the
+//      per-region calls to its pool. Under CommitAlloc::kReserved (the
+//      centralized engine's default), the plan also carries a per-region
+//      *arena-id reservation*: every vnode handle the commit will allocate
+//      is fixed at plan time by region-order arithmetic alone, so disjoint
+//      regions may break and merge concurrently and any worker count
+//      replays byte-identical checkpoints — contract C4, strengthened from
 //      "single-threaded commit" to "schedule-independent commit"
 //      (docs/CONCURRENCY.md). The distributed engine keeps the on-demand
 //      path (CommitAlloc::kOnDemand) and applies each join through
@@ -100,7 +107,7 @@ enum class RegionSplit { kPerRegion, kGlobal };
 enum class CommitAlloc { kReserved, kOnDemand };
 
 /// Structural statistics of the most recent committed repair (one deletion
-/// or one batch). Reset by commit_break; commit_merge / join_pieces /
+/// or one batch). Reset by begin_break; apply_merge_effects / join_pieces /
 /// finish_repair update the merge-side counters. Counters sum over the
 /// wave's regions.
 struct RepairStats {
@@ -159,8 +166,6 @@ struct RegionPlan {
   /// docs/CONCURRENCY.md).
   std::vector<std::pair<NodeId, NodeId>> victim_edges;
   int red_teardowns = 0;           ///< Red (helper) nodes the break removes.
-  double collect_ms = 0.0;         ///< Planner timings (informational only;
-  double merge_ms = 0.0;           ///< never part of the plan's identity).
 };
 
 /// The full plan for one deletion wave: the per-region recipes in
@@ -188,14 +193,6 @@ struct RepairPlan {
   /// finish_break skips the re-kill. Everything else — regions, arena
   /// reservation, merge steps, contract C4 — is the ordinary pipeline.
   bool recovery = false;
-  /// Planner phase timings (milliseconds), for bench/repair_path.cpp:
-  /// region partitioning, dirty-region piece collection, merge-step
-  /// computation. Informational only — never part of the plan's identity.
-  struct Profile {
-    double partition_ms = 0.0;
-    double collect_ms = 0.0;
-    double merge_ms = 0.0;
-  } profile;
 };
 
 /// A wave's dirty vnodes: the victims' leaves and helpers (dead) and all
@@ -289,9 +286,11 @@ struct DeletionAnalysis {
 
 /// Hooks a protocol layer installs to mirror structural mutations. The
 /// distributed engine translates each callback into messages of its repair
-/// DAG; the centralized engine passes no observer. Callbacks fire *before*
-/// the corresponding mutation, in the deterministic left-to-right order of
-/// the repair walk, so the message sequence is itself deterministic.
+/// DAG; the centralized engine passes no observer. Callbacks fire from
+/// break_region *before* the corresponding forest mutation (a fresh anchor
+/// leaf right after its construction: its handle is the argument), in the
+/// deterministic left-to-right order of the repair walk, so the message
+/// sequence is itself deterministic.
 class RepairObserver {
  public:
   virtual ~RepairObserver() = default;
@@ -337,10 +336,11 @@ class DeltaRecorder {
   }
 
   /// The image multiplicity of edge (u, v) is about to change (u != v).
-  /// Fired by every multiplicity funnel — add/remove_image_edge (which the
-  /// merge stitch goes through) and the batched break drops — so the
-  /// accumulated key set covers every healed-image edge the wave (or an
-  /// insertion) touched.
+  /// Fired by both multiplicity funnels — add_image_edge (insertions, the
+  /// merge stitch, join_pieces) and the break stitch's batched drops — so
+  /// the accumulated key set covers every healed-image edge the wave (or an
+  /// insertion) touched. The order follows the stitches, not the repair
+  /// walk; a recorder keeps the set, not the sequence.
   virtual void on_image_touch(NodeId u, NodeId v) { (void)u, (void)v; }
 
   /// A wave's commit fully settled (fired by fg::ShardedForest::execute,
@@ -392,9 +392,9 @@ class StructuralCore {
                            RegionSplit split = RegionSplit::kPerRegion) const;
 
   /// Fill the wave-level fields of a plan whose regions are already
-  /// populated (victims, victim_region, profile sums), stamp this core's
-  /// arena size and mutation epoch (what commit_break validates against),
-  /// and assign the arena-id reservation: each region's arena_base
+  /// populated (victims, victim_region), stamp this core's arena size and
+  /// mutation epoch (what commit_break validates against), and assign
+  /// the arena-id reservation: each region's arena_base
   /// follows by prefix sums over (fresh + steps) counts in region id
   /// order — a pure function of the plan, never of scheduling. Shared by
   /// plan_deletion and concurrent planners (fg::ShardedForest).
@@ -412,9 +412,11 @@ class StructuralCore {
   /// commit. kReserved spawns each anchor leaf at its reserved handle;
   /// kOnDemand (the dist engine) appends as before.
   ///
-  /// Equivalent to begin_break + break_region per region (immediate mode)
-  /// + finish_break — the sequential composition of the phase-parallel
-  /// primitives below, which fg::ShardedForest fans out instead.
+  /// Exactly begin_break, then per region break_region into one reused
+  /// BreakEffects buffer followed by apply_break_effects, then
+  /// finish_break: the primitives below, run in order. The one path that
+  /// takes an observer or kOnDemand; fg::ShardedForest runs the same
+  /// primitives with neither.
   std::vector<std::vector<VNodeId>> commit_break(const RepairPlan& plan,
                                                  RepairObserver* observer = nullptr,
                                                  CommitAlloc alloc = CommitAlloc::kReserved);
@@ -454,17 +456,19 @@ class StructuralCore {
   /// alive checks. Must precede any break_region call of the same plan.
   void begin_break(const RepairPlan& plan, CommitAlloc alloc = CommitAlloc::kReserved);
 
-  /// Replay one region's break script. With `effects` non-null (requires a
-  /// begin_break'd reserved plan, no observer), mutates only region-local
-  /// state — unlinks and tombstones the region's own vnodes
-  /// (remove_uncounted) and constructs its anchor leaves at their reserved
-  /// handles — while every shared-state write (image multiplicities and
-  /// edges, slot-table entries, counters, forest live count) is recorded
-  /// into `effects` instead of applied, so disjoint regions may run this
-  /// concurrently (fg::ShardedForest's commit pool does). With `effects`
-  /// null the side effects apply immediately — the sequential path, which
-  /// also takes an observer and either CommitAlloc. Returns the region's
-  /// materialized pieces, aligned with RegionPlan::pieces.
+  /// Replay one region's break script after begin_break. Mutates only
+  /// region-local state — unlinks and tombstones the region's own vnodes
+  /// (remove_uncounted) and constructs its anchor leaves — while every
+  /// shared-state write (image multiplicities and edges, slot-table
+  /// entries, counters, forest live count) is recorded into `effects`
+  /// (required, reset first) for apply_break_effects. Under kReserved the
+  /// anchor leaves land at their reserved handles, so disjoint regions may
+  /// run this concurrently (fg::ShardedForest's commit pool does). The
+  /// observer hears each piece and teardown before the forest changes
+  /// (a fresh anchor leaf once its handle exists). An observer or
+  /// kOnDemand is for the sequential commit_break only: kOnDemand appends
+  /// to the arena. Returns the region's materialized pieces, aligned with
+  /// RegionPlan::pieces.
   std::vector<VNodeId> break_region(const RegionPlan& region, BreakEffects* effects,
                                     RepairObserver* observer = nullptr,
                                     CommitAlloc alloc = CommitAlloc::kReserved);
@@ -472,7 +476,8 @@ class StructuralCore {
   /// Fold one region's recorded break effects into the shared state:
   /// multiplicity drops (each consumes the edge's excess first; a drop that
   /// finds none queues the edge's removal, and the queue flips in one
-  /// batched Graph::apply_edge_deltas pass), slot writes in script order,
+  /// batched Graph::apply_edge_deltas pass), slot writes in script order
+  /// (every teardown's slot entry must hold its handle — FG_CHECKed),
   /// counters, live-count credit. Single-threaded, called in region id
   /// order — the deterministic stitch.
   void apply_break_effects(const RegionPlan& region, const BreakEffects& effects);
@@ -500,31 +505,23 @@ class StructuralCore {
   };
 
   /// Replay one region's planned merge steps over its materialized pieces
-  /// (from a kReserved commit_break), constructing every helper at its
-  /// reserved arena handle. With `effects` non-null, mutates only
-  /// region-local state — the region's subtree nodes and its own slot
-  /// entries — and records the shared-state side effects (image edges,
-  /// counters) into `effects` instead of applying them, so disjoint
-  /// regions of one reserved plan may run this concurrently
-  /// (fg::ShardedForest's commit pool does). With `effects` null (the
-  /// single-threaded path) the side effects apply immediately, skipping
-  /// the record/replay pass. Either mode produces the identical structure.
-  /// `pieces` is consumed as scratch and must come from commit_break.
-  /// Returns the region's final RT root (kNoVNode for no pieces).
+  /// (from a kReserved break), constructing every helper at its reserved
+  /// arena handle. Mutates only region-local state — the region's subtree
+  /// nodes and its own slot entries — and records the shared-state side
+  /// effects (image edges, counters, the final root) into `effects`
+  /// (required, reset first) for apply_merge_effects, so disjoint regions
+  /// of one reserved plan may run this concurrently (fg::ShardedForest's
+  /// commit pool does). `pieces` is consumed as scratch and must come from
+  /// the break. Returns the region's final RT root (kNoVNode for no
+  /// pieces).
   VNodeId merge_region(const RegionPlan& region, std::vector<VNodeId>&& pieces,
                        MergeEffects* effects);
 
   /// Fold one region's recorded merge effects into the shared state:
-  /// image edges in join order (each through add_image_edge, exactly as the
-  /// inline merge applies it), repair counters, final-RT bookkeeping.
-  /// Single-threaded, called in region id order — the deterministic
-  /// stitch. Returns the region's final RT root.
+  /// image edges in join order (each through add_image_edge), repair
+  /// counters, final-RT bookkeeping. Single-threaded, called in region id
+  /// order — the deterministic stitch. Returns the region's final RT root.
   VNodeId apply_merge_effects(const MergeEffects& effects);
-
-  /// The sequential merge of one region of a kReserved plan
-  /// (merge_region with immediate side effects). Returns the region's
-  /// final RT root (kNoVNode for a region with no pieces).
-  VNodeId commit_merge(const RegionPlan& region, std::vector<VNodeId> pieces);
 
   /// FG_CHECK that every handle of the plan's arena reservation was
   /// constructed — an undersized plan or a skipped region fails loudly
@@ -663,14 +660,13 @@ class StructuralCore {
   };
 
   static uint64_t edge_key(NodeId u, NodeId v);
-  /// The multiplicity funnels: add bumps (u, v) — a new G edge, or one more
-  /// unit of excess if the edge exists; remove consumes the excess first,
-  /// else removes the G edge (FG_CHECKed to exist).
+  /// The multiplicity funnel for additions: bump (u, v) — a new G edge, or
+  /// one more unit of excess if the edge exists.
   void add_image_edge(NodeId u, NodeId v);
-  void remove_image_edge(NodeId u, NodeId v);
 
-  /// The break's batched drop: consume (u, v)'s excess if it has one, else
-  /// queue the edge's removal in delta_scratch_ for flush_edge_drops().
+  /// The break stitch's batched drop, the funnel for removals: consume
+  /// (u, v)'s excess if it has one, else queue the edge's removal in
+  /// delta_scratch_ for flush_edge_drops().
   void drop_image_edge(NodeId u, NodeId v);
 
   /// Remove every queued edge in one Graph::apply_edge_deltas pass, and
@@ -680,28 +676,20 @@ class StructuralCore {
   void flush_edge_drops();
 
   /// Tell the delta recorder (if any) that edge (u, v)'s multiplicity is
-  /// about to change. Called from every multiplicity funnel, all of which
-  /// are single-threaded (sequential commit, or the region-id-ordered
-  /// stitches) — never from the concurrent recorded break/merge phases,
-  /// which only buffer.
+  /// about to change. Called from both multiplicity funnels, which only
+  /// ever run single-threaded (insert_node, the region-id-ordered
+  /// stitches, join_pieces, the recovery rebuild) — never from
+  /// break_region or merge_region, which only record.
   void note_image_touch(NodeId u, NodeId v) {
     if (recorder_ != nullptr) recorder_->on_image_touch(u, v);
   }
-
-  /// Drop the virtual edge between h and its parent from the image and
-  /// detach h (no-op on roots).
-  void detach_vnode(VNodeId h);
-
-  /// Tombstone h (children must be gone), freeing its slot registration and
-  /// its parent edge.
-  void remove_vnode(VNodeId h);
 
   /// The read-only twin of the commit walk: append the break-phase event
   /// script of the RT rooted at `root` to `out`. Iterative worklist over
   /// the dirty region only; `dirty` holds the dead vnodes and all their
   /// ancestors, so a node is clean (subtree free of dead vnodes) iff it is
-  /// not in `dirty`. The commit replays the recorded events with exactly
-  /// the mutations the old single-pass walk performed, in the same order.
+  /// not in `dirty`. The break replays the recorded events in the same
+  /// order.
   void collect_events(VNodeId root, const DeletionAnalysis& analysis,
                       RegionPlan* out) const;
 

@@ -105,11 +105,12 @@ class ForgivingGraph {
   void set_commit_workers(int n) { shards_.set_commit_workers(n); }
   int commit_workers() const { return shards_.commit_workers(); }
 
-  /// Worker threads for the commit's break phase (1 = the core's
-  /// sequential break; n > 1 fans region break scripts out over the same
-  /// persistent pool). Any value replays byte-identical checkpoints and
-  /// certificate bytes (contract C4 — the BreakEffects stitch applies
-  /// every shared-state write in region id order).
+  /// Worker threads for the commit's break phase (1 = break the regions
+  /// one after another on the calling thread; n > 1 fans region break
+  /// scripts out over the same persistent pool). Either way every region
+  /// records its BreakEffects and the stitch applies every shared-state
+  /// write in region id order, so any value replays byte-identical
+  /// checkpoints and certificate bytes (contract C4).
   void set_break_workers(int n) { shards_.set_break_workers(n); }
   int break_workers() const { return shards_.break_workers(); }
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <thread>
 #include <utility>
 
@@ -95,7 +94,7 @@ void ShardedForest::rebuild_pool() {
   // largest knob. Don't build a pool the fans_out gate can never use: on a
   // box with a single hardware thread, merely having extra threads
   // switches the allocator out of its single-threaded fast path and slows
-  // the (alloc-heavy) inline commit — with zero chance of a fan-out win.
+  // the (alloc-heavy) commit — with zero chance of a fan-out win.
   // Contract C4 makes the structure identical either way.
   static const unsigned hw_threads = std::thread::hardware_concurrency();
   const int n = std::max({workers_, commit_workers_, break_workers_});
@@ -140,10 +139,7 @@ void ShardedForest::for_each_region(size_t regions, int knob,
 core::RepairPlan ShardedForest::plan(const core::StructuralCore& core,
                                      std::span<const NodeId> victims,
                                      core::RegionSplit split) const {
-  auto t0 = std::chrono::steady_clock::now();
   core::DeletionAnalysis analysis = core.analyze_deletion(victims, split);
-  auto t1 = std::chrono::steady_clock::now();
-
   core::RepairPlan plan;
   plan.regions.resize(analysis.seeds.size());
   // plan_region only reads the core and writes its own pre-sized slot, so
@@ -153,33 +149,27 @@ core::RepairPlan ShardedForest::plan(const core::StructuralCore& core,
   });
 
   core.finalize_plan(analysis, &plan);
-  plan.profile.partition_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
   return plan;
 }
 
 std::vector<VNodeId> ShardedForest::execute(core::StructuralCore& core,
                                             const core::RepairPlan& plan) {
   const size_t regions = plan.regions.size();
-  // Fanning break out is, like the merge fan-out in commit(), a pure
-  // scheduling choice: break_region in recorded mode mutates only
-  // region-local forest state, and the BreakEffects stitch replays every
-  // shared-state write in region id order — the exact sequence the inline
-  // path applies immediately (contract C4; docs/CONCURRENCY.md, the
-  // break-effects argument).
-  const bool fan = fans_out(break_workers_, regions);
+  // Whether the regions break inline or on the pool is, like the merge
+  // fan-out in commit(), a pure scheduling choice: break_region mutates
+  // only region-local forest state, and the BreakEffects stitch replays
+  // every shared-state write in region id order (contract C4;
+  // docs/CONCURRENCY.md, the break-effects argument).
   // Grow-only scratch, same pooling discipline as the merge side.
   std::vector<core::StructuralCore::BreakEffects>& effects = break_effects_scratch_;
-  if (fan && effects.size() < regions) effects.resize(regions);
+  if (effects.size() < regions) effects.resize(regions);
   std::vector<std::vector<VNodeId>> pieces(regions);
   core.begin_break(plan);
   for_each_region(regions, break_workers_, [&](size_t r) {
-    pieces[r] = core.break_region(plan.regions[r], fan ? &effects[r] : nullptr);
+    pieces[r] = core.break_region(plan.regions[r], &effects[r]);
   });
-  // The deterministic stitch, then the victims die exactly as in the
-  // inline break.
-  if (fan)
-    for (size_t r = 0; r < regions; ++r) core.apply_break_effects(plan.regions[r], effects[r]);
+  // The deterministic stitch, then the victims die.
+  for (size_t r = 0; r < regions; ++r) core.apply_break_effects(plan.regions[r], effects[r]);
   core.finish_break(plan);
 
   std::vector<VNodeId> roots = commit(core, plan, std::move(pieces));
@@ -198,31 +188,27 @@ std::vector<VNodeId> ShardedForest::commit(core::StructuralCore& core,
   std::vector<VNodeId> region_roots(regions, kNoVNode);
 
   // Fanning out is a pure scheduling choice — the arena-id reservation
-  // makes the result identical either way (contract C4). Inline, merges
-  // apply their side effects immediately (no record/replay pass).
+  // makes the result identical either way (contract C4).
   // tests/arena_reservation_test.cpp drives CommitPool + merge_region
   // directly, so the concurrent path stays TSan-covered even on machines
   // where fans_out keeps the engine inline.
-  const bool fan = fans_out(commit_workers_, regions);
+  //
   // Reused wave to wave, grow-only: a smaller wave must not destroy the
   // trailing slots' image_edges capacity, so a steady-state commit
   // allocates no per-region bookkeeping (merge_region resets its slot).
   std::vector<core::StructuralCore::MergeEffects>& effects = effects_scratch_;
-  if (fan && effects.size() < regions) effects.resize(regions);
-  // Each region builds its RT inside its reserved arena range and, when
-  // fanned out, records its shared-state side effects into its own
-  // MergeEffects slot, so no two participants ever write the same memory —
-  // the schedule decides *who* merges a region, never *what* the merge
-  // produces (contract C4).
+  if (effects.size() < regions) effects.resize(regions);
+  // Each region builds its RT inside its reserved arena range and records
+  // its shared-state side effects into its own MergeEffects slot, so no two
+  // participants ever write the same memory — the schedule decides *who*
+  // merges a region, never *what* the merge produces (contract C4).
   for_each_region(regions, commit_workers_, [&](size_t r) {
-    region_roots[r] =
-        core.merge_region(plan.regions[r], std::move(pieces[r]), fan ? &effects[r] : nullptr);
+    core.merge_region(plan.regions[r], std::move(pieces[r]), &effects[r]);
   });
   // The deterministic stitch: fold every region's recorded side effects
   // (image edges, counters, final-RT bookkeeping) into the shared state in
-  // region id order — exactly the sequence the inline path applies.
-  if (fan)
-    for (size_t r = 0; r < regions; ++r) region_roots[r] = core.apply_merge_effects(effects[r]);
+  // region id order.
+  for (size_t r = 0; r < regions; ++r) region_roots[r] = core.apply_merge_effects(effects[r]);
 
   core.check_reservation_settled(plan);
   note_commit(plan, region_roots);

@@ -128,17 +128,19 @@ class ShardedForest {
   int commit_workers() const { return commit_workers_; }
 
   /// Break disjoint regions concurrently during commit (execute): 1
-  /// breaks inline with immediate side effects; n > 1 fans break_region
-  /// out over the shared pool and stitches the recorded BreakEffects in
-  /// region id order. Any value replays byte-identical checkpoints and
-  /// certificate bytes (contract C4).
+  /// breaks the regions inline on the calling thread; n > 1 fans
+  /// break_region out over the shared pool. Either way each region records
+  /// its BreakEffects and the stitch applies them in region id order, so
+  /// any value replays byte-identical checkpoints and certificate bytes
+  /// (contract C4).
   void set_break_workers(int n);
   int break_workers() const { return break_workers_; }
 
   /// Execute a reserved plan end to end against `core`: the break phase
-  /// (fanned out over the pool when break workers > 1, sequential
-  /// otherwise), then the merge phase via commit(). Returns each region's
-  /// final RT root, aligned with plan.regions.
+  /// (break_region per region, fanned out over the pool when break
+  /// workers > 1, then the region-ordered break stitch), then the merge
+  /// phase via commit(). Returns each region's final RT root, aligned with
+  /// plan.regions.
   std::vector<VNodeId> execute(core::StructuralCore& core,
                                const core::RepairPlan& plan);
 
@@ -149,11 +151,11 @@ class ShardedForest {
                         core::RegionSplit split = core::RegionSplit::kPerRegion) const;
 
   /// Commit the merge phase of a reserved plan whose break phase already
-  /// ran (core.commit_break, kReserved): merge disjoint regions on the
-  /// commit pool, then stitch their recorded side effects single-threaded
-  /// in region id order, verify the reservation settled, and record the
-  /// shard bookkeeping. Returns each region's final RT root, aligned with
-  /// plan.regions.
+  /// ran (core.commit_break, kReserved): merge the regions (on the commit
+  /// pool when commit workers > 1), then stitch their recorded side
+  /// effects single-threaded in region id order, verify the reservation
+  /// settled, and record the shard bookkeeping. Returns each region's
+  /// final RT root, aligned with plan.regions.
   std::vector<VNodeId> commit(core::StructuralCore& core,
                               const core::RepairPlan& plan,
                               std::vector<std::vector<VNodeId>>&& pieces);

@@ -3,14 +3,16 @@
 //
 //   * Concurrent break_region calls over a CommitPool — the exact shape
 //     ShardedForest::execute dispatches — must land on the byte-identical
-//     checkpoint the core's sequential commit_break produces. The engine-
+//     checkpoint the core's sequential commit_break produces (the same
+//     primitives, each region broken and stitched in turn). The engine-
 //     level fan-out gate may keep breaks inline on boxes with no spare
 //     hardware threads, so this suite drives the pool directly; it is what
 //     keeps the parallel break TSan-covered everywhere (the tsan/asan
 //     preset filters include BreakPool).
 //   * The BreakEffects stitch is deterministic: region-local buffers
-//     applied in region id order replay the serial break's shared-state
-//     writes exactly — image-edge drops, slot ops, counters, live count.
+//     filled concurrently and applied in region id order replay the
+//     sequential commit_break's shared-state writes exactly — image-edge
+//     drops, slot ops, counters, live count.
 //   * The engine-level knob (set_break_workers) composes with the merge
 //     fan-out across waves and worker-count changes.
 #include <gtest/gtest.h>
@@ -163,8 +165,8 @@ TEST(BreakPool, EngineKnobComposesWithMergeWorkersAcrossWaves) {
 }
 
 TEST(BreakPool, GlobalSplitSingleRegionBreaksInline) {
-  // A kGlobal wave has one region; the fan-out degenerates to the serial
-  // path (regions <= 1 gate) and must still be byte-identical.
+  // A kGlobal wave has one region; the fan-out gate (regions <= 1) breaks
+  // it on the calling thread, and it must still be byte-identical.
   Rng rng(331);
   Graph g0 = make_erdos_renyi(100, 7.0 / 100, rng);
   ForgivingGraph single(g0);

@@ -4,10 +4,11 @@
 // so one G edge can stand for several virtual edges. G's edge set records
 // "multiplicity >= 1"; the excess table holds count - 1 for exactly the
 // edges of multiplicity >= 2. Pinned here:
-//   * after every wave of a seeded churn stream, inline (1 worker) and with
-//     the recorded break/merge stitches (4 workers), every G edge's
-//     multiplicity equals its ground-truth recount and the excess table
-//     holds exactly the edges recounted >= 2, each at recount - 1;
+//   * after every wave of a seeded churn stream, at 1 worker and at 4
+//     (regions broken and merged on the pool), every G edge's multiplicity
+//     equals its ground-truth recount and the excess table holds exactly
+//     the edges recounted >= 2, each at recount - 1 — both worker counts
+//     fold their image edges through the recorded break/merge stitches;
 //   * a recorded merge naming one new edge k times lands as one G edge of
 //     multiplicity k, and a recorded break dropping it k times removes it;
 //   * one drop too many dies on every path, in every build type;
@@ -120,7 +121,7 @@ TEST_P(ImageMultiplicityStream, ExcessMatchesTheRecountAfterEveryWave) {
     if (HasFatalFailure()) return;
   }
   EXPECT_GT(waves, 50);
-  EXPECT_GT(multi_region_waves, 0);  // the recorded stitches fan out at 4 workers
+  EXPECT_GT(multi_region_waves, 0);  // regions fan out on the pool at 4 workers
   EXPECT_GT(max_excess, 0u);         // the stream reaches multiplicity >= 2
   fg.validate();
 }
@@ -180,17 +181,20 @@ void recorded_drop_of_a_non_edge() {
   core.apply_break_effects(core::RegionPlan{}, drops);
 }
 
-/// Inline break: a victim-victim drop of a non-edge.
-void inline_drop_of_a_non_edge() {
+/// One region's break and its stitch: a victim-victim drop of a non-edge.
+void region_break_drop_of_a_non_edge() {
   core::StructuralCore core = path_core();
   core::RegionPlan region;
   region.victim_edges = {{1, 3}};
-  core.break_region(region, nullptr);
+  core::StructuralCore::BreakEffects effects;
+  core.break_region(region, &effects);
+  core.apply_break_effects(region, effects);
 }
 
 /// G loses the image edge of a G' edge behind the bookkeeping's back;
-/// deleting one endpoint (next to a victim in another region, so 4 workers
-/// take the recorded stitch) then drops it below zero.
+/// deleting one endpoint then drops it below zero in the break stitch. A
+/// victim in another region makes the wave two regions, so 4 workers break
+/// them on the pool; 1 worker breaks them in turn.
 void engine_drop_of_a_vanished_edge(int workers) {
   Rng rng(37);
   ForgivingGraph fg(make_sparse_random(64, 4.0, rng));
@@ -205,7 +209,7 @@ void engine_drop_of_a_vanished_edge(int workers) {
 TEST(ImageMultiplicityDeathTest, OneDropTooManyDiesOnEveryPath) {
   EXPECT_DEATH(drop_four_of_three(), kDropTooMany);
   EXPECT_DEATH(recorded_drop_of_a_non_edge(), "below multiplicity zero");
-  EXPECT_DEATH(inline_drop_of_a_non_edge(), "below multiplicity zero");
+  EXPECT_DEATH(region_break_drop_of_a_non_edge(), "below multiplicity zero");
   EXPECT_DEATH(engine_drop_of_a_vanished_edge(1), "below multiplicity zero");
   EXPECT_DEATH(engine_drop_of_a_vanished_edge(4), "below multiplicity zero");
 }

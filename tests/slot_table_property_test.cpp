@@ -113,8 +113,8 @@ TEST(SlotTableProperty, RandomChurnMatchesMapOfPairsModel) {
           ASSERT_FALSE(m.contains({v, w}));
         }
       } else if (roll < 85) {
-        // Detach: erase the slot if present (remove_vnode's path once both
-        // fields empty).
+        // Detach: erase the slot if present (the break stitch's path once
+        // both fields are empty).
         if (slots.find(v, w) != nullptr) {
           slots.erase(v, w);
           ASSERT_EQ(m.erase({v, w}), 1u);
