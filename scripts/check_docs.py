@@ -55,6 +55,12 @@
    `effects ?`, `!effects`, `effects == nullptr`; the FG_CHECK that it is
    non-null stays allowed), and no `commit_merge` token appears under
    src/.
+9. One allocation mode: every vnode a commit creates lands at a handle of
+   the plan's arena reservation, in both engines. On-demand allocation
+   must not come back: no `CommitAlloc`, `kOnDemand` or `join_pieces`
+   token anywhere under src/, and no `make_leaf` or `make_helper` member
+   (a declaration, not the reserved `make_leaf_in`/`make_helper_in`) in
+   src/fg/virtual_forest.h.
 
 Exits non-zero with a per-problem report on any violation.
 """
@@ -658,12 +664,38 @@ def check_single_effect_mode():
     return problems
 
 
+# The one-allocation-mode gate (rule 9). CommitAlloc chose between the
+# reserved and the on-demand path, kOnDemand was the on-demand choice, and
+# join_pieces was its merge; make_leaf / make_helper appended to the arena.
+ON_DEMAND_RE = re.compile(r"\b(CommitAlloc|kOnDemand|join_pieces)\b")
+FOREST_HEADER = "src/fg/virtual_forest.h"
+ON_DEMAND_MEMBER_RE = re.compile(r"(?<![\w.>])(make_leaf|make_helper)\s*\(")
+
+
+def check_single_allocation_mode():
+    problems = []
+    for src in sorted((REPO / "src").rglob("*")):
+        if not src.is_file():
+            continue
+        for token in sorted(set(ON_DEMAND_RE.findall(src.read_text()))):
+            problems.append(
+                f"{src.relative_to(REPO)}: names `{token}` — every commit "
+                "allocates from the plan's arena reservation and merges "
+                "through merge_region (docs/CONCURRENCY.md)")
+    for m in ON_DEMAND_MEMBER_RE.finditer(header_code(REPO / FOREST_HEADER)):
+        problems.append(
+            f"{FOREST_HEADER}: declares `{m.group(1)}` — vnodes are constructed "
+            "only into reserved handles (reserve_range + make_leaf_in / "
+            "make_helper_in)")
+    return problems
+
+
 def main():
     problems = (check_links() + check_snippet_sync() + check_concurrency_sync() +
                 check_graph_api_sync() + check_healer_service_sync() +
                 check_stabilizer_sync() + check_snapshot_sync() +
                 check_certificate_independence() + check_single_state_format() +
-                check_single_effect_mode())
+                check_single_effect_mode() + check_single_allocation_mode())
     for p in problems:
         print(p, file=sys.stderr)
     if problems:
@@ -677,7 +709,8 @@ def main():
           "in sync (fgsnap link line engine-free), certificate checker "
           "independent (includes + fgcheck link line) and its API/version "
           "in sync, one state format (no text checkpoint in src/), one "
-          "effect mode (no null-effects branch in the core, no commit_merge)")
+          "effect mode (no null-effects branch in the core, no commit_merge), "
+          "one allocation mode (no on-demand path in src/)")
 
 
 if __name__ == "__main__":

@@ -176,7 +176,6 @@ DeletionAnalysis StructuralCore::analyze_deletion(std::span<const NodeId> victim
                                                   RegionSplit split) const {
   FG_CHECK_MSG(!victims.empty(), "empty deletion batch");
   DeletionAnalysis a;
-  a.split = split;
   a.victims.assign(victims.begin(), victims.end());
   const int k = static_cast<int>(victims.size());
 
@@ -193,7 +192,6 @@ DeletionAnalysis StructuralCore::analyze_deletion(std::span<const NodeId> victim
     NodeId v = a.victims[static_cast<size_t>(i)];
     FG_CHECK_MSG(g_.is_alive(v), "deleting a dead or unknown processor");
     wave_index.push_back({v, i});
-    a.deleted_degree_gprime += gprime_.degree(v);
   }
   std::sort(wave_index.begin(), wave_index.end());
 
@@ -331,7 +329,6 @@ RepairPlan StructuralCore::plan_deletion(std::span<const NodeId> victims,
 
 void StructuralCore::finalize_plan(const DeletionAnalysis& analysis,
                                    RepairPlan* plan) const {
-  plan->split = analysis.split;
   plan->victims = analysis.victims;
   plan->epoch = epoch_;
   // The arena-id reservation: region r's commit allocates exactly its
@@ -402,32 +399,29 @@ void StructuralCore::collect_events(VNodeId root, const DeletionAnalysis& analys
 }
 
 std::vector<std::vector<VNodeId>> StructuralCore::commit_break(const RepairPlan& plan,
-                                                               RepairObserver* observer,
-                                                               CommitAlloc alloc) {
-  begin_break(plan, alloc);
+                                                               RepairObserver* observer) {
+  begin_break(plan);
   std::vector<std::vector<VNodeId>> pieces(plan.regions.size());
   BreakEffects effects;
   for (const RegionPlan& region : plan.regions) {
-    pieces[static_cast<size_t>(region.id)] = break_region(region, &effects, observer, alloc);
+    pieces[static_cast<size_t>(region.id)] = break_region(region, &effects, observer);
     apply_break_effects(region, effects);
   }
   finish_break(plan);
   return pieces;
 }
 
-void StructuralCore::begin_break(const RepairPlan& plan, CommitAlloc alloc) {
+void StructuralCore::begin_break(const RepairPlan& plan) {
   // A stale plan — any mutation since planning, even one that left the
   // arena size unchanged (a teardown-only repair) — would replay a script
   // over state it no longer describes; fail loudly instead.
   FG_CHECK_MSG(plan.epoch == epoch_,
                "committing a stale plan: core mutated since planning");
   ++epoch_;
-  if (alloc == CommitAlloc::kReserved) {
-    FG_CHECK_MSG(plan.arena_start == forest_.arena_size(),
-                 "committing a stale plan: arena moved since planning");
-    VNodeId base = forest_.reserve_range(plan.arena_total);
-    FG_CHECK(base == plan.arena_start);
-  }
+  FG_CHECK_MSG(plan.arena_start == forest_.arena_size(),
+               "committing a stale plan: arena moved since planning");
+  VNodeId base = forest_.reserve_range(plan.arena_total);
+  FG_CHECK(base == plan.arena_start);
   last_repair_ = RepairStats{};
   last_repair_.regions = static_cast<int>(plan.regions.size());
   for (NodeId v : plan.victims) {
@@ -444,8 +438,7 @@ void StructuralCore::begin_break(const RepairPlan& plan, CommitAlloc alloc) {
 
 std::vector<VNodeId> StructuralCore::break_region(const RegionPlan& region,
                                                   BreakEffects* effects,
-                                                  RepairObserver* observer,
-                                                  CommitAlloc alloc) {
+                                                  RepairObserver* observer) {
   // Everything mutated below is region-local — this region's own forest
   // nodes (unlinks, uncounted tombstones) and its anchor leaves. Shared
   // state (excess table, image graph, slot tables, counters, the forest's
@@ -482,27 +475,20 @@ std::vector<VNodeId> StructuralCore::break_region(const RegionPlan& region,
   }
 
   // Spawn the anchor leaves and record the victims' surviving image edges
-  // for the stitch to drop. Under kReserved the j-th fresh leaf lands at
-  // its plan-time handle arena_base + j; the region's helpers follow in the
-  // same range.
-  VNodeId fresh_at = region.arena_base;
+  // for the stitch to drop. The j-th fresh leaf lands at its plan-time
+  // handle arena_base + j; the region's helpers follow in the same range.
+  VNodeId leaf = region.arena_base;
   for (const RegionPlan::FreshLeaf& f : region.fresh) {
     // In a deletion wave f.dead is a victim still alive at this point, so
     // its image edge to the surviving owner drops. In a recovery wave
     // (RepairPlan::recovery) f.dead died long ago and the edge is already
     // gone — the anchor simply re-materializes.
     if (g_.is_alive(f.dead)) effects->edge_drops.push_back({f.dead, f.owner});
-    VNodeId leaf = kNoVNode;
-    if (alloc == CommitAlloc::kReserved) {
-      leaf = fresh_at++;
-      forest_.make_leaf_in(leaf, f.owner, f.dead);
-    } else {
-      leaf = forest_.make_leaf(f.owner, f.dead);
-    }
+    forest_.make_leaf_in(leaf, f.owner, f.dead);
     effects->slot_ops.push_back({f.owner, f.dead, leaf, true, true});
     ++effects->new_leaves;
     if (observer != nullptr) observer->on_piece(leaf, f.owner, kInvalidNode);
-    out.push_back(leaf);
+    out.push_back(leaf++);
   }
 
   // Edges between two victims lose their image edge too; both endpoints
@@ -622,7 +608,8 @@ VNodeId StructuralCore::apply_merge_effects(const MergeEffects& effects) {
   // order: a key recorded k times lands as one G edge plus k - 1 excess.
   for (const auto& [u, v] : effects.image_edges) add_image_edge(u, v);
   last_repair_.helpers_created += effects.helpers_created;
-  if (effects.root != kNoVNode) finish_repair(effects.root);
+  if (effects.root != kNoVNode)
+    last_repair_.final_rt_leaves += forest_.node(effects.root).leaf_count;
   return effects.root;
 }
 
@@ -637,29 +624,6 @@ haft::PieceInfo StructuralCore::piece_info(VNodeId root) const {
   FG_CHECK(forest_.is_perfect(root));
   const auto& rep = forest_.node(n.rep);
   return {n.leaf_count, slot_key(rep.owner, rep.other)};
-}
-
-VNodeId StructuralCore::join_pieces(VNodeId left, VNodeId right) {
-  // Representative mechanism (Algorithm A.9): the left tree's representative
-  // simulates the new helper; the merged root inherits the right tree's
-  // representative. (Copy fields before make_helper: it may grow the arena.)
-  const auto& rep = forest_.node(forest_.node(left).rep);
-  NodeId rep_owner = rep.owner;
-  NodeId rep_other = rep.other;
-  NodeId left_owner = forest_.node(left).owner;
-  NodeId right_owner = forest_.node(right).owner;
-  VNodeId h = forest_.make_helper(rep_owner, rep_other, left, right);
-  SlotTable::Entry& s = slots_.ensure(rep_owner, rep_other);
-  FG_CHECK_MSG(s.helper == kNoVNode, "representative already simulates a helper");
-  s.helper = h;
-  add_image_edge(rep_owner, left_owner);
-  add_image_edge(rep_owner, right_owner);
-  ++last_repair_.helpers_created;
-  return h;
-}
-
-void StructuralCore::finish_repair(VNodeId final_root) {
-  last_repair_.final_rt_leaves += forest_.node(final_root).leaf_count;
 }
 
 int StructuralCore::helper_count(NodeId v) const {

@@ -18,8 +18,9 @@
 // engine additionally installs a RepairObserver to mirror each
 // cross-processor structural change into its message-dependency DAG.
 // Because there is exactly one code path, the piece sequence — and
-// therefore the deterministic haft::merge_plan and the healed topology —
-// cannot drift between the engines (docs/DESIGN.md invariant 6).
+// therefore the deterministic haft::merge_plan, the healed topology and,
+// in the distributed kGlobalPlan mode, the arena bytes — cannot drift
+// between the engines (docs/DESIGN.md invariant 6).
 //
 // A deletion (or a batch of deletions) runs as a two-phase PLAN / COMMIT
 // pipeline (docs/DESIGN.md, "Plan/commit pipeline"):
@@ -44,16 +45,15 @@
 //      apply_break_effects and apply_merge_effects fold those records in,
 //      in region id order. commit_break runs the break primitives region by
 //      region; fg::ShardedForest runs the same primitives and may hand the
-//      per-region calls to its pool. Under CommitAlloc::kReserved (the
-//      centralized engine's default), the plan also carries a per-region
-//      *arena-id reservation*: every vnode handle the commit will allocate
-//      is fixed at plan time by region-order arithmetic alone, so disjoint
-//      regions may break and merge concurrently and any worker count
-//      replays byte-identical checkpoints — contract C4, strengthened from
-//      "single-threaded commit" to "schedule-independent commit"
-//      (docs/CONCURRENCY.md). The distributed engine keeps the on-demand
-//      path (CommitAlloc::kOnDemand) and applies each join through
-//      join_pieces.
+//      per-region calls to its pool. There is one allocation mode too: the
+//      plan carries a per-region *arena-id reservation*, so every vnode
+//      handle the commit allocates is fixed at plan time by region-order
+//      arithmetic alone. Disjoint regions may therefore break and merge
+//      concurrently and any worker count replays byte-identical
+//      checkpoints — contract C4, strengthened from "single-threaded
+//      commit" to "schedule-independent commit" (docs/CONCURRENCY.md). The
+//      distributed engine commits through the same reservation, merging
+//      each region with merge_region over its own step list.
 //
 // Invariants maintained after every insert_node / committed repair
 // (checked by validate(); numbering follows docs/DESIGN.md):
@@ -98,18 +98,9 @@ class StructuralCore;
 /// A/B measurement — bench/repair_path.cpp).
 enum class RegionSplit { kPerRegion, kGlobal };
 
-/// How a commit allocates the repair's new virtual nodes. kReserved draws
-/// every handle from the plan's arena-id reservation (fixed at plan time;
-/// required for concurrent region merges and what the centralized engine
-/// always uses); kOnDemand appends to the arena as joins happen — the
-/// distributed engine's path, whose DAG replay interleaves joins across
-/// regions and never commits concurrently.
-enum class CommitAlloc { kReserved, kOnDemand };
-
 /// Structural statistics of the most recent committed repair (one deletion
-/// or one batch). Reset by begin_break; apply_merge_effects / join_pieces /
-/// finish_repair update the merge-side counters. Counters sum over the
-/// wave's regions.
+/// or one batch). Reset by begin_break; apply_merge_effects updates the
+/// merge-side counters. Counters sum over the wave's regions.
 struct RepairStats {
   int regions = 0;          ///< Connected dirty regions healed (RTs built).
   int affected_rts = 0;     ///< RTs broken by the deletion(s).
@@ -174,12 +165,10 @@ struct RepairPlan {
   std::vector<NodeId> victims;     ///< The wave, in the order given.
   std::vector<int> victim_region;  ///< Region id per victim, aligned above.
   std::vector<RegionPlan> regions;
-  RegionSplit split = RegionSplit::kPerRegion;
-  /// The wave's arena-id reservation: a kReserved commit reserves
-  /// arena_total handles starting at arena_start (== the arena size the
-  /// plan was computed against) and every region draws from its own
-  /// [arena_base, arena_base + fresh + steps) sub-range. See
-  /// docs/CONCURRENCY.md.
+  /// The wave's arena-id reservation: the commit reserves arena_total
+  /// handles starting at arena_start (== the arena size the plan was
+  /// computed against) and every region draws from its own [arena_base,
+  /// arena_base + fresh + steps) sub-range. See docs/CONCURRENCY.md.
   int arena_start = -1;
   int arena_total = 0;
   /// The core's mutation epoch the plan was computed against; commit_break
@@ -263,8 +252,6 @@ struct DeletionAnalysis {
   /// Seed index per victim, aligned with `victims` (finalize_plan derives
   /// RepairPlan::victim_region from it without any lookup table).
   std::vector<int> victim_seed;
-  RegionSplit split = RegionSplit::kPerRegion;
-  int deleted_degree_gprime = 0;
   /// Per region: victims in wave order, affected roots ascending. Regions
   /// are ordered by their smallest victim id — the deterministic commit
   /// order (docs/DESIGN.md, "shard ordering rule").
@@ -337,10 +324,10 @@ class DeltaRecorder {
 
   /// The image multiplicity of edge (u, v) is about to change (u != v).
   /// Fired by both multiplicity funnels — add_image_edge (insertions, the
-  /// merge stitch, join_pieces) and the break stitch's batched drops — so
-  /// the accumulated key set covers every healed-image edge the wave (or an
-  /// insertion) touched. The order follows the stitches, not the repair
-  /// walk; a recorder keeps the set, not the sequence.
+  /// merge stitch, the recovery rebuild) and the break stitch's batched
+  /// drops — so the accumulated key set covers every healed-image edge the
+  /// wave (or an insertion) touched. The order follows the stitches, not
+  /// the repair walk; a recorder keeps the set, not the sequence.
   virtual void on_image_touch(NodeId u, NodeId v) { (void)u, (void)v; }
 
   /// A wave's commit fully settled (fired by fg::ShardedForest::execute,
@@ -409,17 +396,15 @@ class StructuralCore {
   /// RegionPlan::pieces. Resets last_repair(). The plan must have been
   /// produced by this core with no intervening mutation — FG_CHECKed
   /// against the plan's mutation epoch, so a stale plan refuses to
-  /// commit. kReserved spawns each anchor leaf at its reserved handle;
-  /// kOnDemand (the dist engine) appends as before.
+  /// commit. Each anchor leaf lands at its reserved handle.
   ///
   /// Exactly begin_break, then per region break_region into one reused
   /// BreakEffects buffer followed by apply_break_effects, then
   /// finish_break: the primitives below, run in order. The one path that
-  /// takes an observer or kOnDemand; fg::ShardedForest runs the same
-  /// primitives with neither.
+  /// takes an observer (the dist engine's); fg::ShardedForest runs the
+  /// same primitives without one.
   std::vector<std::vector<VNodeId>> commit_break(const RepairPlan& plan,
-                                                 RepairObserver* observer = nullptr,
-                                                 CommitAlloc alloc = CommitAlloc::kReserved);
+                                                 RepairObserver* observer = nullptr);
 
   /// The side effects of one region's break that touch state shared across
   /// regions, recorded by break_region and applied by apply_break_effects
@@ -452,26 +437,24 @@ class StructuralCore {
   };
 
   /// Validate and open the break: epoch + arena staleness checks, the one
-  /// arena growth (reserve_range, kReserved only), stats reset, per-victim
-  /// alive checks. Must precede any break_region call of the same plan.
-  void begin_break(const RepairPlan& plan, CommitAlloc alloc = CommitAlloc::kReserved);
+  /// arena growth (reserve_range), stats reset, per-victim alive checks.
+  /// Must precede any break_region call of the same plan.
+  void begin_break(const RepairPlan& plan);
 
   /// Replay one region's break script after begin_break. Mutates only
   /// region-local state — unlinks and tombstones the region's own vnodes
   /// (remove_uncounted) and constructs its anchor leaves — while every
   /// shared-state write (image multiplicities and edges, slot-table
   /// entries, counters, forest live count) is recorded into `effects`
-  /// (required, reset first) for apply_break_effects. Under kReserved the
-  /// anchor leaves land at their reserved handles, so disjoint regions may
-  /// run this concurrently (fg::ShardedForest's commit pool does). The
-  /// observer hears each piece and teardown before the forest changes
-  /// (a fresh anchor leaf once its handle exists). An observer or
-  /// kOnDemand is for the sequential commit_break only: kOnDemand appends
-  /// to the arena. Returns the region's materialized pieces, aligned with
-  /// RegionPlan::pieces.
+  /// (required, reset first) for apply_break_effects. The anchor leaves
+  /// land at their reserved handles, so disjoint regions may run this
+  /// concurrently (fg::ShardedForest's commit pool does). The observer
+  /// hears each piece and teardown before the forest changes (a fresh
+  /// anchor leaf once its handle exists); an observer is for the
+  /// sequential commit_break only. Returns the region's materialized
+  /// pieces, aligned with RegionPlan::pieces.
   std::vector<VNodeId> break_region(const RegionPlan& region, BreakEffects* effects,
-                                    RepairObserver* observer = nullptr,
-                                    CommitAlloc alloc = CommitAlloc::kReserved);
+                                    RepairObserver* observer = nullptr);
 
   /// Fold one region's recorded break effects into the shared state:
   /// multiplicity drops (each consumes the edge's excess first; a drop that
@@ -488,8 +471,7 @@ class StructuralCore {
 
   /// The side effects of one region's merge that touch state shared across
   /// regions, recorded by merge_region and applied by apply_merge_effects
-  /// in region id order. Buffers are reused wave to wave (the join_pieces
-  /// slot-map/scratch pooling — ROADMAP item).
+  /// in region id order. Buffers are reused wave to wave.
   struct MergeEffects {
     VNodeId root = kNoVNode;  ///< The region's final RT root (kNoVNode: no pieces).
     /// Image edges each join adds, in join order: (helper owner, left child
@@ -504,14 +486,16 @@ class StructuralCore {
     }
   };
 
-  /// Replay one region's planned merge steps over its materialized pieces
-  /// (from a kReserved break), constructing every helper at its reserved
-  /// arena handle. Mutates only region-local state — the region's subtree
-  /// nodes and its own slot entries — and records the shared-state side
-  /// effects (image edges, counters, the final root) into `effects`
-  /// (required, reset first) for apply_merge_effects, so disjoint regions
-  /// of one reserved plan may run this concurrently (fg::ShardedForest's
-  /// commit pool does). `pieces` is consumed as scratch and must come from
+  /// Replay one region's merge steps over its materialized pieces (from
+  /// the break), constructing every helper at its reserved arena handle.
+  /// The steps are region.steps; the dist engine's kStageWise mode passes
+  /// a copy of the region plan carrying its own association, which makes
+  /// the same pieces.size() - 1 joins and so fits the same reservation.
+  /// Mutates only region-local state — the region's subtree nodes and its
+  /// own slot entries — and records the shared-state side effects (image
+  /// edges, counters, the final root) into `effects` (required, reset
+  /// first) for apply_merge_effects, so disjoint regions of one plan may
+  /// run this concurrently (fg::ShardedForest's commit pool does). `pieces` is consumed as scratch and must come from
   /// the break. Returns the region's final RT root (kNoVNode for no
   /// pieces).
   VNodeId merge_region(const RegionPlan& region, std::vector<VNodeId>&& pieces,
@@ -519,30 +503,15 @@ class StructuralCore {
 
   /// Fold one region's recorded merge effects into the shared state:
   /// image edges in join order (each through add_image_edge), repair
-  /// counters, final-RT bookkeeping. Single-threaded, called in region id
+  /// counters, the final RT's leaves. Single-threaded, called in region id
   /// order — the deterministic stitch. Returns the region's final RT root.
   VNodeId apply_merge_effects(const MergeEffects& effects);
 
   /// FG_CHECK that every handle of the plan's arena reservation was
   /// constructed — an undersized plan or a skipped region fails loudly
   /// instead of leaving silent holes in the arena. Call after the last
-  /// region's merge of a kReserved commit.
+  /// region's merge.
   void check_reservation_settled(const RepairPlan& plan) const;
-
-  /// One structural join of two piece roots (Algorithm A.9): the left
-  /// tree's representative simulates the new helper; the merged root
-  /// inherits the right tree's representative. Returns the new root.
-  /// On-demand allocation — the distributed merge modes' path; the
-  /// centralized reserved commit goes through merge_region instead.
-  VNodeId join_pieces(VNodeId left, VNodeId right);
-
-  /// Plan input for a piece root: leaf count plus the deterministic
-  /// representative slot key (the paper's NodeID tie-break).
-  haft::PieceInfo piece_info(VNodeId root) const;
-
-  /// Record a region's final RT in the stats (no-op structurally);
-  /// counters accumulate across the wave's regions.
-  void finish_repair(VNodeId final_root);
 
   const Graph& image() const { return g_; }
   const Graph& gprime() const { return gprime_; }
@@ -645,8 +614,8 @@ class StructuralCore {
   /// Install the snapshot layer's per-wave change recorder (nullptr
   /// disables). The core fires the insertion/image-touch callbacks; the
   /// wave-committed callback is fired by fg::ShardedForest::execute once a
-  /// commit fully settles. Recording is only meaningful on the reserved
-  /// sharded pipeline — the path both engines' batch deletes and the
+  /// commit fully settles. Recording is only meaningful on that sharded
+  /// pipeline — the path the centralized engine's batch deletes and the
   /// healer service drive.
   void set_delta_recorder(DeltaRecorder* recorder) { recorder_ = recorder; }
   DeltaRecorder* delta_recorder() const { return recorder_; }
@@ -660,6 +629,10 @@ class StructuralCore {
   };
 
   static uint64_t edge_key(NodeId u, NodeId v);
+
+  /// Plan input for a piece root: leaf count plus the deterministic
+  /// representative slot key (the paper's NodeID tie-break).
+  haft::PieceInfo piece_info(VNodeId root) const;
   /// The multiplicity funnel for additions: bump (u, v) — a new G edge, or
   /// one more unit of excess if the edge exists.
   void add_image_edge(NodeId u, NodeId v);
@@ -678,8 +651,8 @@ class StructuralCore {
   /// Tell the delta recorder (if any) that edge (u, v)'s multiplicity is
   /// about to change. Called from both multiplicity funnels, which only
   /// ever run single-threaded (insert_node, the region-id-ordered
-  /// stitches, join_pieces, the recovery rebuild) — never from
-  /// break_region or merge_region, which only record.
+  /// stitches, the recovery rebuild) — never from break_region or
+  /// merge_region, which only record.
   void note_image_touch(NodeId u, NodeId v) {
     if (recorder_ != nullptr) recorder_->on_image_touch(u, v);
   }

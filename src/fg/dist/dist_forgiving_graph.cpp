@@ -32,10 +32,12 @@ void know_set(std::vector<std::pair<NodeId, int>>& know, NodeId u, int msg) {
 }  // namespace
 
 // Every structural mutation below happens inside core::StructuralCore — the
-// same code path the centralized engine executes, so in kGlobalPlan mode the
-// region partition, the piece order, the ComputeHaft plan, and therefore the
-// healed topology are bit-identical to fg::ForgivingGraph by construction
-// (the invariant the dist_equivalence and exhaustive_small suites pin down).
+// same code path the centralized engine executes: commit_break with the
+// plan's arena reservation, then merge_region and its stitch per region. So
+// in kGlobalPlan mode the region partition, the piece order, the ComputeHaft
+// plan, the healed topology and the arena bytes are identical to
+// fg::ForgivingGraph by construction (the invariant the dist_equivalence and
+// exhaustive_small suites pin down).
 // What this file adds is the protocol layer: a DagRecorder observer mirrors
 // each repair's structural work into a dependency DAG of messages — one
 // independent branch per dirty region — which is replayed through the
@@ -167,14 +169,7 @@ void DistForgivingGraph::delete_batch(std::span<const NodeId> victims) {
   harness::CertificateBuilder cert_builder;
   if (cert_sink_ != nullptr) cert_builder.begin_wave(core_, plan);
   DagRecorder recorder(this);
-  // On-demand allocation: the distributed merge modes apply joins as the
-  // DAG replays, interleaving regions (and, in kStageWise, choosing a
-  // different association), so the plan's arena-id reservation does not
-  // describe this engine's allocation order. Commits here are never
-  // concurrent — determinism across delivery policies comes from the DAG,
-  // not from handle arithmetic.
-  std::vector<std::vector<VNodeId>> region_pieces =
-      core_.commit_break(plan, &recorder, core::CommitAlloc::kOnDemand);
+  std::vector<std::vector<VNodeId>> region_pieces = core_.commit_break(plan, &recorder);
   const core::RepairStats& rs = core_.last_repair();
   last_cost_.deleted_degree = rs.deleted_degree_gprime;
   last_cost_.anchors = rs.new_leaves;
@@ -184,18 +179,23 @@ void DistForgivingGraph::delete_batch(std::span<const NodeId> victims) {
   // Each region merges through its own independent DAG branch: its own
   // coordinator, report wave, and plan knowledge. Branches share no
   // dependencies, so when the wave's regions are disjoint the simulator
-  // counts their repairs in parallel rounds.
+  // counts their repairs in parallel rounds. The branch is built from plan
+  // data; merge_region then builds the region's RT inside its reserved
+  // arena range, over region.steps or the stage-wise association.
+  core::StructuralCore::MergeEffects effects;
+  std::vector<VNodeId> roots(plan.regions.size(), kNoVNode);
   for (const core::RegionPlan& region : plan.regions) {
-    const std::vector<VNodeId>& roots = region_pieces[static_cast<size_t>(region.id)];
+    std::vector<VNodeId>& handles = region_pieces[static_cast<size_t>(region.id)];
     const std::vector<int>& detach = recorder.detach_msgs(region.id);
-    FG_CHECK(detach.size() == roots.size());
-    std::vector<PieceCtx> pieces;
-    pieces.reserve(roots.size());
-    for (size_t i = 0; i < roots.size(); ++i)
-      pieces.push_back(PieceCtx{roots[i], detach[i]});
+    FG_CHECK(detach.size() == handles.size());
+    std::vector<Piece> pieces;
+    pieces.reserve(handles.size());
+    for (size_t i = 0; i < handles.size(); ++i)
+      pieces.push_back(Piece{static_cast<int>(i), region.pieces[i],
+                             core_.forest().node(handles[i]).owner, detach[i]});
 
     std::vector<NodeId> participants;
-    for (const PieceCtx& p : pieces) participants.push_back(piece_owner(p));
+    for (const Piece& p : pieces) participants.push_back(p.owner);
     std::sort(participants.begin(), participants.end());
     participants.erase(std::unique(participants.begin(), participants.end()),
                        participants.end());
@@ -203,12 +203,17 @@ void DistForgivingGraph::delete_batch(std::span<const NodeId> victims) {
         participants.empty() ? 0 : static_cast<int>(participants.size()) - 1;
 
     if (pieces.empty()) continue;
-    RegionDag dag;
-    if (mode_ == MergeMode::kGlobalPlan)
-      merge_global(dag, region, std::move(pieces), participants);
-    else
-      merge_stage_wise(dag, std::move(pieces), participants);
+    if (mode_ == MergeMode::kGlobalPlan) {
+      merge_global(region, std::move(pieces), participants);
+      core_.merge_region(region, std::move(handles), &effects);
+    } else {
+      core::RegionPlan staged = region;
+      staged.steps = merge_stage_wise(std::move(pieces), participants);
+      core_.merge_region(staged, std::move(handles), &effects);
+    }
+    roots[static_cast<size_t>(region.id)] = core_.apply_merge_effects(effects);
   }
+  core_.check_reservation_settled(plan);
 
   run_dag();
   const auto& s = net_.stats();
@@ -224,12 +229,6 @@ void DistForgivingGraph::delete_batch(std::span<const NodeId> victims) {
   deleting_.clear();
 
   if (cert_sink_ != nullptr) {
-    // Each region's final RT root: whatever its first committed piece now
-    // roots at (the merges only ever join pieces within a region).
-    std::vector<VNodeId> roots(plan.regions.size(), kNoVNode);
-    for (size_t r = 0; r < plan.regions.size(); ++r)
-      if (!region_pieces[r].empty())
-        roots[r] = core_.forest().root_of(region_pieces[r][0]);
     cert::CostClaim claim;
     claim.present = true;
     claim.messages = last_cost_.messages;
@@ -244,10 +243,11 @@ void DistForgivingGraph::delete_batch(std::span<const NodeId> victims) {
 // ---------------------------------------------------------------------------
 // kGlobalPlan: report -> plan broadcast -> parallel execution (per region).
 
-void DistForgivingGraph::merge_global(RegionDag& dag, const core::RegionPlan& region,
-                                      std::vector<PieceCtx> pieces,
+void DistForgivingGraph::merge_global(const core::RegionPlan& region,
+                                      std::vector<Piece> pieces,
                                       const std::vector<NodeId>& participants) {
   FG_CHECK(!pieces.empty());
+  RegionDag dag;
   dag.coordinator = participants.front();
 
   // Reports: every participant sends its piece list straight to the
@@ -262,8 +262,8 @@ void DistForgivingGraph::merge_global(RegionDag& dag, const core::RegionPlan& re
   };
   std::vector<std::vector<int>> detach_by_owner(participants.size());
   std::vector<int> count_by_owner(participants.size(), 0);
-  for (const PieceCtx& p : pieces) {
-    size_t o = part_idx(piece_owner(p));
+  for (const Piece& p : pieces) {
+    size_t o = part_idx(p.owner);
     ++count_by_owner[o];
     if (p.detach_msg >= 0) detach_by_owner[o].push_back(p.detach_msg);
   }
@@ -278,14 +278,10 @@ void DistForgivingGraph::merge_global(RegionDag& dag, const core::RegionPlan& re
     dag.report_msgs.push_back(rep);
   }
 
-  if (pieces.size() == 1) {
-    core_.finish_repair(pieces.front().root);
-    return;  // single piece: nothing to merge
-  }
-
   // Plan broadcast down the region's participant binary tree (heap
   // layout). The plan names every piece, so the message is O(pieces) words
-  // — the price kGlobalPlan pays for O(log d + log n) rounds.
+  // — the price kGlobalPlan pays for O(log d + log n) rounds. A single
+  // piece has a single participant: nothing to broadcast or merge.
   int bcast_words = 8 * static_cast<int>(pieces.size()) + 1;
   std::vector<int> bcast(participants.size(), -1);
   for (size_t i = 0; i < participants.size(); ++i) {
@@ -299,44 +295,38 @@ void DistForgivingGraph::merge_global(RegionDag& dag, const core::RegionPlan& re
   }
 
   // The deterministic ComputeHaft steps straight from the region's plan —
-  // literally the object the centralized engine's merge_region replays,
-  // hence the identical topology (and no second planning pass). Execution
-  // is fully parallel: every helper owner knows the whole plan and links
-  // its join's children without waiting.
+  // literally the object merge_region replays in both engines, hence the
+  // identical topology (and no second planning pass). Execution is fully
+  // parallel: every helper owner knows the whole plan and links its join's
+  // children without waiting.
   for (const auto& step : region.steps) {
-    const PieceCtx& l = pieces[static_cast<size_t>(step.left)];
-    const PieceCtx& r = pieces[static_cast<size_t>(step.right)];
-    NodeId lo = piece_owner(l);
-    NodeId ro = piece_owner(r);
-    NodeId u = core_.forest().node(core_.forest().node(l.root).rep).owner;
+    const Piece& l = pieces[static_cast<size_t>(step.left)];
+    const Piece& r = pieces[static_cast<size_t>(step.right)];
+    NodeId u = l.rep_owner();
     if (u != dag.coordinator && know_find(dag.know, u) == nullptr) {
       // The left root's owner forwards the relevant plan excerpt to the
       // representative that must act (it is a leaf owner, not necessarily a
       // participant).
-      know_set(dag.know, u, add_msg(lo, u, 4, know_deps(dag, lo)));
+      know_set(dag.know, u, add_msg(l.owner, u, 4, know_deps(dag, l.owner)));
     }
     std::vector<int> kd = know_deps(dag, u);
-    if (u != lo) add_msg(u, lo, 2, kd);
-    if (u != ro) add_msg(u, ro, 2, kd);
-    PieceCtx res = join_pieces(l, r);
+    if (u != l.owner) add_msg(u, l.owner, 2, kd);
+    if (u != r.owner) add_msg(u, r.owner, 2, kd);
     FG_CHECK(static_cast<int>(pieces.size()) == step.result);
-    pieces.push_back(res);
+    pieces.push_back(Piece::join(l, r, step.result));
   }
-  core_.finish_repair(pieces.back().root);
 }
 
 // ---------------------------------------------------------------------------
 // kStageWise: BottomupRTMerge — carry-merge at every aggregation stage,
 // per region.
 
-void DistForgivingGraph::merge_stage_wise(RegionDag& dag, std::vector<PieceCtx> pieces,
-                                          const std::vector<NodeId>& participants) {
+std::vector<haft::MergeStep> DistForgivingGraph::merge_stage_wise(
+    std::vector<Piece> pieces, const std::vector<NodeId>& participants) {
   FG_CHECK(!pieces.empty());
-  dag.coordinator = participants.front();
-  if (pieces.size() == 1) {
-    core_.finish_repair(pieces.front().root);
-    return;
-  }
+  const int k = static_cast<int>(pieces.size());
+  std::vector<haft::MergeStep> steps;  // every stage's joins, in execution order
+  steps.reserve(pieces.size() - 1);
 
   // `participants` is sorted-unique and contains every piece owner, so a
   // binary search replaces the old member-index hash map.
@@ -346,44 +336,45 @@ void DistForgivingGraph::merge_stage_wise(RegionDag& dag, std::vector<PieceCtx> 
     return static_cast<size_t>(it - participants.begin());
   };
 
-  std::vector<std::vector<PieceCtx>> lists(participants.size());
+  std::vector<std::vector<Piece>> lists(participants.size());
   std::vector<std::vector<int>> ready(participants.size());
-  for (const PieceCtx& p : pieces) {
-    size_t i = member_idx(piece_owner(p));
+  for (const Piece& p : pieces) {
+    size_t i = member_idx(p.owner);
     lists[i].push_back(p);
     if (p.detach_msg >= 0) ready[i].push_back(p.detach_msg);
   }
 
   // Execute the carry plan for stage `i`; `chain` additionally runs the
   // final ascending chain (coordinator only). Orders go out to each helper
-  // owner as soon as the stage's inputs are ready; the surviving roots stay
-  // in `list`.
+  // owner as soon as the stage's inputs are ready; the surviving pieces
+  // stay in `list`, and each join is appended to `steps` under the
+  // region-wide number its result gets.
   auto run_stage = [&](size_t i, bool chain) {
-    std::vector<PieceCtx>& list = lists[i];
+    std::vector<Piece>& list = lists[i];
     std::vector<haft::PieceInfo> infos;
     infos.reserve(list.size());
-    for (const PieceCtx& p : list) infos.push_back(core_.piece_info(p.root));
+    for (const Piece& p : list) infos.push_back(p.info);
     auto plan = chain ? haft::merge_plan(std::move(infos))
                       : haft::carry_plan(std::move(infos));
     std::vector<char> consumed(list.size() + plan.size(), 0);
     for (const auto& step : plan) {
-      const PieceCtx& l = list[static_cast<size_t>(step.left)];
-      const PieceCtx& r = list[static_cast<size_t>(step.right)];
-      NodeId lo = piece_owner(l);
-      NodeId ro = piece_owner(r);
-      NodeId u = core_.forest().node(core_.forest().node(l.root).rep).owner;
+      const Piece& l = list[static_cast<size_t>(step.left)];
+      const Piece& r = list[static_cast<size_t>(step.right)];
+      NodeId u = l.rep_owner();
       std::vector<int> deps = ready[i];
       if (u != participants[i])
         deps = {add_msg(participants[i], u, 4, ready[i])};  // join order
-      if (u != lo) add_msg(u, lo, 2, deps);
-      if (u != ro) add_msg(u, ro, 2, deps);
+      if (u != l.owner) add_msg(u, l.owner, 2, deps);
+      if (u != r.owner) add_msg(u, r.owner, 2, deps);
       consumed[static_cast<size_t>(step.left)] = 1;
       consumed[static_cast<size_t>(step.right)] = 1;
-      PieceCtx res = join_pieces(l, r);
+      const int result = k + static_cast<int>(steps.size());
+      steps.push_back({l.index, r.index, result});
+      Piece joined = Piece::join(l, r, result);
       FG_CHECK(static_cast<int>(list.size()) == step.result);
-      list.push_back(res);
+      list.push_back(joined);
     }
-    std::vector<PieceCtx> survivors;
+    std::vector<Piece> survivors;
     for (size_t j = 0; j < list.size(); ++j)
       if (!consumed[j]) survivors.push_back(list[j]);
     list = std::move(survivors);
@@ -398,7 +389,7 @@ void DistForgivingGraph::merge_stage_wise(RegionDag& dag, std::vector<PieceCtx> 
       int up = add_msg(participants[c], participants[ii],
                        8 * static_cast<int>(lists[c].size()) + 1, ready[c]);
       ready[ii].push_back(up);
-      for (const PieceCtx& p : lists[c]) lists[ii].push_back(p);
+      for (const Piece& p : lists[c]) lists[ii].push_back(p);
       lists[c].clear();
     }
     // Carries keep every in-flight list at pairwise-distinct sizes; the
@@ -406,7 +397,8 @@ void DistForgivingGraph::merge_stage_wise(RegionDag& dag, std::vector<PieceCtx> 
     run_stage(ii, /*chain=*/ii == 0);
   }
   FG_CHECK(lists[0].size() == 1);
-  core_.finish_repair(lists[0].front().root);
+  FG_CHECK(static_cast<int>(steps.size()) == k - 1);
+  return steps;
 }
 
 }  // namespace fg::dist

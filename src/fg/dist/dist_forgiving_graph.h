@@ -43,15 +43,19 @@
 //     parallel, giving O(log d + log n) rounds — within the paper's
 //     O(log d log n) budget — at the price of O(pieces)-word plan messages.
 //     Because the plan is exactly the one the centralized engine executes —
-//     over the piece sequence the shared core emits, region by region — the
-//     healed topology is bit-identical to fg::ForgivingGraph under every
-//     adversarial schedule and every delivery policy.
+//     over the piece sequence the shared core emits, region by region, with
+//     the same merge_region inside the same arena reservation — the healed
+//     topology and the base-image bytes are identical to fg::ForgivingGraph
+//     under every adversarial schedule and every delivery policy.
 //   * kStageWise: the paper-faithful BottomupRTMerge. Piece lists climb the
 //     region's participant tree; at each stage equal-sized trees are joined
 //     immediately (haft::carry_plan), so every list in flight has pairwise
 //     distinct sizes and every message stays at O(log n) words. The final
 //     association may differ from the centralized engine's, but the result
 //     is the same leaf set in a valid haft, so all Theorem-1 bounds hold.
+//     Its joins are numbered like a merge plan and replayed by merge_region
+//     in the region's reserved range: a region makes k - 1 joins for k
+//     pieces whatever the association.
 //
 // validate() checks invariants I1-I5 through the shared core.
 #pragma once
@@ -181,11 +185,33 @@ class DistForgivingGraph {
     std::vector<int> deps;
   };
 
-  /// A piece (perfect subtree) awaiting merge, with the DAG event that
-  /// detached it (-1 if it was never attached, e.g. a fresh anchor leaf).
-  struct PieceCtx {
-    VNodeId root = kNoVNode;
+  /// A piece (perfect subtree) awaiting merge, described by plan data
+  /// alone: its number in the region's haft::MergeStep numbering, its
+  /// merge-plan input, the processor owning its root, and the DAG event
+  /// that detached it (-1 if it was never attached: a fresh anchor leaf or
+  /// a join's result). The message DAG is built from these before
+  /// merge_region touches the forest.
+  struct Piece {
+    int index = -1;
+    haft::PieceInfo info;
+    NodeId owner = kInvalidNode;
     int detach_msg = -1;
+
+    /// The owner of the piece's representative leaf — the owner half of
+    /// its slot key — which simulates the helper of a join that takes this
+    /// piece as its left child (Algorithm A.9).
+    NodeId rep_owner() const { return slot_owner(info.key); }
+
+    /// The piece a join of `left` and `right` makes, numbered `index`: the
+    /// leaf counts add, the right piece's representative (and so its key)
+    /// carries up, and the helper simulated by left's representative owns
+    /// the new root.
+    static Piece join(const Piece& left, const Piece& right, int index) {
+      return Piece{index,
+                   {left.info.leaf_count + right.info.leaf_count, right.info.key},
+                   left.rep_owner(),
+                   -1};
+    }
   };
 
   /// The DAG branch of one region's merge: its coordinator, the report
@@ -207,24 +233,18 @@ class DistForgivingGraph {
   /// teardown/detach messages of the DAG, bucketed per region.
   class DagRecorder;
 
-  NodeId piece_owner(const PieceCtx& p) const {
-    return core_.forest().node(p.root).owner;
-  }
-
-  /// Structural join through the shared core, tracked as a PieceCtx.
-  PieceCtx join_pieces(const PieceCtx& l, const PieceCtx& r) {
-    return PieceCtx{core_.join_pieces(l.root, r.root), -1};
-  }
-
   // --- DAG construction helpers (see dist_forgiving_graph.cpp).
   int add_msg(NodeId from, NodeId to, int words, std::vector<int> deps);
   bool is_deleting(NodeId v) const;
   std::vector<int> know_deps(const RegionDag& dag, NodeId u) const;
-  void merge_global(RegionDag& dag, const core::RegionPlan& region,
-                    std::vector<PieceCtx> pieces,
+  /// The kGlobalPlan messages of one region's merge over region.steps.
+  void merge_global(const core::RegionPlan& region, std::vector<Piece> pieces,
                     const std::vector<NodeId>& participants);
-  void merge_stage_wise(RegionDag& dag, std::vector<PieceCtx> pieces,
-                        const std::vector<NodeId>& participants);
+  /// The kStageWise messages of one region's merge; returns the joins in
+  /// execution order, numbered like haft::merge_plan's steps, for
+  /// merge_region to replay.
+  std::vector<haft::MergeStep> merge_stage_wise(std::vector<Piece> pieces,
+                                                const std::vector<NodeId>& participants);
   void run_dag();
   void dispatch_msg(int i);
   void on_delivered(int i);

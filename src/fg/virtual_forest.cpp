@@ -16,39 +16,6 @@ bool is_placeholder(const VirtualForest::VNode& n) {
 
 }  // namespace
 
-VNodeId VirtualForest::make_leaf(NodeId owner, NodeId other) {
-  VNode n;
-  n.owner = owner;
-  n.other = other;
-  n.is_leaf = true;
-  nodes_.push_back(n);
-  ++live_count_;
-  auto id = static_cast<VNodeId>(nodes_.size() - 1);
-  nodes_.back().rep = id;  // a real node is its own representative
-  return id;
-}
-
-VNodeId VirtualForest::make_helper(NodeId owner, NodeId other, VNodeId left,
-                                   VNodeId right) {
-  FG_CHECK(exists(left) && exists(right));
-  FG_CHECK_MSG(is_root(left) && is_root(right), "helper children must be roots");
-  VNode n;
-  n.owner = owner;
-  n.other = other;
-  n.is_leaf = false;
-  n.left = left;
-  n.right = right;
-  n.height = static_cast<int16_t>(1 + std::max(nodes_[left].height, nodes_[right].height));
-  n.leaf_count = nodes_[left].leaf_count + nodes_[right].leaf_count;
-  n.rep = nodes_[right].rep;  // Algorithm A.9: inherit the other tree's rep
-  nodes_.push_back(n);
-  ++live_count_;
-  auto id = static_cast<VNodeId>(nodes_.size() - 1);
-  nodes_[left].parent = id;
-  nodes_[right].parent = id;
-  return id;
-}
-
 VNodeId VirtualForest::reserve_range(int count) {
   FG_CHECK_MSG(count >= 0, "negative reservation");
   auto base = static_cast<VNodeId>(nodes_.size());

@@ -18,7 +18,7 @@
 //       aggregates of the subtree.
 //   V2. Every subtree satisfies the haft property: the left child of an
 //       internal node is perfect and at least as leafy as the right child.
-//   V3. `rep` of an internal node is a leaf of its subtree; make_helper
+//   V3. `rep` of an internal node is a leaf of its subtree; make_helper_in
 //       installs the left child's rep as the new helper's simulator and
 //       propagates the right child's rep upward (Algorithm A.9), keeping
 //       each (owner, other) slot to at most one helper forest-wide.
@@ -51,6 +51,9 @@ constexpr uint64_t slot_key(NodeId owner, NodeId other) {
          static_cast<uint32_t>(other);
 }
 
+/// The owner half of a slot_key.
+constexpr NodeId slot_owner(uint64_t key) { return static_cast<NodeId>(key >> 32); }
+
 /// Arena of virtual nodes (RT leaves and helpers).
 class VirtualForest {
  public:
@@ -82,25 +85,18 @@ class VirtualForest {
     return leaf_count >= 1 && leaf_count <= INT32_MAX && height >= 0 && height <= 31;
   }
 
-  /// Create the real (leaf) node of edge slot (owner, other).
-  VNodeId make_leaf(NodeId owner, NodeId other);
-
-  /// Create a helper in slot (owner, other) joining two roots; left becomes
-  /// the left child. Representative is inherited from the right child
-  /// (Algorithm A.9). Returns the new node.
-  VNodeId make_helper(NodeId owner, NodeId other, VNodeId left, VNodeId right);
-
-  // --- Reservation-aware allocation (docs/CONCURRENCY.md). ----------------
+  // --- Allocation: reserve, then construct (docs/CONCURRENCY.md). --------
   //
-  // A reserved commit pre-computes, at plan time, exactly how many vnodes a
-  // repair will allocate and fixes every handle by region-order arithmetic
-  // alone. reserve_range appends that many *unconstructed* placeholder
-  // handles in one arena growth (single-threaded); make_leaf_in /
-  // make_helper_in then construct into a specific reserved handle. Because
-  // the arena never grows while reserved handles are being constructed, and
-  // two disjoint regions only ever touch their own handles, constructions
-  // may run concurrently — the layout, and hence the checkpoint bytes, are
-  // a pure function of the plan, never of scheduling (contract C4:
+  // Every vnode is constructed into a reserved handle. A commit
+  // pre-computes, at plan time, exactly how many vnodes a repair will
+  // allocate and fixes every handle by region-order arithmetic alone.
+  // reserve_range appends that many *unconstructed* placeholder handles in
+  // one arena growth (single-threaded); make_leaf_in / make_helper_in then
+  // construct into a specific reserved handle. Because the arena never
+  // grows while reserved handles are being constructed, and two disjoint
+  // regions only ever touch their own handles, constructions may run
+  // concurrently — the layout, and hence the checkpoint bytes, are a pure
+  // function of the plan, never of scheduling (contract C4:
   // schedule-independent commit).
 
   /// Append `count` unconstructed reserved handles in one growth; returns
@@ -115,11 +111,13 @@ class VirtualForest {
   /// can never silently grow or overwrite the arena.
   void make_leaf_in(VNodeId h, NodeId owner, NodeId other);
 
-  /// Construct a helper into the reserved handle `h` (same semantics as
-  /// make_helper otherwise). Safe to call concurrently with other
-  /// make_*_in calls on *disjoint* handles/subtrees: it writes only the
-  /// reserved node and its two children's parent links, and the arena
-  /// storage is pre-grown by reserve_range.
+  /// Construct into the reserved handle `h` a helper in slot (owner,
+  /// other) joining two roots; left becomes the left child, and the
+  /// representative is inherited from the right child (Algorithm A.9).
+  /// Returns h. Safe to call concurrently with other make_*_in calls on
+  /// *disjoint* handles/subtrees: it writes only the reserved node and its
+  /// two children's parent links, and the arena storage is pre-grown by
+  /// reserve_range.
   VNodeId make_helper_in(VNodeId h, NodeId owner, NodeId other, VNodeId left,
                          VNodeId right);
 

@@ -89,8 +89,8 @@ cert::WaveCertificate CertificateBuilder::end_wave(
   c.assign = plan.victim_region;
 
   // Region witnesses: each final RT in preorder, handles normalized to
-  // local indices — identical across the centralized (reserved) and
-  // distributed (on-demand) arenas, because only the tree shape survives.
+  // local indices — only the tree shape survives, so the witness never
+  // depends on where in the arena the rows live.
   // One explicit-stack walk numbers each node by its preorder position; a
   // child carries its parent's local index and fills in the parent's
   // left/right link, so no handle-to-index map is needed.

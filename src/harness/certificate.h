@@ -13,11 +13,11 @@
 //     healed degree a repair can change);
 //   * end_wave runs after the commit: it walks each region's final RT in
 //     preorder (normalizing vnode handles to local indices, so the witness
-//     is identical across the centralized kReserved and distributed
-//     kOnDemand arenas), derives the image edges, fills the degree
-//     before/after claims, samples stretch pairs with explicit witness
-//     paths and per-hop edge provenance, and attaches the distributed
-//     engine's Lemma-4 cost claim when one is given.
+//     carries the tree shape and never an arena handle), derives the image
+//     edges, fills the degree before/after claims, samples stretch pairs
+//     with explicit witness paths and per-hop edge provenance, and
+//     attaches the distributed engine's Lemma-4 cost claim when one is
+//     given.
 //
 // Everything emitted is a pure function of (core state, plan, committed
 // roots): no iteration order depends on scheduling, hash functions, or

@@ -239,9 +239,11 @@ TEST(ReservationGuardsDeathTest, ConstructingTwiceIntoOneHandleDies) {
 
 TEST(ReservationGuardsDeathTest, ConstructingIntoALiveHandleDies) {
   VirtualForest forest;
-  VNodeId leaf = forest.make_leaf(0, 1);
-  EXPECT_DEATH(forest.make_helper_in(leaf, 0, 2, forest.make_leaf(2, 0),
-                                     forest.make_leaf(3, 0)),
+  const VNodeId leaf = forest.reserve_range(3);
+  forest.make_leaf_in(leaf, 0, 1);
+  forest.make_leaf_in(leaf + 1, 2, 0);
+  forest.make_leaf_in(leaf + 2, 3, 0);
+  EXPECT_DEATH(forest.make_helper_in(leaf, 0, 2, leaf + 1, leaf + 2),
                "not an unconstructed reservation");
 }
 

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <vector>
 
 #include "fg/dist/dist_forgiving_graph.h"
 #include "fg/forgiving_graph.h"
 #include "graph/algorithms.h"
 #include "graph/generators.h"
+#include "support/checkpoint.h"
 #include "util/rng.h"
 
 namespace fg {
@@ -104,6 +106,55 @@ TEST(EngineEquivalence, HubChainCollapse) {
   }
   central.validate();
   distributed.validate();
+}
+
+// Contract C4 at the byte level: in kGlobalPlan mode the distributed engine
+// commits through the plan's arena reservation and merge_region, exactly as
+// the centralized engine does, so the two hold the same base image — arena
+// layout, tombstones, slot tables, multiplicities and epoch — after every
+// op, not just the same topology. Multi-region waves are the case that
+// tells an on-demand arena apart: it interleaves the regions' anchor leaves
+// and helpers differently from the reserved ranges.
+TEST(DistEquivalence, GlobalPlanBaseImageBytesMatchCentralized) {
+  constexpr int kNodes = 300;
+  constexpr int kOps = 120;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    Rng rng(seed);
+    Graph g0 = make_sparse_random(kNodes, 5.0, rng);
+    ForgivingGraph central(g0);
+    dist::DistForgivingGraph distributed(g0, dist::MergeMode::kGlobalPlan);
+    std::vector<NodeId> alive = g0.alive_nodes();
+    int multi_region_waves = 0;
+    for (int op = 0; op < kOps; ++op) {
+      if (alive.size() > 40 && rng.next_bool(0.5)) {
+        const auto want = static_cast<size_t>(rng.next_int(1, 12));
+        std::vector<NodeId> wave;
+        while (wave.size() < want) {
+          const size_t j = static_cast<size_t>(rng.next_below(alive.size()));
+          wave.push_back(alive[j]);
+          alive[j] = alive.back();
+          alive.pop_back();
+        }
+        central.delete_batch(wave);
+        distributed.delete_batch(wave);
+        if (distributed.last_repair_cost().regions > 1) ++multi_region_waves;
+      } else {
+        std::vector<NodeId> ends = alive;
+        rng.shuffle(ends);
+        ends.resize(static_cast<size_t>(rng.next_int(1, 3)));
+        const NodeId a = central.insert(ends);
+        ASSERT_EQ(a, distributed.insert(ends));
+        alive.push_back(a);
+      }
+      // Compared as one bool: a failure names the op, not a byte dump.
+      const bool same =
+          support::checkpoint(central) == support::checkpoint(distributed.core());
+      ASSERT_TRUE(same) << "seed " << seed << ": base images diverged at op " << op;
+    }
+    EXPECT_GT(multi_region_waves, 0) << "seed " << seed;
+    central.validate();
+    distributed.validate();
+  }
 }
 
 }  // namespace

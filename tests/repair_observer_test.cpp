@@ -4,11 +4,12 @@
 // on_teardown callback into a message of its repair DAG, so the stream's
 // order and arguments are protocol behaviour, not an implementation detail.
 // A seeded multi-region churn stream is driven through plan_deletion +
-// commit_break with both allocation modes; each callback folds its kind,
-// region id, handle, owner and parent owner into an FNV-1a digest, and the
-// digests are pinned. They were recorded from the core whose sequential
-// break still applied its side effects inline; the recorded break that
-// replaced it had to reproduce every callback.
+// commit_break; each callback folds its kind, region id, handle, owner and
+// parent owner into an FNV-1a digest, and the digest is pinned. It was
+// recorded from the core whose sequential break still applied its side
+// effects inline; the recorded break that replaced it had to reproduce
+// every callback. Every handle comes from the plan's arena reservation, the
+// only allocation mode.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -71,10 +72,8 @@ struct StreamResult {
 
 /// A 50/50 insert/delete stream at n = 512 in 16-victim waves. Each wave
 /// commits its break through commit_break with the observer installed, then
-/// merges the way each allocation mode does in the engines: kOnDemand joins
-/// the planned steps through join_pieces (the dist engine's order), kReserved
 /// merges through ShardedForest::commit.
-StreamResult run_stream(core::CommitAlloc alloc) {
+StreamResult run_stream() {
   constexpr int kNodes = 512;
   constexpr int kOps = 3000;
   constexpr size_t kWave = 16;
@@ -105,19 +104,7 @@ StreamResult run_stream(core::CommitAlloc alloc) {
     wave.clear();
     ++result.waves;
     if (plan.regions.size() > 1) ++result.multi_region_waves;
-    std::vector<std::vector<VNodeId>> pieces = core.commit_break(plan, &digest, alloc);
-    if (alloc == core::CommitAlloc::kReserved) {
-      shards.commit(core, plan, std::move(pieces));
-      continue;
-    }
-    for (const core::RegionPlan& region : plan.regions) {
-      std::vector<VNodeId>& p = pieces[static_cast<size_t>(region.id)];
-      if (p.empty()) continue;
-      for (const haft::MergeStep& s : region.steps)
-        p.push_back(core.join_pieces(p[static_cast<size_t>(s.left)],
-                                     p[static_cast<size_t>(s.right)]));
-      core.finish_repair(p.back());
-    }
+    shards.commit(core, plan, core.commit_break(plan, &digest));
   }
   core.validate();
   EXPECT_GT(digest.callbacks(), 2000);
@@ -126,12 +113,9 @@ StreamResult run_stream(core::CommitAlloc alloc) {
 }
 
 TEST(ObserverGolden, CallbackStreamIsPinned) {
-  const StreamResult on_demand = run_stream(core::CommitAlloc::kOnDemand);
-  const StreamResult reserved = run_stream(core::CommitAlloc::kReserved);
-  EXPECT_EQ(on_demand.waves, reserved.waves);
-  EXPECT_GT(on_demand.waves, 50);
-  EXPECT_GT(on_demand.multi_region_waves, 0);
-  EXPECT_EQ(on_demand.digest, 6266181082278771409ULL);
+  const StreamResult reserved = run_stream();
+  EXPECT_GT(reserved.waves, 50);
+  EXPECT_GT(reserved.multi_region_waves, 0);
   EXPECT_EQ(reserved.digest, 7244505360903251050ULL);
 }
 

@@ -5,6 +5,19 @@
 namespace fg {
 namespace {
 
+// Every vnode is constructed into a reserved handle; these reserve one
+// handle at a time, so handles follow construction order.
+VNodeId add_leaf(VirtualForest& f, NodeId owner, NodeId other) {
+  const VNodeId h = f.reserve_range(1);
+  f.make_leaf_in(h, owner, other);
+  return h;
+}
+
+VNodeId add_helper(VirtualForest& f, NodeId owner, NodeId other, VNodeId left,
+                   VNodeId right) {
+  return f.make_helper_in(f.reserve_range(1), owner, other, left, right);
+}
+
 TEST(SlotKey, OrderingAndUniqueness) {
   EXPECT_LT(slot_key(0, 1), slot_key(0, 2));
   EXPECT_LT(slot_key(0, 99), slot_key(1, 0));
@@ -13,7 +26,7 @@ TEST(SlotKey, OrderingAndUniqueness) {
 
 TEST(VirtualForest, LeafBasics) {
   VirtualForest f;
-  VNodeId leaf = f.make_leaf(3, 7);
+  VNodeId leaf = add_leaf(f, 3, 7);
   const auto& n = f.node(leaf);
   EXPECT_TRUE(n.is_leaf);
   EXPECT_EQ(n.owner, 3);
@@ -26,9 +39,9 @@ TEST(VirtualForest, LeafBasics) {
 
 TEST(VirtualForest, HelperJoinSetsFields) {
   VirtualForest f;
-  VNodeId a = f.make_leaf(0, 9);
-  VNodeId b = f.make_leaf(1, 9);
-  VNodeId h = f.make_helper(0, 9, a, b);
+  VNodeId a = add_leaf(f, 0, 9);
+  VNodeId b = add_leaf(f, 1, 9);
+  VNodeId h = add_helper(f, 0, 9, a, b);
   const auto& n = f.node(h);
   EXPECT_FALSE(n.is_leaf);
   EXPECT_EQ(n.left, a);
@@ -44,9 +57,9 @@ TEST(VirtualForest, HelperJoinSetsFields) {
 
 TEST(VirtualForest, UnlinkAndRemove) {
   VirtualForest f;
-  VNodeId a = f.make_leaf(0, 9);
-  VNodeId b = f.make_leaf(1, 9);
-  VNodeId h = f.make_helper(0, 9, a, b);
+  VNodeId a = add_leaf(f, 0, 9);
+  VNodeId b = add_leaf(f, 1, 9);
+  VNodeId h = add_helper(f, 0, 9, a, b);
   f.unlink_from_parent(a);
   f.unlink_from_parent(b);
   EXPECT_EQ(f.node(a).parent, kNoVNode);
@@ -59,11 +72,11 @@ TEST(VirtualForest, UnlinkAndRemove) {
 
 TEST(VirtualForest, IsAncestor) {
   VirtualForest f;
-  VNodeId a = f.make_leaf(0, 9);
-  VNodeId b = f.make_leaf(1, 9);
-  VNodeId c = f.make_leaf(2, 9);
-  VNodeId h1 = f.make_helper(0, 9, a, b);
-  VNodeId h2 = f.make_helper(1, 9, h1, c);
+  VNodeId a = add_leaf(f, 0, 9);
+  VNodeId b = add_leaf(f, 1, 9);
+  VNodeId c = add_leaf(f, 2, 9);
+  VNodeId h1 = add_helper(f, 0, 9, a, b);
+  VNodeId h2 = add_helper(f, 1, 9, h1, c);
   EXPECT_TRUE(f.is_ancestor(h2, a));
   EXPECT_TRUE(f.is_ancestor(h1, a));
   EXPECT_TRUE(f.is_ancestor(a, a));
@@ -73,11 +86,11 @@ TEST(VirtualForest, IsAncestor) {
 
 TEST(VirtualForest, LeavesAndSubtreeEnumeration) {
   VirtualForest f;
-  VNodeId a = f.make_leaf(0, 9);
-  VNodeId b = f.make_leaf(1, 9);
-  VNodeId c = f.make_leaf(2, 9);
-  VNodeId h1 = f.make_helper(0, 9, a, b);
-  VNodeId h2 = f.make_helper(1, 9, h1, c);
+  VNodeId a = add_leaf(f, 0, 9);
+  VNodeId b = add_leaf(f, 1, 9);
+  VNodeId c = add_leaf(f, 2, 9);
+  VNodeId h1 = add_helper(f, 0, 9, a, b);
+  VNodeId h2 = add_helper(f, 1, 9, h1, c);
   auto leaves = f.leaves_of(h2);
   EXPECT_EQ(leaves, (std::vector<VNodeId>{a, b, c}));  // left-to-right
   EXPECT_EQ(f.subtree_of(h2).size(), 5u);
@@ -86,23 +99,23 @@ TEST(VirtualForest, LeavesAndSubtreeEnumeration) {
 
 TEST(VirtualForest, ValidHaftRejectsLeftImbalance) {
   VirtualForest f;
-  VNodeId a = f.make_leaf(0, 9);
-  VNodeId b = f.make_leaf(1, 9);
-  VNodeId c = f.make_leaf(2, 9);
-  VNodeId h1 = f.make_helper(0, 9, a, b);
+  VNodeId a = add_leaf(f, 0, 9);
+  VNodeId b = add_leaf(f, 1, 9);
+  VNodeId c = add_leaf(f, 2, 9);
+  VNodeId h1 = add_helper(f, 0, 9, a, b);
   // Left child must be the bigger/perfect side; (c, h1) violates it.
-  VNodeId bad = f.make_helper(1, 9, c, h1);
+  VNodeId bad = add_helper(f, 1, 9, c, h1);
   EXPECT_FALSE(f.valid_haft(bad));
 }
 
 TEST(VirtualForest, CompactRenumbersLiveRowsMonotonically) {
   VirtualForest f;
-  VNodeId x = f.make_leaf(5, 9);   // torn down below
-  VNodeId a = f.make_leaf(0, 9);
-  VNodeId y = f.make_leaf(6, 9);   // torn down below
-  VNodeId b = f.make_leaf(1, 9);
-  VNodeId h = f.make_helper(0, 9, a, b);
-  VNodeId z = f.make_leaf(7, 9);   // torn down below
+  VNodeId x = add_leaf(f, 5, 9);   // torn down below
+  VNodeId a = add_leaf(f, 0, 9);
+  VNodeId y = add_leaf(f, 6, 9);   // torn down below
+  VNodeId b = add_leaf(f, 1, 9);
+  VNodeId h = add_helper(f, 0, 9, a, b);
+  VNodeId z = add_leaf(f, 7, 9);   // torn down below
   f.remove(x);
   f.remove(y);
   f.remove(z);
@@ -143,19 +156,20 @@ TEST(VirtualForest, AggregatesFitLemma1Range) {
 
 TEST(VirtualForestDeathTest, HelperOverNonRootsRejected) {
   VirtualForest f;
-  VNodeId a = f.make_leaf(0, 9);
-  VNodeId b = f.make_leaf(1, 9);
-  VNodeId h = f.make_helper(0, 9, a, b);
-  VNodeId c = f.make_leaf(2, 9);
+  VNodeId a = add_leaf(f, 0, 9);
+  VNodeId b = add_leaf(f, 1, 9);
+  VNodeId h = add_helper(f, 0, 9, a, b);
+  VNodeId c = add_leaf(f, 2, 9);
   (void)h;
-  EXPECT_DEATH(f.make_helper(2, 9, a, c), "roots");
+  const VNodeId slot = f.reserve_range(1);
+  EXPECT_DEATH(f.make_helper_in(slot, 2, 9, a, c), "roots");
 }
 
 TEST(VirtualForestDeathTest, RemoveWithChildrenRejected) {
   VirtualForest f;
-  VNodeId a = f.make_leaf(0, 9);
-  VNodeId b = f.make_leaf(1, 9);
-  VNodeId h = f.make_helper(0, 9, a, b);
+  VNodeId a = add_leaf(f, 0, 9);
+  VNodeId b = add_leaf(f, 1, 9);
+  VNodeId h = add_helper(f, 0, 9, a, b);
   EXPECT_DEATH(f.remove(h), "detached");
 }
 
