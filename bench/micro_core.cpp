@@ -77,12 +77,15 @@ BENCHMARK(BM_ForgivingGraphStarHub)->Arg(256)->Arg(4096)->Unit(benchmark::kMicro
 
 void BM_BreakPhase(benchmark::State& state) {
   // The break phase alone: build a star, heal the hub (one big RT over n-1
-  // pieces), plan a spoke wave, then time commit_break only — the phase PR 8
-  // made region-parallel and moved onto flat slot tables. Setup and the
-  // plan are untimed (PauseTiming); the engine is rebuilt per iteration
-  // because a break consumes its plan.
+  // pieces), plan a spoke wave, then time the break primitives only —
+  // begin_break, break_region and its stitch per region, finish_break —
+  // the phase that runs region-parallel on flat slot tables. Setup and the
+  // plan (ShardedForest::plan) are untimed (PauseTiming); the engine is
+  // rebuilt per iteration because a break consumes its plan.
   const int n = static_cast<int>(state.range(0));
   constexpr int kWave = 16;
+  ShardedForest shards;
+  core::StructuralCore::BreakEffects effects;
   for (auto _ : state) {
     state.PauseTiming();
     ForgivingGraph fg(make_star(n));
@@ -90,10 +93,14 @@ void BM_BreakPhase(benchmark::State& state) {
     core::StructuralCore core = fg.core();
     std::vector<NodeId> wave;
     for (NodeId v = 1; v <= kWave; ++v) wave.push_back(v);
-    core::RepairPlan plan =
-        core.plan_deletion(wave, core::RegionSplit::kPerRegion);
+    core::RepairPlan plan = shards.plan(core, wave);
     state.ResumeTiming();
-    benchmark::DoNotOptimize(core.commit_break(plan));
+    core.begin_break(plan);
+    for (const core::RegionPlan& region : plan.regions) {
+      benchmark::DoNotOptimize(core.break_region(region, &effects));
+      core.apply_break_effects(region, effects);
+    }
+    core.finish_break(plan);
   }
   state.SetItemsProcessed(state.iterations() * kWave);
 }

@@ -357,7 +357,7 @@ void sharded_wave(Table& t, Table& cost) {
   // identical structure at every count — the arena-id reservation fixes
   // every handle at plan time — so worker counts are an A/B on wall clock
   // only (FG_CHECKed against the reference above). On a box with a single
-  // hardware thread the engine never fans out (see ShardedForest::commit),
+  // hardware thread the engine never fans out (see ShardedForest::execute),
   // so w > 1 measures the gate, not a pool; the JSON's hw_threads field
   // records the machine.
   double commit_w1_ms = 0.0;
@@ -380,14 +380,12 @@ void sharded_wave(Table& t, Table& cost) {
     }
   }
   // R7: the break phase alone per break-worker count, timed around the
-  // break only. The w = 1 arm is the core's commit_break, which runs the
-  // same recorded primitives as the pooled arm — begin_break, then per
-  // region break_region and apply_break_effects, then finish_break — one
-  // region after another on the calling thread. The pooled arms run
-  // break_region on a CommitPool, then stitch in region id order, as
-  // ShardedForest::execute does. The merge then completes untimed and the
-  // checkpoint is FG_CHECKed against the w = 1 reference (C4 covers the
-  // break fan-out too).
+  // break only. Every arm runs what ShardedForest::execute runs: begin_break,
+  // break_region per region, the stitch in region id order, finish_break.
+  // The w = 1 arm breaks every region on the calling thread; the pooled
+  // arms drain the regions off a CommitPool. The merge then completes
+  // untimed and the checkpoint is FG_CHECKed against the w = 1 reference
+  // (C4 covers the break fan-out too).
   double break_w1_ms = 0.0;
   for (int workers : {1, 2, 4}) {
     core::StructuralCore core = snapshot;
@@ -400,39 +398,43 @@ void sharded_wave(Table& t, Table& cost) {
     std::vector<core::StructuralCore::BreakEffects> effects(
         static_cast<size_t>(regions));
     auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::vector<VNodeId>> pieces;
-    if (workers == 1) {
-      pieces = core.commit_break(plan);
-    } else {
-      core.begin_break(plan);
-      pieces.resize(static_cast<size_t>(regions));
-      struct Ctx {
-        std::atomic<int> next{0};
-        std::atomic<int> broken{0};
-      };
-      auto ctx = std::make_shared<Ctx>();
-      auto work = [&core, &plan, &pieces, &effects, ctx, regions] {
-        for (;;) {
-          int r = ctx->next.fetch_add(1, std::memory_order_relaxed);
-          if (r >= regions) return;
-          pieces[static_cast<size_t>(r)] = core.break_region(
-              plan.regions[static_cast<size_t>(r)],
-              &effects[static_cast<size_t>(r)]);
-          ctx->broken.fetch_add(1, std::memory_order_release);
-        }
-      };
-      pool->dispatch(work);
-      work();
-      while (ctx->broken.load(std::memory_order_acquire) < regions)
-        std::this_thread::yield();
-      for (int r = 0; r < regions; ++r)
-        core.apply_break_effects(plan.regions[static_cast<size_t>(r)],
-                                 effects[static_cast<size_t>(r)]);
-      core.finish_break(plan);
-    }
+    core.begin_break(plan);
+    std::vector<std::vector<VNodeId>> pieces(static_cast<size_t>(regions));
+    struct Ctx {
+      std::atomic<int> next{0};
+      std::atomic<int> broken{0};
+    };
+    auto ctx = std::make_shared<Ctx>();
+    auto work = [&core, &plan, &pieces, &effects, ctx, regions] {
+      for (;;) {
+        int r = ctx->next.fetch_add(1, std::memory_order_relaxed);
+        if (r >= regions) return;
+        pieces[static_cast<size_t>(r)] = core.break_region(
+            plan.regions[static_cast<size_t>(r)],
+            &effects[static_cast<size_t>(r)]);
+        ctx->broken.fetch_add(1, std::memory_order_release);
+      }
+    };
+    if (pool != nullptr) pool->dispatch(work);
+    work();
+    while (ctx->broken.load(std::memory_order_acquire) < regions)
+      std::this_thread::yield();
+    for (int r = 0; r < regions; ++r)
+      core.apply_break_effects(plan.regions[static_cast<size_t>(r)],
+                               effects[static_cast<size_t>(r)]);
+    core.finish_break(plan);
     double break_ms = ms_since(t0);
 
-    shards.commit(core, plan, std::move(pieces));  // untimed merge
+    // Untimed merge: the rest of what execute runs.
+    std::vector<core::StructuralCore::MergeEffects> merged(
+        static_cast<size_t>(regions));
+    for (int r = 0; r < regions; ++r)
+      core.merge_region(plan.regions[static_cast<size_t>(r)],
+                        std::move(pieces[static_cast<size_t>(r)]),
+                        &merged[static_cast<size_t>(r)]);
+    for (int r = 0; r < regions; ++r)
+      core.apply_merge_effects(merged[static_cast<size_t>(r)]);
+    core.check_reservation_settled(plan);
     FG_CHECK_MSG(checkpoint(core) == reference,
                  "parallel break diverged from sequential (C4)");
 

@@ -61,6 +61,12 @@
    token anywhere under src/, and no `make_leaf` or `make_helper` member
    (a declaration, not the reserved `make_leaf_in`/`make_helper_in`) in
    src/fg/virtual_forest.h.
+10. One repair driver: ShardedForest::plan and ShardedForest::execute are
+   the only drivers of the core's phase primitives, in both engines, and
+   the dist engine reads its message DAG off the plan. The second driver
+   must not come back: no `RepairObserver`, `commit_break`,
+   `plan_deletion`, `note_commit` or `DagRecorder` token anywhere under
+   src/ (comments included).
 
 Exits non-zero with a per-problem report on any violation.
 """
@@ -690,12 +696,34 @@ def check_single_allocation_mode():
     return problems
 
 
+# The one-repair-driver gate (rule 10). commit_break was the sequential
+# break that took a RepairObserver, DagRecorder was the dist engine's
+# observer, plan_deletion the sequential planner, and note_commit the
+# bookkeeping half of the merge-only ShardedForest::commit.
+SECOND_DRIVER_RE = re.compile(
+    r"\b(RepairObserver|commit_break|plan_deletion|note_commit|DagRecorder)\b")
+
+
+def check_single_repair_driver():
+    problems = []
+    for src in sorted((REPO / "src").rglob("*")):
+        if not src.is_file():
+            continue
+        for token in sorted(set(SECOND_DRIVER_RE.findall(src.read_text()))):
+            problems.append(
+                f"{src.relative_to(REPO)}: names `{token}` — both engines plan "
+                "and commit through ShardedForest::plan / execute, and the dist "
+                "engine reads its message DAG off the plan (docs/CONCURRENCY.md)")
+    return problems
+
+
 def main():
     problems = (check_links() + check_snippet_sync() + check_concurrency_sync() +
                 check_graph_api_sync() + check_healer_service_sync() +
                 check_stabilizer_sync() + check_snapshot_sync() +
                 check_certificate_independence() + check_single_state_format() +
-                check_single_effect_mode() + check_single_allocation_mode())
+                check_single_effect_mode() + check_single_allocation_mode() +
+                check_single_repair_driver())
     for p in problems:
         print(p, file=sys.stderr)
     if problems:
@@ -710,7 +738,8 @@ def main():
           "independent (includes + fgcheck link line) and its API/version "
           "in sync, one state format (no text checkpoint in src/), one "
           "effect mode (no null-effects branch in the core, no commit_merge), "
-          "one allocation mode (no on-demand path in src/)")
+          "one allocation mode (no on-demand path in src/), one repair "
+          "driver (no second planner, committer or break callback in src/)")
 
 
 if __name__ == "__main__":

@@ -315,18 +315,6 @@ void StructuralCore::plan_region(const DeletionAnalysis& analysis, int region,
   out->steps = haft::merge_plan(out->pieces);
 }
 
-RepairPlan StructuralCore::plan_deletion(std::span<const NodeId> victims,
-                                         RegionSplit split) const {
-  DeletionAnalysis analysis = analyze_deletion(victims, split);
-  RepairPlan plan;
-  plan.regions.resize(analysis.seeds.size());
-  for (int r = 0; r < static_cast<int>(analysis.seeds.size()); ++r)
-    plan_region(analysis, r, &plan.regions[static_cast<size_t>(r)]);
-
-  finalize_plan(analysis, &plan);
-  return plan;
-}
-
 void StructuralCore::finalize_plan(const DeletionAnalysis& analysis,
                                    RepairPlan* plan) const {
   plan->victims = analysis.victims;
@@ -354,7 +342,7 @@ void StructuralCore::collect_events(VNodeId root, const DeletionAnalysis& analys
 
   // Explicit worklist, left child before right child before the node itself
   // — the same order as the natural recursion, so the piece sequence (and
-  // any observer's message sequence) is unchanged. Only dirty nodes and the
+  // the dist engine's message sequence, read off it) is unchanged. Only dirty nodes and the
   // right spines of their clean children are ever visited: a clean perfect
   // subtree becomes a piece at first touch, in O(1), without being entered.
   // The recorded decisions stay valid at commit time because the commit
@@ -398,19 +386,6 @@ void StructuralCore::collect_events(VNodeId root, const DeletionAnalysis& analys
   }
 }
 
-std::vector<std::vector<VNodeId>> StructuralCore::commit_break(const RepairPlan& plan,
-                                                               RepairObserver* observer) {
-  begin_break(plan);
-  std::vector<std::vector<VNodeId>> pieces(plan.regions.size());
-  BreakEffects effects;
-  for (const RegionPlan& region : plan.regions) {
-    pieces[static_cast<size_t>(region.id)] = break_region(region, &effects, observer);
-    apply_break_effects(region, effects);
-  }
-  finish_break(plan);
-  return pieces;
-}
-
 void StructuralCore::begin_break(const RepairPlan& plan) {
   // A stale plan — any mutation since planning, even one that left the
   // arena size unchanged (a teardown-only repair) — would replay a script
@@ -437,8 +412,7 @@ void StructuralCore::begin_break(const RepairPlan& plan) {
 }
 
 std::vector<VNodeId> StructuralCore::break_region(const RegionPlan& region,
-                                                  BreakEffects* effects,
-                                                  RepairObserver* observer) {
+                                                  BreakEffects* effects) {
   // Everything mutated below is region-local — this region's own forest
   // nodes (unlinks, uncounted tombstones) and its anchor leaves. Shared
   // state (excess table, image graph, slot tables, counters, the forest's
@@ -450,7 +424,6 @@ std::vector<VNodeId> StructuralCore::break_region(const RegionPlan& region,
   effects->affected_rts = static_cast<int>(region.roots.size());
   effects->edge_drops.reserve(region.events.size() + region.fresh.size() +
                               region.victim_edges.size());
-  if (observer != nullptr) observer->on_region_begin(region.id);
   std::vector<VNodeId> out;
   out.reserve(region.pieces.size());
 
@@ -463,11 +436,9 @@ std::vector<VNodeId> StructuralCore::break_region(const RegionPlan& region,
         n.parent == kNoVNode ? kInvalidNode : forest_.node(n.parent).owner;
     if (parent_owner != kInvalidNode) effects->edge_drops.push_back({n.owner, parent_owner});
     if (e.is_piece) {
-      if (observer != nullptr) observer->on_piece(e.h, n.owner, parent_owner);
       forest_.unlink_from_parent(e.h);
       out.push_back(e.h);
     } else {
-      if (observer != nullptr) observer->on_teardown(e.h, n.owner, parent_owner);
       effects->slot_ops.push_back({n.owner, n.other, e.h, n.is_leaf, false});
       forest_.remove_uncounted(e.h);
       ++effects->teardowns;
@@ -487,7 +458,6 @@ std::vector<VNodeId> StructuralCore::break_region(const RegionPlan& region,
     forest_.make_leaf_in(leaf, f.owner, f.dead);
     effects->slot_ops.push_back({f.owner, f.dead, leaf, true, true});
     ++effects->new_leaves;
-    if (observer != nullptr) observer->on_piece(leaf, f.owner, kInvalidNode);
     out.push_back(leaf++);
   }
 

@@ -14,27 +14,28 @@
 //   * the virtual forest of Reconstruction Trees and the per-processor
 //     slot table (Table 1 of the paper).
 //
-// Both engines break and merge through the same primitives; the distributed
-// engine additionally installs a RepairObserver to mirror each
-// cross-processor structural change into its message-dependency DAG.
-// Because there is exactly one code path, the piece sequence — and
-// therefore the deterministic haft::merge_plan, the healed topology and,
-// in the distributed kGlobalPlan mode, the arena bytes — cannot drift
-// between the engines (docs/DESIGN.md invariant 6).
+// Both engines plan and commit through fg::ShardedForest, the one driver of
+// the phase primitives below; the distributed engine reads its
+// message-dependency DAG off the plan. Because there is exactly one code
+// path, the piece sequence — and therefore the deterministic
+// haft::merge_plan, the healed topology and, in the distributed kGlobalPlan
+// mode, the arena bytes — cannot drift between the engines (docs/DESIGN.md
+// invariant 6).
 //
 // A deletion (or a batch of deletions) runs as a two-phase PLAN / COMMIT
 // pipeline (docs/DESIGN.md, "Plan/commit pipeline"):
 //
-//   1. plan_deletion (const, read-only): partition the wave into its
-//      *connected dirty regions* — victims and the RTs their virtual nodes
-//      live in, united whenever two victims share an RT or a G' edge — and
-//      produce one immutable RegionPlan per region: the exact break-phase
-//      event script (pieces and teardowns, the Strip of Section 4.1.1,
-//      walked over the dirty region only, so its cost is O(d log^2 n), not
-//      O(RT size)), the anchor leaves to spawn, and the deterministic
-//      k-way ComputeHaft merge steps. Planning never mutates the core, so
-//      disjoint regions can be planned concurrently (fg::ShardedForest);
-//      the resulting RepairPlan is a pure function of (core, victims).
+//   1. Plan (const, read-only): analyze_deletion partitions the wave into
+//      its *connected dirty regions* — victims and the RTs their virtual
+//      nodes live in, united whenever two victims share an RT or a G' edge —
+//      and plan_region fills one immutable RegionPlan per region: the exact
+//      break-phase event script (pieces and teardowns, the Strip of Section
+//      4.1.1, walked over the dirty region only, so its cost is
+//      O(d log^2 n), not O(RT size)), the anchor leaves to spawn, and the
+//      deterministic k-way ComputeHaft merge steps. Planning never mutates
+//      the core, so disjoint regions can be planned concurrently
+//      (fg::ShardedForest); the resulting RepairPlan is a pure function of
+//      (core, victims).
 //   2. Commit: apply the plan in deterministic region order — break every
 //      region, spawn its anchor leaves, tombstone the victims, then
 //      reassemble each region's pieces into one RT per region. There is
@@ -43,17 +44,14 @@
 //      across regions (image multiplicities, slot tables, counters, the
 //      forest's live count); the single-threaded stitches
 //      apply_break_effects and apply_merge_effects fold those records in,
-//      in region id order. commit_break runs the break primitives region by
-//      region; fg::ShardedForest runs the same primitives and may hand the
-//      per-region calls to its pool. There is one allocation mode too: the
-//      plan carries a per-region *arena-id reservation*, so every vnode
-//      handle the commit allocates is fixed at plan time by region-order
-//      arithmetic alone. Disjoint regions may therefore break and merge
-//      concurrently and any worker count replays byte-identical
+//      in region id order. fg::ShardedForest::execute runs them and may
+//      hand the per-region calls to its pool. There is one allocation mode
+//      too: the plan carries a per-region *arena-id reservation*, so every
+//      vnode handle the commit allocates is fixed at plan time by
+//      region-order arithmetic alone. Disjoint regions may therefore break
+//      and merge concurrently and any worker count replays byte-identical
 //      checkpoints — contract C4, strengthened from "single-threaded
-//      commit" to "schedule-independent commit" (docs/CONCURRENCY.md). The
-//      distributed engine commits through the same reservation, merging
-//      each region with merge_region over its own step list.
+//      commit" to "schedule-independent commit" (docs/CONCURRENCY.md).
 //
 // Invariants maintained after every insert_node / committed repair
 // (checked by validate(); numbering follows docs/DESIGN.md):
@@ -171,7 +169,7 @@ struct RepairPlan {
   /// arena_base + fresh + steps) sub-range. See docs/CONCURRENCY.md.
   int arena_start = -1;
   int arena_total = 0;
-  /// The core's mutation epoch the plan was computed against; commit_break
+  /// The core's mutation epoch the plan was computed against; begin_break
   /// FG_CHECKs it, so *any* intervening mutation — even one that leaves
   /// the arena size unchanged, like a teardown-only repair — makes the
   /// plan refuse to commit instead of replaying a stale script.
@@ -271,46 +269,13 @@ struct DeletionAnalysis {
   bool is_dirty(VNodeId h) const { return dirty.find(h) != nullptr; }
 };
 
-/// Hooks a protocol layer installs to mirror structural mutations. The
-/// distributed engine translates each callback into messages of its repair
-/// DAG; the centralized engine passes no observer. Callbacks fire from
-/// break_region *before* the corresponding forest mutation (a fresh anchor
-/// leaf right after its construction: its handle is the argument), in the
-/// deterministic left-to-right order of the repair walk, so the message
-/// sequence is itself deterministic.
-class RepairObserver {
- public:
-  virtual ~RepairObserver() = default;
-
-  /// The commit is about to apply region `region_id` (ids are the plan's
-  /// commit order); all following callbacks up to the next on_region_begin
-  /// belong to that region's independent repair.
-  virtual void on_region_begin(int region_id) { (void)region_id; }
-
-  /// A maximal clean perfect subtree rooted at `root` (owned by `owner`) is
-  /// about to detach and become the next piece (pieces are reported in
-  /// their final order). `parent_owner` is the owner of its RT parent, or
-  /// kInvalidNode for roots and for fresh anchor leaves.
-  virtual void on_piece(VNodeId root, NodeId owner, NodeId parent_owner) {
-    (void)root, (void)owner, (void)parent_owner;
-  }
-
-  /// A dead or red virtual node owned by `owner` is about to be torn down.
-  /// `parent_owner` is the owner of its current RT parent (kInvalidNode at
-  /// roots); children have already been processed.
-  virtual void on_teardown(VNodeId h, NodeId owner, NodeId parent_owner) {
-    (void)h, (void)owner, (void)parent_owner;
-  }
-};
-
 /// Hooks the snapshot layer installs to capture, per committed wave, the
-/// exact set of structural changes (docs/SNAPSHOTS.md). Unlike
-/// RepairObserver — which mirrors the repair walk event by event — the
-/// delta recorder only *accumulates touched keys*; the final values are
-/// read from the core when fg::ShardedForest fires on_wave_committed after
-/// the commit settles. Every callback runs on the single-threaded parts of
-/// the pipeline (insert_node, the region-id-ordered effect stitches), so a
-/// recorder needs no synchronization, and the accumulated sets are a pure
+/// exact set of structural changes (docs/SNAPSHOTS.md). The recorder only
+/// *accumulates touched keys*; the final values are read from the core
+/// when fg::ShardedForest fires on_wave_committed after the commit settles.
+/// Every callback runs on the single-threaded parts of the pipeline
+/// (insert_node, the region-id-ordered effect stitches), so a recorder
+/// needs no synchronization, and the accumulated sets are a pure
 /// function of the op stream — snapshot bytes join contract C4.
 class DeltaRecorder {
  public:
@@ -372,39 +337,20 @@ class StructuralCore {
   /// threads on disjoint regions of the same analysis.
   void plan_region(const DeletionAnalysis& analysis, int region, RegionPlan* out) const;
 
-  /// analyze_deletion + plan_region over every region, sequentially. The
-  /// returned plan is bit-identical to what any concurrent planner
-  /// produces (fg::ShardedForest fans the plan_region calls out).
-  RepairPlan plan_deletion(std::span<const NodeId> victims,
-                           RegionSplit split = RegionSplit::kPerRegion) const;
-
   /// Fill the wave-level fields of a plan whose regions are already
   /// populated (victims, victim_region), stamp this core's arena size and
-  /// mutation epoch (what commit_break validates against), and assign
+  /// mutation epoch (what begin_break validates against), and assign
   /// the arena-id reservation: each region's arena_base
   /// follows by prefix sums over (fresh + steps) counts in region id
-  /// order — a pure function of the plan, never of scheduling. Shared by
-  /// plan_deletion and concurrent planners (fg::ShardedForest).
+  /// order — a pure function of the plan, never of scheduling.
   void finalize_plan(const DeletionAnalysis& analysis, RepairPlan* plan) const;
 
   // --- Commit phase (deterministic region order; see docs/CONCURRENCY.md).
-
-  /// Apply the break phase of the whole plan: per region in id order,
-  /// replay the event script (detach pieces, tear down dead and red
-  /// vnodes) and spawn the anchor leaves; then tombstone the victims.
-  /// Returns the materialized piece handles per region, aligned with
-  /// RegionPlan::pieces. Resets last_repair(). The plan must have been
-  /// produced by this core with no intervening mutation — FG_CHECKed
-  /// against the plan's mutation epoch, so a stale plan refuses to
-  /// commit. Each anchor leaf lands at its reserved handle.
-  ///
-  /// Exactly begin_break, then per region break_region into one reused
-  /// BreakEffects buffer followed by apply_break_effects, then
-  /// finish_break: the primitives below, run in order. The one path that
-  /// takes an observer (the dist engine's); fg::ShardedForest runs the
-  /// same primitives without one.
-  std::vector<std::vector<VNodeId>> commit_break(const RepairPlan& plan,
-                                                 RepairObserver* observer = nullptr);
+  //
+  // The break is begin_break, break_region per region, apply_break_effects
+  // per region in id order, then finish_break; the merge is merge_region
+  // per region, apply_merge_effects in id order, then
+  // check_reservation_settled. fg::ShardedForest::execute runs them.
 
   /// The side effects of one region's break that touch state shared across
   /// regions, recorded by break_region and applied by apply_break_effects
@@ -436,9 +382,10 @@ class StructuralCore {
     }
   };
 
-  /// Validate and open the break: epoch + arena staleness checks, the one
-  /// arena growth (reserve_range), stats reset, per-victim alive checks.
-  /// Must precede any break_region call of the same plan.
+  /// Validate and open the break: epoch + arena staleness checks (a plan
+  /// computed before any intervening mutation refuses to commit), the one
+  /// arena growth (reserve_range), last_repair() reset, per-victim alive
+  /// checks. Must precede any break_region call of the same plan.
   void begin_break(const RepairPlan& plan);
 
   /// Replay one region's break script after begin_break. Mutates only
@@ -448,13 +395,9 @@ class StructuralCore {
   /// entries, counters, forest live count) is recorded into `effects`
   /// (required, reset first) for apply_break_effects. The anchor leaves
   /// land at their reserved handles, so disjoint regions may run this
-  /// concurrently (fg::ShardedForest's commit pool does). The observer
-  /// hears each piece and teardown before the forest changes (a fresh
-  /// anchor leaf once its handle exists); an observer is for the
-  /// sequential commit_break only. Returns the region's materialized
-  /// pieces, aligned with RegionPlan::pieces.
-  std::vector<VNodeId> break_region(const RegionPlan& region, BreakEffects* effects,
-                                    RepairObserver* observer = nullptr);
+  /// concurrently (fg::ShardedForest's commit pool does). Returns the
+  /// region's materialized pieces, aligned with RegionPlan::pieces.
+  std::vector<VNodeId> break_region(const RegionPlan& region, BreakEffects* effects);
 
   /// Fold one region's recorded break effects into the shared state:
   /// multiplicity drops (each consumes the edge's excess first; a drop that
@@ -488,16 +431,16 @@ class StructuralCore {
 
   /// Replay one region's merge steps over its materialized pieces (from
   /// the break), constructing every helper at its reserved arena handle.
-  /// The steps are region.steps; the dist engine's kStageWise mode passes
-  /// a copy of the region plan carrying its own association, which makes
-  /// the same pieces.size() - 1 joins and so fits the same reservation.
+  /// The steps are region.steps; the dist engine's kStageWise mode writes
+  /// its own association there before the commit, which makes the same
+  /// pieces.size() - 1 joins and so fits the same reservation.
   /// Mutates only region-local state — the region's subtree nodes and its
   /// own slot entries — and records the shared-state side effects (image
   /// edges, counters, the final root) into `effects` (required, reset
   /// first) for apply_merge_effects, so disjoint regions of one plan may
-  /// run this concurrently (fg::ShardedForest's commit pool does). `pieces` is consumed as scratch and must come from
-  /// the break. Returns the region's final RT root (kNoVNode for no
-  /// pieces).
+  /// run this concurrently (fg::ShardedForest's commit pool does). `pieces`
+  /// is consumed as scratch and must come from the break. Returns the
+  /// region's final RT root (kNoVNode for no pieces).
   VNodeId merge_region(const RegionPlan& region, std::vector<VNodeId>&& pieces,
                        MergeEffects* effects);
 
@@ -572,7 +515,7 @@ class StructuralCore {
   void inject_multiplicity_bump(NodeId u, NodeId v);
 
   /// Monotone counter bumped by every structural mutation (insert_node,
-  /// commit_break). Plans are stamped with it and refuse to commit if it
+  /// begin_break). Plans are stamped with it and refuse to commit if it
   /// moved — the staleness guard behind the arena-id reservation.
   uint64_t mutation_epoch() const { return epoch_; }
   const VirtualForest& forest() const { return forest_; }

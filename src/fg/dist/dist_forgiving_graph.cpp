@@ -31,55 +31,17 @@ void know_set(std::vector<std::pair<NodeId, int>>& know, NodeId u, int msg) {
 
 }  // namespace
 
-// Every structural mutation below happens inside core::StructuralCore — the
-// same code path the centralized engine executes: commit_break with the
-// plan's arena reservation, then merge_region and its stitch per region. So
-// in kGlobalPlan mode the region partition, the piece order, the ComputeHaft
-// plan, the healed topology and the arena bytes are identical to
-// fg::ForgivingGraph by construction (the invariant the dist_equivalence and
-// exhaustive_small suites pin down).
-// What this file adds is the protocol layer: a DagRecorder observer mirrors
-// each repair's structural work into a dependency DAG of messages — one
-// independent branch per dirty region — which is replayed through the
-// net::Network simulator, where all cost figures come from.
-
-// Mirrors core repair callbacks into teardown/detach messages, bucketed per
-// region. The core reports every cross-RT structural change before applying
-// it, in deterministic order, so the message sequence is deterministic too.
-class DistForgivingGraph::DagRecorder final : public core::RepairObserver {
- public:
-  explicit DagRecorder(DistForgivingGraph* d) : d_(d) {}
-
-  /// detach_msg per piece of one region, aligned with the core's per-region
-  /// piece order.
-  const std::vector<int>& detach_msgs(int region) const {
-    return detach_msgs_.at(static_cast<size_t>(region));
-  }
-
-  void on_region_begin(int region_id) override {
-    FG_CHECK(region_id == static_cast<int>(detach_msgs_.size()));
-    detach_msgs_.emplace_back();
-  }
-
-  void on_piece(VNodeId /*root*/, NodeId owner, NodeId parent_owner) override {
-    int msg = -1;
-    if (parent_owner != kInvalidNode && parent_owner != owner &&
-        !d_->is_deleting(parent_owner) && !d_->is_deleting(owner))
-      msg = d_->add_msg(parent_owner, owner, 2, {});  // "you are detached"
-    FG_CHECK_MSG(!detach_msgs_.empty(), "piece reported outside a region");
-    detach_msgs_.back().push_back(msg);
-  }
-
-  void on_teardown(VNodeId /*h*/, NodeId owner, NodeId parent_owner) override {
-    if (parent_owner != kInvalidNode && parent_owner != owner &&
-        !d_->is_deleting(owner) && !d_->is_deleting(parent_owner))
-      d_->add_msg(owner, parent_owner, 2, {});  // teardown notice to parent
-  }
-
- private:
-  DistForgivingGraph* d_;
-  std::vector<std::vector<int>> detach_msgs_;
-};
+// Every structural mutation below happens inside core::StructuralCore,
+// driven by the same fg::ShardedForest plan and execute the centralized
+// engine runs, with the plan's arena reservation. So in kGlobalPlan mode the
+// region partition, the piece order, the ComputeHaft plan, the healed
+// topology and the arena bytes are identical to fg::ForgivingGraph by
+// construction (the invariant the dist_equivalence and exhaustive_small
+// suites pin down).
+// What this file adds is the protocol layer: each repair's message DAG —
+// one independent branch per dirty region — is read off the plan before the
+// commit and replayed through the net::Network simulator, where all cost
+// figures come from.
 
 DistForgivingGraph::DistForgivingGraph(const Graph& g0, MergeMode mode)
     : mode_(mode), core_(g0) {
@@ -162,38 +124,49 @@ void DistForgivingGraph::delete_batch(std::span<const NodeId> victims) {
   net_.stats().reset();
   last_cost_ = RepairCost{};
 
-  // Plan (read-only, shared core), then commit the break phase; the
-  // recorder turns each structural change into the teardown/detach
-  // messages of the repair DAG, bucketed per region.
-  core::RepairPlan plan = core_.plan_deletion(victims, split_);
+  core::RepairPlan plan = shards_.plan(core_, victims, split_);
   harness::CertificateBuilder cert_builder;
   if (cert_sink_ != nullptr) cert_builder.begin_wave(core_, plan);
-  DagRecorder recorder(this);
-  std::vector<std::vector<VNodeId>> region_pieces = core_.commit_break(plan, &recorder);
-  const core::RepairStats& rs = core_.last_repair();
-  last_cost_.deleted_degree = rs.deleted_degree_gprime;
-  last_cost_.anchors = rs.new_leaves;
-  last_cost_.pieces = rs.pieces;
-  last_cost_.regions = static_cast<int>(plan.regions.size());
 
-  // Each region merges through its own independent DAG branch: its own
-  // coordinator, report wave, and plan knowledge. Branches share no
-  // dependencies, so when the wave's regions are disjoint the simulator
-  // counts their repairs in parallel rounds. The branch is built from plan
-  // data; merge_region then builds the region's RT inside its reserved
-  // arena range, over region.steps or the stage-wise association.
-  core::StructuralCore::MergeEffects effects;
-  std::vector<VNodeId> roots(plan.regions.size(), kNoVNode);
+  // Teardown and detach messages, every region in id order and each in
+  // break-script order, read against the pre-commit forest: a vnode's owner
+  // and RT parent stay fixed until its own event runs (children precede
+  // their parent in the script), so these are the endpoints the break sees.
+  // Each piece remembers the message that detached it; fresh anchor leaves
+  // were never attached.
+  const VirtualForest& forest = core_.forest();
+  std::vector<std::vector<Piece>> region_pieces(plan.regions.size());
   for (const core::RegionPlan& region : plan.regions) {
-    std::vector<VNodeId>& handles = region_pieces[static_cast<size_t>(region.id)];
-    const std::vector<int>& detach = recorder.detach_msgs(region.id);
-    FG_CHECK(detach.size() == handles.size());
-    std::vector<Piece> pieces;
-    pieces.reserve(handles.size());
-    for (size_t i = 0; i < handles.size(); ++i)
-      pieces.push_back(Piece{static_cast<int>(i), region.pieces[i],
-                             core_.forest().node(handles[i]).owner, detach[i]});
+    std::vector<Piece>& pieces = region_pieces[static_cast<size_t>(region.id)];
+    pieces.reserve(region.pieces.size());
+    auto add_piece = [&](NodeId owner, int detach_msg) {
+      const size_t i = pieces.size();
+      FG_CHECK(i < region.pieces.size());
+      pieces.push_back(Piece{static_cast<int>(i), region.pieces[i], owner, detach_msg});
+    };
+    for (const core::RegionPlan::Event& e : region.events) {
+      const VirtualForest::VNode& n = forest.node(e.h);
+      const NodeId parent =
+          n.parent == kNoVNode ? kInvalidNode : forest.node(n.parent).owner;
+      const bool notify = parent != kInvalidNode && parent != n.owner &&
+                          !is_deleting(n.owner) && !is_deleting(parent);
+      if (e.is_piece)  // "you are detached"
+        add_piece(n.owner, notify ? add_msg(parent, n.owner, 2, {}) : -1);
+      else if (notify)
+        add_msg(n.owner, parent, 2, {});  // teardown notice to parent
+    }
+    for (const core::RegionPlan::FreshLeaf& f : region.fresh) add_piece(f.owner, -1);
+    FG_CHECK(pieces.size() == region.pieces.size());
+  }
 
+  // Then each region's merge through its own independent DAG branch: its
+  // own coordinator, report wave, and plan knowledge. Branches share no
+  // dependencies, so when the wave's regions are disjoint the simulator
+  // counts their repairs in parallel rounds. kStageWise writes its joins
+  // into the region's steps: k - 1 joins for k pieces, like the merge plan
+  // it replaces, so the arena reservation still holds.
+  for (core::RegionPlan& region : plan.regions) {
+    std::vector<Piece>& pieces = region_pieces[static_cast<size_t>(region.id)];
     std::vector<NodeId> participants;
     for (const Piece& p : pieces) participants.push_back(p.owner);
     std::sort(participants.begin(), participants.end());
@@ -203,17 +176,18 @@ void DistForgivingGraph::delete_batch(std::span<const NodeId> victims) {
         participants.empty() ? 0 : static_cast<int>(participants.size()) - 1;
 
     if (pieces.empty()) continue;
-    if (mode_ == MergeMode::kGlobalPlan) {
+    if (mode_ == MergeMode::kGlobalPlan)
       merge_global(region, std::move(pieces), participants);
-      core_.merge_region(region, std::move(handles), &effects);
-    } else {
-      core::RegionPlan staged = region;
-      staged.steps = merge_stage_wise(std::move(pieces), participants);
-      core_.merge_region(staged, std::move(handles), &effects);
-    }
-    roots[static_cast<size_t>(region.id)] = core_.apply_merge_effects(effects);
+    else
+      region.steps = merge_stage_wise(std::move(pieces), participants);
   }
-  core_.check_reservation_settled(plan);
+
+  const std::vector<VNodeId> roots = shards_.execute(core_, plan);
+  const core::RepairStats& rs = core_.last_repair();
+  last_cost_.deleted_degree = rs.deleted_degree_gprime;
+  last_cost_.anchors = rs.new_leaves;
+  last_cost_.pieces = rs.pieces;
+  last_cost_.regions = static_cast<int>(plan.regions.size());
 
   run_dag();
   const auto& s = net_.stats();

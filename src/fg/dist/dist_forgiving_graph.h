@@ -1,13 +1,13 @@
 // Distributed Forgiving Graph protocol (Sections 3-5, Lemma 4).
 //
 // The same self-healing algorithm as fg::ForgivingGraph — literally: both
-// engines drive the single structural mutation path in
-// core::StructuralCore. This class adds the protocol layer on top: every
-// repair installs a RepairObserver on the core, translates each structural
-// mutation into a message of a dependency DAG, and replays that DAG over
-// the round-synchronous simulator in net::Network with the paper's cost
-// metrics measured per repair: messages, words, rounds, largest message,
-// and per-node traffic.
+// engines plan and commit every wave through fg::ShardedForest over the
+// single structural mutation path in core::StructuralCore. This class adds
+// the protocol layer on top: every repair reads a dependency DAG of
+// messages off the immutable plan (the processors' shared repair recipe)
+// and replays it over the round-synchronous simulator in net::Network with
+// the paper's cost metrics measured per repair: messages, words, rounds,
+// largest message, and per-node traffic.
 //
 // Model assumptions (the paper's, Figure 1):
 //   * When processor v is deleted, every processor owning a virtual node in
@@ -43,19 +43,20 @@
 //     parallel, giving O(log d + log n) rounds — within the paper's
 //     O(log d log n) budget — at the price of O(pieces)-word plan messages.
 //     Because the plan is exactly the one the centralized engine executes —
-//     over the piece sequence the shared core emits, region by region, with
-//     the same merge_region inside the same arena reservation — the healed
-//     topology and the base-image bytes are identical to fg::ForgivingGraph
-//     under every adversarial schedule and every delivery policy.
+//     committed by the same ShardedForest::execute inside the same arena
+//     reservation — the healed topology and the base-image bytes are
+//     identical to fg::ForgivingGraph under every adversarial schedule and
+//     every delivery policy.
 //   * kStageWise: the paper-faithful BottomupRTMerge. Piece lists climb the
 //     region's participant tree; at each stage equal-sized trees are joined
 //     immediately (haft::carry_plan), so every list in flight has pairwise
 //     distinct sizes and every message stays at O(log n) words. The final
 //     association may differ from the centralized engine's, but the result
 //     is the same leaf set in a valid haft, so all Theorem-1 bounds hold.
-//     Its joins are numbered like a merge plan and replayed by merge_region
-//     in the region's reserved range: a region makes k - 1 joins for k
-//     pieces whatever the association.
+//     Its joins are numbered like a merge plan and written into the
+//     region's steps before the commit replays them in the region's
+//     reserved range: a region makes k - 1 joins for k pieces whatever the
+//     association.
 //
 // validate() checks invariants I1-I5 through the shared core.
 #pragma once
@@ -66,6 +67,7 @@
 #include <vector>
 
 #include "fg/core/structural_core.h"
+#include "fg/sharded_forest.h"
 #include "fg/virtual_forest.h"
 #include "graph/graph.h"
 #include "haft/haft.h"
@@ -189,8 +191,8 @@ class DistForgivingGraph {
   /// alone: its number in the region's haft::MergeStep numbering, its
   /// merge-plan input, the processor owning its root, and the DAG event
   /// that detached it (-1 if it was never attached: a fresh anchor leaf or
-  /// a join's result). The message DAG is built from these before
-  /// merge_region touches the forest.
+  /// a join's result). The message DAG is built from these before the
+  /// commit touches the forest.
   struct Piece {
     int index = -1;
     haft::PieceInfo info;
@@ -229,10 +231,6 @@ class DistForgivingGraph {
     std::vector<std::pair<NodeId, int>> know;
   };
 
-  /// The core observer that mirrors the repair's structural mutations into
-  /// teardown/detach messages of the DAG, bucketed per region.
-  class DagRecorder;
-
   // --- DAG construction helpers (see dist_forgiving_graph.cpp).
   int add_msg(NodeId from, NodeId to, int words, std::vector<int> deps);
   bool is_deleting(NodeId v) const;
@@ -241,8 +239,8 @@ class DistForgivingGraph {
   void merge_global(const core::RegionPlan& region, std::vector<Piece> pieces,
                     const std::vector<NodeId>& participants);
   /// The kStageWise messages of one region's merge; returns the joins in
-  /// execution order, numbered like haft::merge_plan's steps, for
-  /// merge_region to replay.
+  /// execution order, numbered like haft::merge_plan's steps, for the
+  /// commit to replay.
   std::vector<haft::MergeStep> merge_stage_wise(std::vector<Piece> pieces,
                                                 const std::vector<NodeId>& participants);
   void run_dag();
@@ -252,6 +250,8 @@ class DistForgivingGraph {
   MergeMode mode_ = MergeMode::kGlobalPlan;
   core::RegionSplit split_ = core::RegionSplit::kPerRegion;
   core::StructuralCore core_;
+  /// Plans and commits every wave at one worker (no pool, no setter).
+  ShardedForest shards_;
 
   net::Network net_;
   RepairCost last_cost_;

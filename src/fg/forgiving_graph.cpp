@@ -8,8 +8,7 @@
 namespace fg {
 
 void ForgivingGraph::commit_delete_batch(const core::RepairPlan& plan) {
-  // The core performs the whole structural repair as one atomic step (no
-  // observer — there is no protocol layer to mirror the mutations into).
+  // The core performs the whole structural repair as one atomic step.
   // Both commit phases draw every vnode from the plan's arena-id
   // reservation, so the shard layer may fan the break scripts *and* the
   // region merges out over its pool and still land on the byte-identical

@@ -10,13 +10,14 @@
 // topologies are bit-identical by construction (docs/DESIGN.md invariant 6;
 // pinned by tests/dist_equivalence_test.cpp and exhaustive_small_test.cpp).
 //
-// Every deletion runs the two-phase plan/commit pipeline: a read-only
+// Every deletion runs the two-phase plan/commit pipeline of
+// fg::ShardedForest, the one driver both engines share: a read-only
 // RepairPlan per wave — one RegionPlan per connected dirty region, carrying
-// that region's arena-id reservation — then a commit whose break phase runs
-// in deterministic region order and whose region merges may fan out over
-// the shard pool. The plan side (set_shard_workers) and the commit side
-// (set_break_workers, set_commit_workers) share that one pool and are
-// schedule-independent: any worker count replays byte-identical
+// that region's arena-id reservation — then ShardedForest::execute, whose
+// region breaks and region merges may fan out over the shard pool ahead of
+// their region-ordered stitches. The plan side (set_shard_workers) and the
+// commit side (set_break_workers, set_commit_workers) share that one pool
+// and are schedule-independent: any worker count replays byte-identical
 // checkpoints (contract C4, docs/CONCURRENCY.md).
 //
 // The invariants maintained after every insert/remove (I1-I5, checked by

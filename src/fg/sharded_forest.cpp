@@ -155,71 +155,42 @@ core::RepairPlan ShardedForest::plan(const core::StructuralCore& core,
 std::vector<VNodeId> ShardedForest::execute(core::StructuralCore& core,
                                             const core::RepairPlan& plan) {
   const size_t regions = plan.regions.size();
-  // Whether the regions break inline or on the pool is, like the merge
-  // fan-out in commit(), a pure scheduling choice: break_region mutates
-  // only region-local forest state, and the BreakEffects stitch replays
-  // every shared-state write in region id order (contract C4;
-  // docs/CONCURRENCY.md, the break-effects argument).
-  // Grow-only scratch, same pooling discipline as the merge side.
-  std::vector<core::StructuralCore::BreakEffects>& effects = break_effects_scratch_;
-  if (effects.size() < regions) effects.resize(regions);
+  // Whether the regions break and merge inline or on the pool is a pure
+  // scheduling choice: break_region and merge_region mutate only
+  // region-local forest state inside the plan's arena reservation, and the
+  // two stitches replay every shared-state write in region id order
+  // (contract C4; docs/CONCURRENCY.md, the break-effects and reservation
+  // arguments). tests/break_pool_test.cpp and arena_reservation_test.cpp
+  // drive CommitPool and the primitives directly, so both fan-outs stay
+  // TSan-covered even on machines where fans_out keeps the engine inline.
+  //
+  // Grow-only scratch, reused wave to wave: a smaller wave must not
+  // destroy the trailing slots' capacity, so a steady-state commit
+  // allocates no per-region bookkeeping (each primitive resets its slot).
+  if (break_effects_scratch_.size() < regions) break_effects_scratch_.resize(regions);
+  if (effects_scratch_.size() < regions) effects_scratch_.resize(regions);
   std::vector<std::vector<VNodeId>> pieces(regions);
   core.begin_break(plan);
   for_each_region(regions, break_workers_, [&](size_t r) {
-    pieces[r] = core.break_region(plan.regions[r], &effects[r]);
+    pieces[r] = core.break_region(plan.regions[r], &break_effects_scratch_[r]);
   });
-  // The deterministic stitch, then the victims die.
-  for (size_t r = 0; r < regions; ++r) core.apply_break_effects(plan.regions[r], effects[r]);
+  for (size_t r = 0; r < regions; ++r)
+    core.apply_break_effects(plan.regions[r], break_effects_scratch_[r]);
   core.finish_break(plan);
 
-  std::vector<VNodeId> roots = commit(core, plan, std::move(pieces));
-  // The wave is fully settled (reservation checked, stitch applied): let
-  // the snapshot layer read the touched state's final values and emit the
-  // wave's delta record (core::DeltaRecorder contract).
-  if (core::DeltaRecorder* rec = core.delta_recorder()) rec->on_wave_committed(core, plan);
-  return roots;
-}
-
-std::vector<VNodeId> ShardedForest::commit(core::StructuralCore& core,
-                                           const core::RepairPlan& plan,
-                                           std::vector<std::vector<VNodeId>>&& pieces) {
-  FG_CHECK(pieces.size() == plan.regions.size());
-  const size_t regions = plan.regions.size();
-  std::vector<VNodeId> region_roots(regions, kNoVNode);
-
-  // Fanning out is a pure scheduling choice — the arena-id reservation
-  // makes the result identical either way (contract C4).
-  // tests/arena_reservation_test.cpp drives CommitPool + merge_region
-  // directly, so the concurrent path stays TSan-covered even on machines
-  // where fans_out keeps the engine inline.
-  //
-  // Reused wave to wave, grow-only: a smaller wave must not destroy the
-  // trailing slots' image_edges capacity, so a steady-state commit
-  // allocates no per-region bookkeeping (merge_region resets its slot).
-  std::vector<core::StructuralCore::MergeEffects>& effects = effects_scratch_;
-  if (effects.size() < regions) effects.resize(regions);
-  // Each region builds its RT inside its reserved arena range and records
-  // its shared-state side effects into its own MergeEffects slot, so no two
-  // participants ever write the same memory — the schedule decides *who*
-  // merges a region, never *what* the merge produces (contract C4).
   for_each_region(regions, commit_workers_, [&](size_t r) {
-    core.merge_region(plan.regions[r], std::move(pieces[r]), &effects[r]);
+    core.merge_region(plan.regions[r], std::move(pieces[r]), &effects_scratch_[r]);
   });
-  // The deterministic stitch: fold every region's recorded side effects
-  // (image edges, counters, final-RT bookkeeping) into the shared state in
-  // region id order.
-  for (size_t r = 0; r < regions; ++r) region_roots[r] = core.apply_merge_effects(effects[r]);
-
+  last_region_roots_.assign(regions, kNoVNode);
+  for (size_t r = 0; r < regions; ++r)
+    last_region_roots_[r] = core.apply_merge_effects(effects_scratch_[r]);
   core.check_reservation_settled(plan);
-  note_commit(plan, region_roots);
-  return region_roots;
-}
-
-void ShardedForest::note_commit(const core::RepairPlan& plan,
-                                std::span<const VNodeId> region_roots) {
-  FG_CHECK(region_roots.size() == plan.regions.size());
   last_assignment_ = plan.victim_region;
-  last_region_roots_.assign(region_roots.begin(), region_roots.end());
+  // The wave is fully settled: let the snapshot layer read the touched
+  // state's final values and emit the wave's delta record
+  // (core::DeltaRecorder contract).
+  if (core::DeltaRecorder* rec = core.delta_recorder()) rec->on_wave_committed(core, plan);
+  return last_region_roots_;
 }
 
 }  // namespace fg

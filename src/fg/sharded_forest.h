@@ -11,7 +11,9 @@
 //
 // ShardedForest exploits that locality across the whole pipeline, with one
 // persistent thread pool (CommitPool) and one fan-out helper
-// (for_each_region) serving all three phases:
+// (for_each_region) serving all three phases. Its plan and execute are the
+// only drivers of the core's phase primitives: both engines run every wave
+// through them (the dist engine at one worker).
 //
 //   * Plan: it partitions a wave (core::StructuralCore::analyze_deletion),
 //     then fans the read-only per-region planning out over the pool
@@ -136,35 +138,22 @@ class ShardedForest {
   void set_break_workers(int n);
   int break_workers() const { return break_workers_; }
 
-  /// Execute a reserved plan end to end against `core`: the break phase
+  /// Commit a reserved plan end to end against `core`: the break phase
   /// (break_region per region, fanned out over the pool when break
   /// workers > 1, then the region-ordered break stitch), then the merge
-  /// phase via commit(). Returns each region's final RT root, aligned with
-  /// plan.regions.
+  /// phase (merge_region per region, fanned out when commit workers > 1,
+  /// then the region-ordered merge stitch and the reservation check).
+  /// Records the wave's victim -> region assignment and region roots and
+  /// fires the core's delta recorder. Returns each region's final RT root,
+  /// aligned with plan.regions (kNoVNode for a region that produced none).
   std::vector<VNodeId> execute(core::StructuralCore& core,
                                const core::RepairPlan& plan);
 
-  /// Plan a deletion wave against `core`: bit-identical to
-  /// core.plan_deletion(victims, split) at every worker count.
+  /// Plan a deletion wave against `core` (analyze_deletion, plan_region
+  /// per region, finalize_plan): bit-identical at every worker count.
   core::RepairPlan plan(const core::StructuralCore& core,
                         std::span<const NodeId> victims,
                         core::RegionSplit split = core::RegionSplit::kPerRegion) const;
-
-  /// Commit the merge phase of a reserved plan whose break phase already
-  /// ran (core.commit_break, kReserved): merge the regions (on the commit
-  /// pool when commit workers > 1), then stitch their recorded side
-  /// effects single-threaded in region id order, verify the reservation
-  /// settled, and record the shard bookkeeping. Returns each region's
-  /// final RT root, aligned with plan.regions.
-  std::vector<VNodeId> commit(core::StructuralCore& core,
-                              const core::RepairPlan& plan,
-                              std::vector<std::vector<VNodeId>>&& pieces);
-
-  /// Record a committed plan: the wave's victim -> region assignment and
-  /// each region's final RT root. `region_roots` is aligned with
-  /// plan.regions (kNoVNode for a region that produced no RT).
-  void note_commit(const core::RepairPlan& plan,
-                   std::span<const VNodeId> region_roots);
 
   /// Victim -> region ids of the most recently committed wave, aligned
   /// with that wave's victim order (the payload of trace `r` lines).

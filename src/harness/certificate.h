@@ -7,7 +7,7 @@
 // down what the repair claims to have done, in the normalized form the
 // checker re-validates from first principles:
 //
-//   * begin_wave runs against the PLAN, before commit_break: it snapshots
+//   * begin_wave runs against the PLAN, before the commit: it snapshots
 //     deg_G of the wave's affected set — the owners of every vnode in an
 //     affected RT subtree plus the anchor owners (the only processors whose
 //     healed degree a repair can change);

@@ -17,12 +17,13 @@
 //       the strategy's repair to G alone.
 //   C4. Healers are deterministic given the schedule — the trace module can
 //       replay any run bit-identically for bisection. The Forgiving Graph's
-//       worker counts are explicitly *not* part of the schedule: both
+//       worker counts are explicitly *not* part of the schedule:
 //       sharded-concurrent planning (set_shard_workers) and the
-//       reservation-backed parallel commit (set_commit_workers) must replay
-//       byte-identical to a single-threaded engine — the schedule-
-//       independent commit property (docs/CONCURRENCY.md, pinned by
-//       tests/shard_determinism_test.cpp and arena_reservation_test.cpp).
+//       reservation-backed parallel break and merge (set_break_workers,
+//       set_commit_workers) must replay byte-identical to a single-threaded
+//       engine — the schedule-independent commit property
+//       (docs/CONCURRENCY.md, pinned by tests/shard_determinism_test.cpp,
+//       break_pool_test.cpp and arena_reservation_test.cpp).
 #pragma once
 
 #include <memory>

@@ -128,7 +128,7 @@ TEST(ArenaReservation, ConcurrentMergeRegionsMatchSequential) {
   // The concurrent path itself, machine-independently: the engine-level
   // fan-out gate may keep commits inline on boxes with no spare hardware
   // threads, so this test drives CommitPool + merge_region directly — the
-  // exact shape ShardedForest::commit dispatches — and is what keeps the
+  // exact shape ShardedForest::execute dispatches — and is what keeps the
   // parallel merge TSan-covered everywhere. Two identical cores, one wave:
   // sequential merges vs pool merges must land on identical checkpoints.
   Rng rng(293);
@@ -141,9 +141,17 @@ TEST(ArenaReservation, ConcurrentMergeRegionsMatchSequential) {
   alive.resize(8);
 
   auto run = [&](core::StructuralCore& core, bool pooled) {
-    core::RepairPlan plan = core.plan_deletion(alive);
-    auto pieces = core.commit_break(plan);
+    core::RepairPlan plan = ShardedForest().plan(core, alive);
     const int regions = static_cast<int>(plan.regions.size());
+    std::vector<std::vector<VNodeId>> pieces(static_cast<size_t>(regions));
+    core::StructuralCore::BreakEffects break_effects;
+    core.begin_break(plan);
+    for (int r = 0; r < regions; ++r) {
+      const core::RegionPlan& region = plan.regions[static_cast<size_t>(r)];
+      pieces[static_cast<size_t>(r)] = core.break_region(region, &break_effects);
+      core.apply_break_effects(region, break_effects);
+    }
+    core.finish_break(plan);
     std::vector<core::StructuralCore::MergeEffects> effects(
         static_cast<size_t>(regions));
     if (!pooled) {

@@ -3,15 +3,15 @@
 //
 //   * Concurrent break_region calls over a CommitPool — the exact shape
 //     ShardedForest::execute dispatches — must land on the byte-identical
-//     checkpoint the core's sequential commit_break produces (the same
-//     primitives, each region broken and stitched in turn). The engine-
-//     level fan-out gate may keep breaks inline on boxes with no spare
-//     hardware threads, so this suite drives the pool directly; it is what
-//     keeps the parallel break TSan-covered everywhere (the tsan/asan
-//     preset filters include BreakPool).
+//     checkpoint a sequential break produces (the same primitives, each
+//     region broken and stitched in turn). The engine-level fan-out gate
+//     may keep breaks inline on boxes with no spare hardware threads, so
+//     this suite drives the pool directly; it is what keeps the parallel
+//     break TSan-covered everywhere (the tsan/asan preset filters include
+//     BreakPool).
 //   * The BreakEffects stitch is deterministic: region-local buffers
 //     filled concurrently and applied in region id order replay the
-//     sequential commit_break's shared-state writes exactly — image-edge
+//     sequential break's shared-state writes exactly — image-edge
 //     drops, slot ops, counters, live count.
 //   * The engine-level knob (set_break_workers) composes with the merge
 //     fan-out across waves and worker-count changes.
@@ -33,6 +33,21 @@ namespace fg {
 namespace {
 
 using support::checkpoint;
+
+// The sequential break: each region broken into one reused BreakEffects
+// buffer and stitched before the next region breaks.
+std::vector<std::vector<VNodeId>> sequential_break(core::StructuralCore& core,
+                                                   const core::RepairPlan& plan) {
+  std::vector<std::vector<VNodeId>> pieces(plan.regions.size());
+  core::StructuralCore::BreakEffects effects;
+  core.begin_break(plan);
+  for (const core::RegionPlan& region : plan.regions) {
+    pieces[static_cast<size_t>(region.id)] = core.break_region(region, &effects);
+    core.apply_break_effects(region, effects);
+  }
+  core.finish_break(plan);
+  return pieces;
+}
 
 // Break every region of one wave concurrently on a CommitPool, recording
 // each region's side effects, then stitch in region id order — the pipeline
@@ -97,11 +112,11 @@ TEST(BreakPool, ConcurrentBreakRegionsMatchSequential) {
   alive.resize(8);
 
   {
-    core::RepairPlan plan = sequential.plan_deletion(alive);
-    finish_merge(sequential, plan, sequential.commit_break(plan));
+    core::RepairPlan plan = ShardedForest().plan(sequential, alive);
+    finish_merge(sequential, plan, sequential_break(sequential, plan));
   }
   {
-    core::RepairPlan plan = concurrent.plan_deletion(alive);
+    core::RepairPlan plan = ShardedForest().plan(concurrent, alive);
     finish_merge(concurrent, plan, pooled_break(concurrent, plan, 3));
   }
 
@@ -125,11 +140,11 @@ TEST(BreakPool, RepeatedWavesThroughTheSamePoolStayIdentical) {
     rng.shuffle(alive);
     alive.resize(6);
     {
-      core::RepairPlan plan = sequential.plan_deletion(alive);
-      finish_merge(sequential, plan, sequential.commit_break(plan));
+      core::RepairPlan plan = ShardedForest().plan(sequential, alive);
+      finish_merge(sequential, plan, sequential_break(sequential, plan));
     }
     {
-      core::RepairPlan plan = concurrent.plan_deletion(alive);
+      core::RepairPlan plan = ShardedForest().plan(concurrent, alive);
       finish_merge(concurrent, plan, pooled_break(concurrent, plan, 2));
     }
     ASSERT_EQ(checkpoint(sequential), checkpoint(concurrent)) << "wave " << wave;

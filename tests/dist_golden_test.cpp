@@ -8,6 +8,13 @@
 // folds every wave's cost fields and sorted image adjacency into an FNV-1a
 // digest per mode; the digests were recorded from the engine that still
 // allocated its vnodes on demand and joined pieces one at a time.
+//
+// The stream also runs under an asynchronous net::DeliveryPolicy (random
+// extra delay, shuffled delivery within a round). There each message draws
+// its delay in send order, so the cost sheet also pins the order in which
+// the DAG's messages are built, which the synchronous digests do not; the
+// two async digests were recorded from the engine whose break still
+// reported each piece and teardown through core callbacks.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,6 +22,7 @@
 
 #include "fg/dist/dist_forgiving_graph.h"
 #include "graph/generators.h"
+#include "net/network.h"
 #include "util/rng.h"
 
 namespace fg {
@@ -40,11 +48,12 @@ struct StreamResult {
   int multi_region_waves = 0;
 };
 
-StreamResult run_stream(dist::MergeMode mode) {
+StreamResult run_stream(dist::MergeMode mode, bool async) {
   constexpr int kNodes = 400;
   constexpr int kOps = 240;
   Rng rng(23);
   dist::DistForgivingGraph engine(make_sparse_random(kNodes, 4.0, rng), mode);
+  if (async) engine.set_delivery_policy(net::DeliveryPolicy{7, 3, true});
   std::vector<NodeId> alive = engine.image().alive_nodes();
   Fnv fnv;
   StreamResult result;
@@ -86,13 +95,18 @@ StreamResult run_stream(dist::MergeMode mode) {
 }
 
 TEST(DistGolden, CostAndTopologyStreamIsPinned) {
-  const StreamResult global = run_stream(dist::MergeMode::kGlobalPlan);
-  const StreamResult stage_wise = run_stream(dist::MergeMode::kStageWise);
+  const StreamResult global = run_stream(dist::MergeMode::kGlobalPlan, false);
+  const StreamResult stage_wise = run_stream(dist::MergeMode::kStageWise, false);
   EXPECT_EQ(global.waves, stage_wise.waves);
   EXPECT_GT(global.waves, 50);
   EXPECT_GT(global.multi_region_waves, 20);
   EXPECT_EQ(global.digest, 6334194457367939676ULL);
   EXPECT_EQ(stage_wise.digest, 16598819628057817757ULL);
+
+  EXPECT_EQ(run_stream(dist::MergeMode::kGlobalPlan, true).digest,
+            8072704723284176617ULL);
+  EXPECT_EQ(run_stream(dist::MergeMode::kStageWise, true).digest,
+            10853618441749009828ULL);
 }
 
 }  // namespace

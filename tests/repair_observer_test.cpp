@@ -1,15 +1,18 @@
-// The RepairObserver callback stream of core::StructuralCore::commit_break.
+// The break stream the distributed engine reads its repair DAG from.
 //
-// The distributed engine turns every on_region_begin / on_piece /
-// on_teardown callback into a message of its repair DAG, so the stream's
-// order and arguments are protocol behaviour, not an implementation detail.
-// A seeded multi-region churn stream is driven through plan_deletion +
-// commit_break; each callback folds its kind, region id, handle, owner and
-// parent owner into an FNV-1a digest, and the digest is pinned. It was
-// recorded from the core whose sequential break still applied its side
-// effects inline; the recorded break that replaced it had to reproduce
-// every callback. Every handle comes from the plan's arena reservation, the
-// only allocation mode.
+// For every region of a plan, in region id order: one begin record, then
+// each break-script event (a piece or a teardown) with its vnode's owner
+// and RT parent's owner, then each fresh anchor leaf at its reserved handle
+// arena_base + j with no parent. The engine turns these records into its
+// teardown and detach messages, so the stream's order and arguments are
+// protocol behaviour, not an implementation detail. A seeded multi-region
+// churn stream is planned with ShardedForest::plan; each record is read
+// off the plan against the core before ShardedForest::execute commits it,
+// and folds its kind, region id, handle, owner and parent owner into an
+// FNV-1a digest. The pinned digest was recorded from the callbacks the
+// core's sequential break once fired while applying the same script: an
+// event's owner and parent stay fixed until its own event runs, so reading
+// them before the commit gives the same stream.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -19,25 +22,33 @@
 
 #include "fg/core/structural_core.h"
 #include "fg/sharded_forest.h"
+#include "fg/virtual_forest.h"
 #include "graph/generators.h"
 #include "util/rng.h"
 
 namespace fg {
 namespace {
 
-class CallbackDigest final : public core::RepairObserver {
+class CallbackDigest {
  public:
-  void on_region_begin(int region_id) override {
-    region_ = region_id;
-    ++callbacks_;
-    add(0);
-    add(region_id);
-  }
-  void on_piece(VNodeId root, NodeId owner, NodeId parent_owner) override {
-    add_callback(1, root, owner, parent_owner);
-  }
-  void on_teardown(VNodeId h, NodeId owner, NodeId parent_owner) override {
-    add_callback(2, h, owner, parent_owner);
+  /// Fold every record of `plan`, read against `core` before the commit.
+  void add_plan(const core::StructuralCore& core, const core::RepairPlan& plan) {
+    const VirtualForest& forest = core.forest();
+    for (const core::RegionPlan& region : plan.regions) {
+      region_ = region.id;
+      ++callbacks_;
+      add(0);
+      add(region.id);
+      for (const core::RegionPlan::Event& e : region.events) {
+        const VirtualForest::VNode& n = forest.node(e.h);
+        const NodeId parent_owner =
+            n.parent == kNoVNode ? kInvalidNode : forest.node(n.parent).owner;
+        add_callback(e.is_piece ? 1 : 2, e.h, n.owner, parent_owner);
+      }
+      VNodeId leaf = region.arena_base;
+      for (const core::RegionPlan::FreshLeaf& f : region.fresh)
+        add_callback(1, leaf++, f.owner, kInvalidNode);
+    }
   }
 
   uint64_t digest() const { return h_; }
@@ -70,9 +81,8 @@ struct StreamResult {
   int multi_region_waves = 0;
 };
 
-/// A 50/50 insert/delete stream at n = 512 in 16-victim waves. Each wave
-/// commits its break through commit_break with the observer installed, then
-/// merges through ShardedForest::commit.
+/// A 50/50 insert/delete stream at n = 512 in 16-victim waves. Each wave's
+/// plan is folded into the digest, then committed by ShardedForest::execute.
 StreamResult run_stream() {
   constexpr int kNodes = 512;
   constexpr int kOps = 3000;
@@ -100,11 +110,12 @@ StreamResult run_stream() {
       pool.push_back(core.insert_node(ends));
     }
     if (wave.size() < kWave) continue;
-    core::RepairPlan plan = core.plan_deletion(wave);
+    core::RepairPlan plan = shards.plan(core, wave);
     wave.clear();
     ++result.waves;
     if (plan.regions.size() > 1) ++result.multi_region_waves;
-    shards.commit(core, plan, core.commit_break(plan, &digest));
+    digest.add_plan(core, plan);
+    shards.execute(core, plan);
   }
   core.validate();
   EXPECT_GT(digest.callbacks(), 2000);
