@@ -106,7 +106,6 @@ int main(int argc, char** argv) {
   row("waves", static_cast<double>(r.stats.waves), "%.0f");
   row("inserts", static_cast<double>(r.stats.inserts), "%.0f");
   row("deletes", static_cast<double>(r.stats.deletes), "%.0f");
-  row("stale_replans", static_cast<double>(r.stats.stale_replans), "%.0f");
   row("certified_waves", static_cast<double>(r.stats.certified_waves), "%.0f");
   row("cert_rejections", static_cast<double>(r.stats.cert_rejections), "%.0f");
   row("arena_rows", static_cast<double>(r.arena_rows), "%.0f");

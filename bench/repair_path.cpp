@@ -166,10 +166,10 @@ void dist_wave(Table& t, Table& cost) {
 // Scenario F (R4): the adjacency substrate itself, isolated from repair
 // logic. edge_flip is the commit's hot loop (remove + re-add existing
 // edges, one at a time); edge_flip_batched drives the same flips through
-// apply_edge_deltas (the merge stitch's entry point — one grouped sweep
-// per touched node); adjacency_scan is the read side (full neighbor sweep
-// over sorted flat views). Tracked across PRs so adjacency regressions
-// bisect here instead of into the repair scenarios.
+// apply_edge_deltas (what the break stitch's batched image-edge drops call,
+// one grouped sweep per touched node); adjacency_scan is the read side
+// (full neighbor sweep over sorted flat views). Tracked across PRs so
+// adjacency regressions bisect here instead of into the repair scenarios.
 void adjacency_micro(Table& t) {
   constexpr int kN = 4096;
   Rng rng(9);
@@ -279,9 +279,9 @@ void star_hub_merge(Table& t) {
 // Reports sequential vs sharded planning wall-clock, the per-phase split,
 // the reserved commit at 1/2/4 commit workers (R3: the arena-id
 // reservation makes the merge schedule-independent, so worker counts are
-// an A/B on wall clock only), the region-vs-global commit, and the dist
-// protocol's parallel rounds; FG_CHECKs that every variant lands on the
-// bit-identical checkpoint.
+// an A/B on wall clock only), the break phase per break-worker count, and
+// the dist protocol's per-region rounds; FG_CHECKs that every variant lands
+// on the bit-identical checkpoint.
 void sharded_wave(Table& t, Table& cost) {
   constexpr int kN = 1024;
   constexpr int kChurn = 96;
@@ -446,29 +446,17 @@ void sharded_wave(Table& t, Table& cost) {
     }
   }
 
-  // Region split vs the pre-sharding single wave-wide RT, wall clock.
-  {
-    ForgivingGraph fg = fresh_engine();
-    fg.set_region_split(core::RegionSplit::kGlobal);
-    auto t0 = std::chrono::steady_clock::now();
-    fg.delete_batch(wave);
-    record(t, "sharded_wave_global_rt", kN, kWave, ms_since(t0));
-  }
-
   // The dist protocol: independent DAG branches per region repair in
-  // max-over-regions rounds; the global split pays the sum of one big merge.
-  for (bool global : {false, true}) {
+  // max-over-regions rounds.
+  {
     dist::DistForgivingGraph net(g0);
-    if (global) net.set_region_split(core::RegionSplit::kGlobal);
     for (NodeId v : churned) net.remove(v);
     net.delete_batch(wave);
     const auto& c = net.last_repair_cost();
-    const char* name = global ? "dist_sharded_wave_global" : "dist_sharded_wave_regions";
+    const std::string name = "dist_sharded_wave_regions";
     cost.add(name, kN, kWave, std::to_string(c.messages), std::to_string(c.rounds));
-    g_rows.push_back({std::string(name) + "_rounds", kN, kWave,
-                      static_cast<double>(c.rounds), 0.0});
-    g_rows.push_back({std::string(name) + "_messages", kN, kWave,
-                      static_cast<double>(c.messages), 0.0});
+    g_rows.push_back({name + "_rounds", kN, kWave, static_cast<double>(c.rounds), 0.0});
+    g_rows.push_back({name + "_messages", kN, kWave, static_cast<double>(c.messages), 0.0});
   }
 }
 
@@ -530,7 +518,6 @@ void churn_service(Table& t) {
   ChurnDriverResult r = run_churn_driver(cfg);
   FG_CHECK_MSG(r.stats.cert_rejections == 0,
                "the sampled certificate guardrail rejected a wave");
-  FG_CHECK(r.stats.stale_replans == 0);  // nothing mutates behind the service
 
   const int ops = static_cast<int>(cfg.ops);
   record(t, "churn_service_build", cfg.nodes, cfg.nodes, r.build_ms);

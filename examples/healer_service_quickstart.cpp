@@ -2,9 +2,8 @@
 // then a crash-and-resume through the durable snapshot subsystem.
 //
 // The HealerService wraps the plan/commit pipeline in a long-running loop:
-// deletions chop into repair waves, each wave heals inside the push() that
-// fills it, a stale plan (any mutation between plan and commit) is caught
-// by the epoch gate and re-planned, a malformed insert is rejected at
+// deletions chop into repair waves, each wave heals with one delete_batch
+// inside the push() that fills it, a malformed insert is rejected at
 // ingest, and every k-th wave emits a certificate that the
 // first-principles checker re-validates in-process (docs/DESIGN.md,
 // "Healer service").

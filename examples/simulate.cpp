@@ -6,8 +6,11 @@
 // Defaults: er 512 forgiving random-delete 300 1.
 // Graphs:     star path cycle grid er ba tree
 // Healers:    forgiving forgiving-tree none line star binary-tree kary:<k>
-// Adversaries: random-delete maxdeg-delete helper-load star-attack
-//              churn:<p_delete> build-and-burn:<fanout>
+// Adversaries: random-delete cut-vertex maxdeg-delete helper-load star-attack
+//              churn:<p_delete> build-and-burn:<fanout> batch:<k> regions:<k>
+//
+// An unknown graph kind, healer or adversary (or a bad parameter, such as
+// kary:1 or churn:2) is named on stderr and exits 2.
 //
 // --certify emits one repair certificate per committed deletion wave
 // (docs/CERTIFICATES.md) — to FILE if given, else to stdout after the run —
@@ -92,7 +95,15 @@ int main(int argc, char** argv) {
   Rng rng(seed);
   Graph g0 = build(graph, n, rng);
   auto healer = make_healer(healer_name, g0);
+  if (healer == nullptr) {
+    std::cerr << "unknown healer or bad parameter: " << healer_name << "\n";
+    return 2;
+  }
   auto adversary = make_adversary(adversary_name);
+  if (adversary == nullptr) {
+    std::cerr << "unknown adversary or bad parameter: " << adversary_name << "\n";
+    return 2;
+  }
 
   std::ostringstream cert_buf;
   harness::CertificateWriter cert_writer(cert_buf);

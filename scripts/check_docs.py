@@ -67,6 +67,12 @@
    must not come back: no `RepairObserver`, `commit_break`,
    `plan_deletion`, `note_commit` or `DagRecorder` token anywhere under
    src/ (comments included).
+11. One heal path, one partition: the service heals each wave with one
+   delete_batch and every wave splits per dirty region. The admission
+   hook, the wave-wide split and ShardedForest's cached last-wave roots must
+   not come back: no `RegionSplit`, `AdmissionHook`, `set_admission_hook`,
+   `ChurnStream`, `VectorChurnStream`, `last_region_roots` or
+   `clear_region_roots` token anywhere under src/ (comments included).
 
 Exits non-zero with a per-problem report on any violation.
 """
@@ -324,16 +330,12 @@ HEALER_API_NAMES = (
     "HealerConfig",
     "HealerStats",
     "ChurnOp",
-    "ChurnStream",
-    "VectorChurnStream",
     "wave_size",
     "certify_every",
     "push",
     "flush",
-    "run",
     "set_alert",
     "set_certificate_stream",
-    "set_admission_hook",
     "break_workers",
     "stale_replans",
     "rejected_inserts",
@@ -367,8 +369,8 @@ def check_healer_service_sync():
     if "## Healer service" not in design_md:
         problems.append(
             "docs/DESIGN.md: missing the 'Healer service' section "
-            "(snapshot-based planning, epoch-gated admission, sampled "
-            "certificate guardrail)")
+            "(one delete_batch per wave, sampled certificate and audit "
+            "guardrails, snapshot upkeep)")
     if "fg/healer_service.h" not in api_md:
         problems.append(
             "docs/API.md: the HealerService section must name its header "
@@ -717,6 +719,30 @@ def check_single_repair_driver():
     return problems
 
 
+# The one-heal-path, one-partition gate (rule 11). AdmissionHook was the
+# test seam the epoch gate re-planned after, (Vector)ChurnStream the pull
+# source of the deleted HealerService::run, RegionSplit the wave-wide merge
+# switch, and last_region_roots / clear_region_roots ShardedForest's cached
+# copy of the roots its execute returns.
+SECOND_HEAL_PATH_RE = re.compile(
+    r"\b(RegionSplit|AdmissionHook|set_admission_hook|ChurnStream|VectorChurnStream|"
+    r"last_region_roots|clear_region_roots)\b")
+
+
+def check_single_heal_path():
+    problems = []
+    for src in sorted((REPO / "src").rglob("*")):
+        if not src.is_file():
+            continue
+        for token in sorted(set(SECOND_HEAL_PATH_RE.findall(src.read_text()))):
+            problems.append(
+                f"{src.relative_to(REPO)}: names `{token}` — the service heals "
+                "each wave with one delete_batch, every wave splits per dirty "
+                "region, and ShardedForest::execute returns the roots "
+                "(docs/DESIGN.md, \"Healer service\")")
+    return problems
+
+
 def main():
     problems = (check_links() + check_snippet_sync() + check_concurrency_sync() +
                 check_graph_api_sync() + check_healer_service_sync() +
@@ -724,6 +750,7 @@ def main():
                 check_certificate_independence() + check_single_state_format() +
                 check_single_effect_mode() + check_single_allocation_mode() +
                 check_single_repair_driver())
+    problems += check_single_heal_path()
     for p in problems:
         print(p, file=sys.stderr)
     if problems:
@@ -740,6 +767,8 @@ def main():
           "effect mode (no null-effects branch in the core, no commit_merge), "
           "one allocation mode (no on-demand path in src/), one repair "
           "driver (no second planner, committer or break callback in src/)")
+    print("docs OK: one heal path and one partition (no admission hook, "
+          "wave-wide split or cached last-wave roots in src/)")
 
 
 if __name__ == "__main__":

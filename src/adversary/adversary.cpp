@@ -1,6 +1,7 @@
 #include "adversary/adversary.h"
 
 #include <algorithm>
+#include <charconv>
 #include <unordered_set>
 
 #include "graph/algorithms.h"
@@ -30,6 +31,16 @@ NodeId argmax_alive(const Graph& g, Score&& score) {
   }
   FG_CHECK(best != kInvalidNode);
   return best;
+}
+
+/// True iff `name` is `prefix` followed by a suffix that parses whole as
+/// a T into *value.
+template <typename T>
+bool parse_param(const std::string& name, const std::string& prefix, T* value) {
+  if (name.rfind(prefix, 0) != 0) return false;
+  const char* last = name.data() + name.size();
+  auto [end, ec] = std::from_chars(name.data() + prefix.size(), last, *value);
+  return ec == std::errc() && end == last;
 }
 
 }  // namespace
@@ -176,15 +187,15 @@ std::unique_ptr<Adversary> make_adversary(const std::string& name) {
   if (name == "maxdeg-delete") return std::make_unique<MaxDegreeDeleteAdversary>();
   if (name == "helper-load") return std::make_unique<HelperLoadAdversary>();
   if (name == "star-attack") return std::make_unique<StarAttackAdversary>();
-  if (name.rfind("churn:", 0) == 0)
-    return std::make_unique<ChurnAdversary>(std::stod(name.substr(6)), 3);
-  if (name.rfind("build-and-burn:", 0) == 0)
-    return std::make_unique<BuildAndBurnAdversary>(std::stoi(name.substr(15)));
-  if (name.rfind("batch:", 0) == 0)
-    return std::make_unique<BatchDeleteAdversary>(std::stoi(name.substr(6)));
-  if (name.rfind("regions:", 0) == 0)
-    return std::make_unique<DisjointRegionsAdversary>(std::stoi(name.substr(8)));
-  FG_CHECK_MSG(false, "unknown adversary name");
+  double p = 0.0;
+  if (parse_param(name, "churn:", &p) && p >= 0.0 && p <= 1.0)
+    return std::make_unique<ChurnAdversary>(p, 3);
+  int k = 0;
+  if (parse_param(name, "build-and-burn:", &k) && k >= 1)
+    return std::make_unique<BuildAndBurnAdversary>(k);
+  if (parse_param(name, "batch:", &k) && k >= 1) return std::make_unique<BatchDeleteAdversary>(k);
+  if (parse_param(name, "regions:", &k) && k >= 1)
+    return std::make_unique<DisjointRegionsAdversary>(k);
   return nullptr;
 }
 

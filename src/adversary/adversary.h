@@ -162,8 +162,10 @@ class BuildAndBurnAdversary final : public Adversary {
   NodeId pending_ = kInvalidNode;
 };
 
-/// Factory: "random-delete", "maxdeg-delete", "helper-load", "churn:<p>",
-/// "star-attack", "build-and-burn:<fanout>", "batch:<k>", "regions:<k>".
+/// Factory: "random-delete", "cut-vertex", "maxdeg-delete", "helper-load",
+/// "churn:<p>" (p in [0, 1]), "star-attack", "build-and-burn:<fanout>",
+/// "batch:<k>", "regions:<k>" (counts >= 1). Returns nullptr for an unknown
+/// name or a bad parameter, never aborts.
 std::unique_ptr<Adversary> make_adversary(const std::string& name);
 
 }  // namespace fg

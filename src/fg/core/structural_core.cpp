@@ -172,8 +172,7 @@ void DirtySet::rehash(size_t capacity) {
   }
 }
 
-DeletionAnalysis StructuralCore::analyze_deletion(std::span<const NodeId> victims,
-                                                  RegionSplit split) const {
+DeletionAnalysis StructuralCore::analyze_deletion(std::span<const NodeId> victims) const {
   FG_CHECK_MSG(!victims.empty(), "empty deletion batch");
   DeletionAnalysis a;
   a.victims.assign(victims.begin(), victims.end());
@@ -231,8 +230,6 @@ DeletionAnalysis StructuralCore::analyze_deletion(std::span<const NodeId> victim
       if (it != wave_index.end() && it->first == y) dsu.unite(i, it->second);
     }
   }
-  if (split == RegionSplit::kGlobal)
-    for (int i = 1; i < k; ++i) dsu.unite(0, i);
 
   // 2. Materialize the regions in deterministic commit order: sorted by the
   //    smallest victim id they contain (the shard ordering rule). Victims

@@ -89,13 +89,6 @@ namespace fg::core {
 
 class StructuralCore;
 
-/// How a batched deletion groups its repair. kPerRegion (the default) heals
-/// each connected dirty region into its own RT, which is what lets disjoint
-/// regions plan concurrently and repair in parallel rounds; kGlobal merges
-/// the whole wave into a single RT (the pre-sharding behaviour, kept for
-/// A/B measurement — bench/repair_path.cpp).
-enum class RegionSplit { kPerRegion, kGlobal };
-
 /// Structural statistics of the most recent committed repair (one deletion
 /// or one batch). Reset by begin_break; apply_merge_effects updates the
 /// merge-side counters. Counters sum over the wave's regions.
@@ -327,10 +320,10 @@ class StructuralCore {
   // --- Plan phase (read-only; safe to run concurrently per region). ------
 
   /// Partition a wave of victims (alive, distinct) into its connected
-  /// dirty regions and build the shared lookup sets. With kGlobal the
-  /// whole wave becomes one region.
-  DeletionAnalysis analyze_deletion(std::span<const NodeId> victims,
-                                    RegionSplit split = RegionSplit::kPerRegion) const;
+  /// dirty regions and build the shared lookup sets. Each region heals
+  /// into its own RT, which is what lets disjoint regions plan
+  /// concurrently and repair in parallel rounds.
+  DeletionAnalysis analyze_deletion(std::span<const NodeId> victims) const;
 
   /// Fill `out` with the complete immutable recipe for region
   /// `analysis.seeds[region]`. Pure read-only: callable from worker

@@ -124,7 +124,7 @@ void DistForgivingGraph::delete_batch(std::span<const NodeId> victims) {
   net_.stats().reset();
   last_cost_ = RepairCost{};
 
-  core::RepairPlan plan = shards_.plan(core_, victims, split_);
+  core::RepairPlan plan = shards_.plan(core_, victims);
   harness::CertificateBuilder cert_builder;
   if (cert_sink_ != nullptr) cert_builder.begin_wave(core_, plan);
 

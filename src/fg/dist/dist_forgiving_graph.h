@@ -149,14 +149,7 @@ class DistForgivingGraph {
     net_.set_policy(policy);
   }
 
-  /// Per-region healing (default) vs the pre-sharding single wave-wide RT;
-  /// mirrors ForgivingGraph::set_region_split so the engines stay
-  /// comparable in either mode.
-  void set_region_split(core::RegionSplit split) { split_ = split; }
-  core::RegionSplit region_split() const { return split_; }
-
   const VirtualForest& forest() const { return core_.forest(); }
-  MergeMode mode() const { return mode_; }
 
   /// Install a certificate sink: every subsequent delete_batch emits a
   /// per-wave cert::WaveCertificate carrying this engine's Lemma-4 cost
@@ -164,7 +157,6 @@ class DistForgivingGraph {
   /// In kGlobalPlan mode the structural bytes match the centralized
   /// engine's certificates exactly (contract C4 extension).
   void set_certificate_sink(harness::CertificateSink* sink) { cert_sink_ = sink; }
-  harness::CertificateSink* certificate_sink() const { return cert_sink_; }
 
   /// Full invariant check I1-I5 through the shared core (expensive).
   void validate() const { core_.validate(); }
@@ -248,7 +240,6 @@ class DistForgivingGraph {
   void on_delivered(int i);
 
   MergeMode mode_ = MergeMode::kGlobalPlan;
-  core::RegionSplit split_ = core::RegionSplit::kPerRegion;
   core::StructuralCore core_;
   /// Plans and commits every wave at one worker (no pool, no setter).
   ShardedForest shards_;

@@ -58,22 +58,18 @@ class ForgivingGraph {
   /// Adversarial insertion: a new processor attached to `neighbors` (all
   /// alive, no duplicates). Returns the new processor id. The insertion may
   /// compact the forest arena, renumbering every vnode handle (V4 in
-  /// virtual_forest.h), so it also clears shards().last_region_roots().
-  NodeId insert(std::span<const NodeId> neighbors) {
-    shards_.clear_region_roots();
-    return core_.insert_node(neighbors);
-  }
+  /// virtual_forest.h).
+  NodeId insert(std::span<const NodeId> neighbors) { return core_.insert_node(neighbors); }
 
   /// Adversarial deletion of `v` followed by the healing repair.
   void remove(NodeId v) { delete_batch({&v, 1}); }
 
   /// Batched adversarial deletion: all of `victims` (alive, distinct) die
   /// simultaneously and one repair round heals the network — one merged
-  /// plan and one new RT per connected dirty region (see region_split to
-  /// fall back to a single wave-wide RT). Equivalent to sequential
-  /// deletions with respect to invariants I1-I5 and the Theorem 1
-  /// degree/stretch bounds, at a fraction of the repair cost under heavy
-  /// churn.
+  /// plan and one new RT per connected dirty region. Equivalent to
+  /// sequential deletions with respect to invariants I1-I5 and the
+  /// Theorem 1 degree/stretch bounds, at a fraction of the repair cost
+  /// under heavy churn.
   void delete_batch(std::span<const NodeId> victims) {
     commit_delete_batch(plan_delete_batch(victims));
   }
@@ -81,7 +77,7 @@ class ForgivingGraph {
   /// Plan phase only: the immutable per-region repair recipe for a wave
   /// (read-only; planned concurrently when shard_workers > 1).
   core::RepairPlan plan_delete_batch(std::span<const NodeId> victims) const {
-    return shards_.plan(core_, victims, split_);
+    return shards_.plan(core_, victims);
   }
 
   /// Commit phase only: apply a plan produced by plan_delete_batch with no
@@ -96,7 +92,6 @@ class ForgivingGraph {
   /// region plans out over the shard pool). Any value produces the
   /// identical repair (contract C4).
   void set_shard_workers(int n) { shards_.set_workers(n); }
-  int shard_workers() const { return shards_.workers(); }
 
   /// Worker threads for the commit's merge phase (1 = merge inline; n > 1
   /// fans region merges out over the shard pool, which keeps n - 1
@@ -104,7 +99,6 @@ class ForgivingGraph {
   /// replays byte-identical checkpoints (contract C4 — the arena-id
   /// reservation fixes every handle at plan time).
   void set_commit_workers(int n) { shards_.set_commit_workers(n); }
-  int commit_workers() const { return shards_.commit_workers(); }
 
   /// Worker threads for the commit's break phase (1 = break the regions
   /// one after another on the calling thread; n > 1 fans region break
@@ -113,14 +107,6 @@ class ForgivingGraph {
   /// write in region id order, so any value replays byte-identical
   /// checkpoints and certificate bytes (contract C4).
   void set_break_workers(int n) { shards_.set_break_workers(n); }
-  int break_workers() const { return shards_.break_workers(); }
-
-  /// Per-region healing (default) vs the pre-sharding single wave-wide RT.
-  void set_region_split(core::RegionSplit split) { split_ = split; }
-  core::RegionSplit region_split() const { return split_; }
-
-  /// Shard bookkeeping: the last wave's region ids and final RT roots.
-  const ShardedForest& shards() const { return shards_; }
 
   /// The structural core, read-only — the audit surface fg::Stabilizer
   /// scans (slot tables, forest rows, image multiplicities).
@@ -138,7 +124,6 @@ class ForgivingGraph {
   /// certificate bytes are a pure function of (structure, wave) — identical
   /// at every shard/commit worker count (contract C4).
   void set_certificate_sink(harness::CertificateSink* sink) { cert_sink_ = sink; }
-  harness::CertificateSink* certificate_sink() const { return cert_sink_; }
 
   /// Victim -> region ids of the most recent delete_batch, aligned with
   /// the victim order passed in (recorded by trace `r` lines).
@@ -151,12 +136,6 @@ class ForgivingGraph {
   std::vector<VNodeId> affected_roots(NodeId v) const {
     return core_.slot_roots(v);
   }
-
-  /// The core's mutation epoch: every plan is stamped with it, and the
-  /// service loop's admission gate compares stamps to detect a stale plan
-  /// before the core's FG_CHECK would refuse it (fg/healer_service.h;
-  /// docs/DESIGN.md, "Healer service").
-  uint64_t mutation_epoch() const { return core_.mutation_epoch(); }
 
   /// The actual healed network G.
   const Graph& healed() const { return core_.image(); }
@@ -186,7 +165,6 @@ class ForgivingGraph {
  private:
   core::StructuralCore core_;
   ShardedForest shards_;
-  core::RegionSplit split_ = core::RegionSplit::kPerRegion;
   harness::CertificateSink* cert_sink_ = nullptr;
   long certified_waves_ = 0;  ///< Wave index of the next certificate.
 };

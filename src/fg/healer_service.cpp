@@ -98,14 +98,6 @@ void HealerService::flush() {
   if (!forming_.empty()) heal_wave();
 }
 
-int64_t HealerService::run(ChurnStream& stream) {
-  int64_t before = stats_.ops;
-  ChurnOp op;
-  while (stream.next(&op)) push(op);
-  flush();
-  return stats_.ops - before;
-}
-
 std::string HealerService::insert_error(const std::vector<NodeId>& neighbors) const {
   // is_alive is false for ids the engine never created, so one test covers
   // dead and out-of-range neighbours alike. The repeat scan is quadratic,
@@ -131,33 +123,17 @@ void HealerService::heal_wave() {
   if (snapshot_) snapshot_->set_cursor(static_cast<uint64_t>(stats_.ops));
 
   Clock::time_point t0 = Clock::now();
-  // Drop the victims that died since they were queued, counting them, and
-  // say whether any is left. engine() may be mutated between calls into the
-  // service (a delete through it kills a queued victim), and so may the
-  // admission hook; planning a dead victim would abort in the core. A wave
-  // left empty still counts as a wave.
-  auto keep_alive = [&] {
-    const size_t queued = victims.size();
-    std::erase_if(victims, [&](NodeId v) { return !fg_.is_alive(v); });
-    stats_.dropped_deletes += static_cast<int64_t>(queued - victims.size());
-    if (!victims.empty()) return true;
+  // Drop the victims that died since they were queued, counting them:
+  // engine() may be mutated between calls into the service (a delete
+  // through it kills a queued victim), and planning a dead victim would
+  // abort in the core. A wave left empty still counts as a wave.
+  const size_t queued = victims.size();
+  std::erase_if(victims, [&](NodeId v) { return !fg_.is_alive(v); });
+  stats_.dropped_deletes += static_cast<int64_t>(queued - victims.size());
+  if (victims.empty()) {
     ++stats_.waves;
     stats_.wave_latency.record_ms(ms_since(t0));
-    return false;
-  };
-  if (!keep_alive()) return;
-  core::RepairPlan plan = fg_.plan_delete_batch(victims);
-
-  if (admission_hook_) admission_hook_(wave);
-
-  // The epoch gate: the plan records the epoch it was computed against; if
-  // the admission hook mutated the engine since, the plan is stale, and
-  // committing it would die on the core's FG_CHECK. Detect, re-validate the
-  // victims, re-plan, never commit.
-  if (plan.epoch != fg_.mutation_epoch()) {
-    ++stats_.stale_replans;
-    if (!keep_alive()) return;
-    plan = fg_.plan_delete_batch(victims);
+    return;
   }
 
   // Install the collector around the commit (or the recovery below), then
@@ -180,10 +156,10 @@ void HealerService::heal_wave() {
   };
 
   if (config_.certify_every > 0 && wave % config_.certify_every == 0) {
-    certify([&] { fg_.commit_delete_batch(plan); });
+    certify([&] { fg_.delete_batch(victims); });
     ++stats_.certified_waves;
   } else {
-    fg_.commit_delete_batch(plan);
+    fg_.delete_batch(victims);
   }
 
   // Self-stabilization guardrail (config_.audit_every): a sampled
@@ -211,9 +187,9 @@ void HealerService::heal_wave() {
   // Snapshot upkeep: the wave's delta was appended when the commit fired
   // on_wave_committed; rotate to a fresh base when due, or rebase after
   // anything that diverged the mutation epoch from the op stream (the
-  // stabilize() recovery above, an admission-hook mutation). Disk failures
-  // degrade to an alert, never to a crash — the service keeps healing, the
-  // snapshot goes stale.
+  // stabilize() recovery above, a mutation through engine() between
+  // pushes). Disk failures degrade to an alert, never to a crash — the
+  // service keeps healing, the snapshot goes stale.
   if (snapshot_) {
     snapshot_->maintain(fg_.core());
     std::string err = snapshot_->take_error();

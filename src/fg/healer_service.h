@@ -6,25 +6,22 @@
 // deleting processors indefinitely while the structure self-heals. The
 // HealerService turns the single-wave machinery into that serving loop:
 //
-//   * It ingests a continuous insert/delete stream (push / run) and chops
-//     it into repair waves of `wave_size` deletions. Inserts apply in
-//     stream order the moment they are pushed; deletions accumulate into
-//     the forming wave. Malformed inserts are rejected at ingest (counted
-//     and alerted), never applied.
+//   * It ingests a continuous insert/delete stream (push) and chops it
+//     into repair waves of `wave_size` deletions. Inserts apply in stream
+//     order the moment they are pushed; deletions accumulate into the
+//     forming wave. Malformed inserts are rejected at ingest (counted and
+//     alerted), never applied.
 //   * A wave heals INSIDE THE PUSH THAT FILLS IT, on the calling thread:
-//     plan, admit, commit, then the sampled guardrails. A deleted node's
-//     neighbours are reconnected before push() returns, so no deletion
-//     waits for later ops to arrive. The only threads are the engine's
-//     shard pool (workers > 1).
-//   * Admission is EPOCH-GATED: a wave's RepairPlan records the engine's
-//     mutation epoch (core::RepairPlan::epoch), and before committing the
-//     service compares it against the current one. A stale plan — the
-//     admission hook mutated the engine between plan and commit — is
-//     re-planned, never committed (the core would refuse it with a loud
-//     FG_CHECK death; the service turns that hard wall into a re-plan +
-//     counter). Checkpoints and certificate bytes are a pure function of
-//     the op stream, never of worker counts (contract C4 extended to the
-//     service loop — tests/healer_service_test.cpp).
+//     the victims that died since they were queued are dropped, and the
+//     rest heal through one ForgivingGraph::delete_batch (plan + commit),
+//     followed by the sampled guardrails. A deleted node's neighbours are
+//     reconnected before push() returns, so no deletion waits for later
+//     ops to arrive. The only threads are the engine's shard pool
+//     (workers > 1). Nothing can mutate the engine between a wave's plan
+//     and its commit, and the core refuses a stale plan anyway
+//     (StructuralCore::begin_break). Checkpoints and certificate bytes are
+//     a pure function of the op stream, never of worker counts (contract
+//     C4 extended to the service loop — tests/healer_service_test.cpp).
 //   * Certificates are a SAMPLED PRODUCTION GUARDRAIL: every k-th wave
 //     (certify_every) emits a per-wave certificate (src/cert,
 //     docs/CERTIFICATES.md), which the service re-validates in-process
@@ -68,32 +65,6 @@ struct ChurnOp {
     op.victim = victim;
     return op;
   }
-};
-
-/// Pull-based op source for HealerService::run. next() fills `*op` and
-/// returns true, or returns false when the stream is drained.
-class ChurnStream {
- public:
-  virtual ~ChurnStream() = default;
-  virtual bool next(ChurnOp* op) = 0;
-};
-
-/// Replayable vector-backed stream (what the seeded tests use: the same
-/// vector fed to services at different worker counts must produce
-/// byte-identical results).
-class VectorChurnStream final : public ChurnStream {
- public:
-  explicit VectorChurnStream(std::vector<ChurnOp> ops) : ops_(std::move(ops)) {}
-
-  bool next(ChurnOp* op) override {
-    if (pos_ >= ops_.size()) return false;
-    *op = ops_[pos_++];
-    return true;
-  }
-
- private:
-  std::vector<ChurnOp> ops_;
-  size_t pos_ = 0;
 };
 
 /// Service policy knobs. Every combination of worker counts is
@@ -140,17 +111,19 @@ struct HealerStats {
   int64_t dropped_deletes = 0;  ///< Deletes of dead, already queued, or since-killed victims.
   int64_t rejected_inserts = 0; ///< Inserts with a dead, out-of-range or repeated neighbour.
   int64_t waves = 0;            ///< Repair waves committed.
-  int64_t stale_replans = 0;    ///< Plans the epoch gate rejected and re-planned.
+  /// Always 0: no wave is ever re-planned. Kept only because the service
+  /// benchmark (perfbench/fgperf.cpp) still reads it.
+  int64_t stale_replans = 0;
   int64_t certified_waves = 0;  ///< Waves the guardrail sampled.
   int64_t cert_rejections = 0;  ///< Sampled certificates the checker rejected.
   int64_t audits = 0;           ///< Audit-guardrail passes run (audit_every).
   int64_t audit_violations = 0; ///< Total violations those audits reported.
   int64_t recoveries = 0;       ///< Stabilize passes that rebuilt state.
 
-  /// Per-wave repair latency as the service loop saw it: plan + admission
-  /// (re-plan included) + commit + the sampled certificate check and
-  /// audit. Snapshot upkeep is not included. A fixed-size log-linear
-  /// histogram: its memory does not grow with the number of waves.
+  /// Per-wave repair latency as the service loop saw it: plan + commit +
+  /// the sampled certificate check and audit. Snapshot upkeep is not
+  /// included. A fixed-size log-linear histogram: its memory does not grow
+  /// with the number of waves.
   util::LatencyHistogram wave_latency;
 
   /// Percentile of the per-wave latency, in milliseconds (p in [0, 100];
@@ -168,11 +141,6 @@ class HealerService {
   /// snapshot write fails, or an insert is rejected — with the wave index
   /// and a diagnostic.
   using AlertFn = std::function<void(int64_t wave, const std::string& diagnostic)>;
-  /// Test seam: fired at admission time, after the wave is planned but
-  /// before the epoch gate. The hook may mutate the engine — which is
-  /// exactly how the stale-plan tests drive a mutation between plan and
-  /// commit.
-  using AdmissionHook = std::function<void(int64_t wave)>;
 
   explicit HealerService(const Graph& g0, HealerConfig config = {});
 
@@ -193,18 +161,15 @@ class HealerService {
   HealerService& operator=(const HealerService&) = delete;
 
   /// The engine the service drives. Mutate it only between calls into the
-  /// service, or from the admission hook, after which the epoch gate
-  /// re-plans the wave. A queued victim killed through it is dropped when
-  /// its wave heals (stats().dropped_deletes). The service owns the
-  /// engine's certificate sink; don't install your own.
+  /// service. A queued victim killed through it is dropped when its wave
+  /// heals (stats().dropped_deletes). The service owns the engine's
+  /// certificate sink; don't install your own.
   ForgivingGraph& engine() { return fg_; }
   const ForgivingGraph& engine() const { return fg_; }
 
-  const HealerConfig& config() const { return config_; }
   const HealerStats& stats() const { return stats_; }
 
   void set_alert(AlertFn alert) { alert_ = std::move(alert); }
-  void set_admission_hook(AdmissionHook hook) { admission_hook_ = std::move(hook); }
 
   /// Tee every sampled certificate to `os` in the canonical text format —
   /// a stream tools/fgcheck re-validates offline (the CI service-loop
@@ -222,15 +187,11 @@ class HealerService {
   /// ingesting afterwards.
   void flush();
 
-  /// push() every op of `stream`, then flush(). Returns ops ingested.
-  int64_t run(ChurnStream& stream);
-
  private:
   void init();
-  /// Re-validate the victims, plan, admit (test hook, epoch gate: stale ->
-  /// re-validate victims, re-plan), commit, check the sampled certificate,
-  /// audit, and keep the snapshot up to date: one whole wave, on the
-  /// calling thread.
+  /// Drop the victims that died since they were queued, heal the rest with
+  /// one delete_batch, check the sampled certificate, audit, and keep the
+  /// snapshot up to date: one whole wave, on the calling thread.
   void heal_wave();
   /// Why an insert must be rejected (a dead, out-of-range or repeated
   /// neighbour), or empty when it may apply.
@@ -240,7 +201,6 @@ class HealerService {
   HealerConfig config_;
   HealerStats stats_;
   AlertFn alert_;
-  AdmissionHook admission_hook_;
   std::ostream* cert_stream_ = nullptr;
 
   /// The wave being formed (victims validated against the live engine).

@@ -137,9 +137,8 @@ void ShardedForest::for_each_region(size_t regions, int knob,
 }
 
 core::RepairPlan ShardedForest::plan(const core::StructuralCore& core,
-                                     std::span<const NodeId> victims,
-                                     core::RegionSplit split) const {
-  core::DeletionAnalysis analysis = core.analyze_deletion(victims, split);
+                                     std::span<const NodeId> victims) const {
+  core::DeletionAnalysis analysis = core.analyze_deletion(victims);
   core::RepairPlan plan;
   plan.regions.resize(analysis.seeds.size());
   // plan_region only reads the core and writes its own pre-sized slot, so
@@ -181,16 +180,15 @@ std::vector<VNodeId> ShardedForest::execute(core::StructuralCore& core,
   for_each_region(regions, commit_workers_, [&](size_t r) {
     core.merge_region(plan.regions[r], std::move(pieces[r]), &effects_scratch_[r]);
   });
-  last_region_roots_.assign(regions, kNoVNode);
-  for (size_t r = 0; r < regions; ++r)
-    last_region_roots_[r] = core.apply_merge_effects(effects_scratch_[r]);
+  std::vector<VNodeId> roots(regions, kNoVNode);
+  for (size_t r = 0; r < regions; ++r) roots[r] = core.apply_merge_effects(effects_scratch_[r]);
   core.check_reservation_settled(plan);
   last_assignment_ = plan.victim_region;
   // The wave is fully settled: let the snapshot layer read the touched
   // state's final values and emit the wave's delta record
   // (core::DeltaRecorder contract).
   if (core::DeltaRecorder* rec = core.delta_recorder()) rec->on_wave_committed(core, plan);
-  return last_region_roots_;
+  return roots;
 }
 
 }  // namespace fg

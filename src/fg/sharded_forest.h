@@ -47,9 +47,8 @@
 // every wave from a single thread.
 //
 // It also remembers, for the most recently committed wave, which region
-// every victim belonged to and, until the next insertion, each region's
-// final RT root — the assignment trace `r` lines record so a replay
-// divergence can be localized to one region.
+// every victim belonged to — the assignment trace `r` lines record so a
+// replay divergence can be localized to one region.
 #pragma once
 
 #include <condition_variable>
@@ -120,14 +119,12 @@ class ShardedForest {
   /// thread; n > 1 fans plan_region out over the shared pool. Any value
   /// yields the identical plan.
   void set_workers(int n);
-  int workers() const { return workers_; }
 
   /// Merge disjoint regions concurrently during commit: 1 merges inline;
   /// n > 1 fans merge_region out over the shared pool. Any value replays
   /// byte-identical checkpoints — the arena-id reservation makes the
   /// commit schedule-independent (contract C4, docs/CONCURRENCY.md).
   void set_commit_workers(int n);
-  int commit_workers() const { return commit_workers_; }
 
   /// Break disjoint regions concurrently during commit (execute): 1
   /// breaks the regions inline on the calling thread; n > 1 fans
@@ -136,44 +133,30 @@ class ShardedForest {
   /// any value replays byte-identical checkpoints and certificate bytes
   /// (contract C4).
   void set_break_workers(int n);
-  int break_workers() const { return break_workers_; }
 
   /// Commit a reserved plan end to end against `core`: the break phase
   /// (break_region per region, fanned out over the pool when break
   /// workers > 1, then the region-ordered break stitch), then the merge
   /// phase (merge_region per region, fanned out when commit workers > 1,
   /// then the region-ordered merge stitch and the reservation check).
-  /// Records the wave's victim -> region assignment and region roots and
-  /// fires the core's delta recorder. Returns each region's final RT root,
-  /// aligned with plan.regions (kNoVNode for a region that produced none).
+  /// Records the wave's victim -> region assignment and fires the core's
+  /// delta recorder. Returns each region's final RT root, aligned with
+  /// plan.regions (kNoVNode for a region that produced none) — what the
+  /// certificate layer normalizes into per-region witnesses
+  /// (harness/certificate.h), identical at every worker count (C4). The
+  /// handles are valid until the next insertion, which may renumber the
+  /// arena (V4 in virtual_forest.h).
   std::vector<VNodeId> execute(core::StructuralCore& core,
                                const core::RepairPlan& plan);
 
   /// Plan a deletion wave against `core` (analyze_deletion, plan_region
   /// per region, finalize_plan): bit-identical at every worker count.
   core::RepairPlan plan(const core::StructuralCore& core,
-                        std::span<const NodeId> victims,
-                        core::RegionSplit split = core::RegionSplit::kPerRegion) const;
+                        std::span<const NodeId> victims) const;
 
   /// Victim -> region ids of the most recently committed wave, aligned
   /// with that wave's victim order (the payload of trace `r` lines).
   const std::vector<int>& last_assignment() const { return last_assignment_; }
-
-  /// Final RT root per region of the most recently committed wave, aligned
-  /// with that wave's plan.regions (kNoVNode for a region that produced no
-  /// RT). What the certificate layer normalizes into per-region witnesses
-  /// (harness/certificate.h) — identical at every worker count, like the
-  /// rest of the commit (contract C4). The handles are valid until the next
-  /// insertion, which may renumber the arena (V4 in virtual_forest.h):
-  /// ForgivingGraph::insert therefore clears the list (clear_region_roots),
-  /// and it stays empty until the next commit. last_assignment() names no
-  /// handles and is kept.
-  const std::vector<VNodeId>& last_region_roots() const {
-    return last_region_roots_;
-  }
-
-  /// Forget last_region_roots() (see there).
-  void clear_region_roots() { last_region_roots_.clear(); }
 
  private:
   /// (Re)build the shared pool for the largest of the three knobs; every
@@ -203,7 +186,6 @@ class ShardedForest {
   std::vector<core::StructuralCore::MergeEffects> effects_scratch_;
   std::vector<core::StructuralCore::BreakEffects> break_effects_scratch_;
   std::vector<int> last_assignment_;
-  std::vector<VNodeId> last_region_roots_;
 };
 
 }  // namespace fg

@@ -61,8 +61,10 @@ void SnapshotRecorder::on_wave_committed(const core::StructuralCore& core,
                                          const core::RepairPlan& plan) {
   // The commit's own epoch bump; recovery waves (rebuild_for_recovery bumps
   // once more before the plan) and out-of-band mutations land past this and
-  // force a rebase instead of a delta the core no longer matches.
+  // force a rebase instead of a delta the core no longer matches. A rebased
+  // deletion wave still counts: the base written next reflects it.
   ++expected_epoch_;
+  if (!plan.recovery) ++waves_;
   if (plan.recovery || core.mutation_epoch() != expected_epoch_) {
     needs_rebase_ = true;
     expected_epoch_ = core.mutation_epoch();
@@ -72,7 +74,7 @@ void SnapshotRecorder::on_wave_committed(const core::StructuralCore& core,
   }
 
   snap::WaveDelta d;
-  d.wave = ++waves_;
+  d.wave = waves_;
   d.epoch_after = core.mutation_epoch();
   d.cursor = cursor_;
   d.inserts = std::move(pending_inserts_);

@@ -60,7 +60,9 @@ class SnapshotRecorder : public core::DeltaRecorder {
   void set_cursor(uint64_t ops) { cursor_ = ops; }
   uint64_t cursor() const { return cursor_; }
 
-  /// Waves recorded (recovery commits and rebased waves excluded).
+  /// Deletion waves committed since begin()'s baseline, a wave whose delta
+  /// a rebase discarded included (the base written next reflects it);
+  /// recovery commits are not waves.
   uint64_t waves() const { return waves_; }
 
   /// True when the mutation epoch diverged from the op stream (recovery

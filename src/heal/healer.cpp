@@ -1,6 +1,7 @@
 #include "heal/healer.h"
 
 #include <algorithm>
+#include <charconv>
 
 #include "heal/baselines.h"
 #include "heal/forgiving_tree.h"
@@ -38,10 +39,14 @@ std::unique_ptr<Healer> make_healer(const std::string& name, const Graph& g0) {
   if (name == "star") return std::make_unique<StarHealer>(g0);
   if (name == "binary-tree") return std::make_unique<BinaryTreeHealer>(g0);
   if (name.rfind("kary:", 0) == 0) {
-    int k = std::stoi(name.substr(5));
+    // The whole suffix must parse: "kary:3x" is as unknown as "kary:x".
+    const char* first = name.data() + 5;
+    const char* last = name.data() + name.size();
+    int k = 0;
+    auto [end, ec] = std::from_chars(first, last, k);
+    if (ec != std::errc() || end != last || k < 2) return nullptr;
     return std::make_unique<KAryHealer>(g0, k);
   }
-  FG_CHECK_MSG(false, "unknown healer name");
   return nullptr;
 }
 

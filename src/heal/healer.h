@@ -113,8 +113,9 @@ class BaselineHealer : public Healer {
   Graph g_;
 };
 
-/// Factory by name: "forgiving", "none", "line", "star", "binary-tree",
-/// "kary:<k>".
+/// Factory by name: "forgiving", "forgiving-tree", "none", "line", "star",
+/// "binary-tree", "kary:<k>" (k >= 2). Returns nullptr for an unknown name
+/// or a bad parameter, never aborts.
 std::unique_ptr<Healer> make_healer(const std::string& name, const Graph& g0);
 
 }  // namespace fg

@@ -145,6 +145,18 @@ TEST(MakeAdversary, FactoryNames) {
   EXPECT_EQ(make_adversary("star-attack")->name(), "star-attack");
   EXPECT_EQ(make_adversary("churn:0.5")->name(), "churn");
   EXPECT_EQ(make_adversary("build-and-burn:8")->name(), "build-and-burn");
+  EXPECT_EQ(make_adversary("batch:1")->name(), "batch-delete");
+  EXPECT_EQ(make_adversary("regions:2")->name(), "regions");
+  EXPECT_NE(make_adversary("churn:0"), nullptr);
+  EXPECT_NE(make_adversary("churn:1"), nullptr);
+}
+
+TEST(MakeAdversary, BadNamesAndParametersReturnNull) {
+  for (const char* name :
+       {"nope", "", "random", "churn:", "churn:abc", "churn:0.5x", "churn:-0.1", "churn:1.5",
+        "churn:nan", "batch:0", "batch:-3", "batch:2x", "regions:0", "regions:x",
+        "build-and-burn:0", "build-and-burn:"})
+    EXPECT_EQ(make_adversary(name), nullptr) << name;
 }
 
 }  // namespace

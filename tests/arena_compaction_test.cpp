@@ -294,30 +294,20 @@ TEST(ArenaCompaction, OversizedAggregatesAreRejectedByEveryLoader) {
   }
 }
 
-// last_region_roots() names handles, which an insertion may renumber, so
-// ForgivingGraph::insert clears it (sharded_forest.h); the victim -> region
-// assignment names no handles and survives.
+// The victim -> region assignment of the last wave names no vnode handles,
+// so an insertion (which may renumber the arena) leaves it intact.
 TEST(ArenaCompaction, InsertionClearsTheLastRegionRoots) {
   Rng rng(4);
   Graph g0 = make_sparse_random(200, 4.0, rng);
   ForgivingGraph fg(g0);
   std::vector<NodeId> wave{NodeId{10}, NodeId{70}, NodeId{130}};
   fg.delete_batch(wave);
-  ASSERT_FALSE(fg.shards().last_region_roots().empty());
-  for (VNodeId root : fg.shards().last_region_roots()) {
-    if (root == kNoVNode) continue;
-    EXPECT_TRUE(fg.forest().exists(root) && fg.forest().is_root(root));
-  }
+  const std::vector<int> assignment = fg.last_region_assignment();
+  ASSERT_EQ(assignment.size(), wave.size());
 
   std::vector<NodeId> neighbors{NodeId{11}, NodeId{12}};
   fg.insert(neighbors);
-  EXPECT_TRUE(fg.shards().last_region_roots().empty());
-  EXPECT_EQ(fg.shards().last_assignment().size(), wave.size());
-
-  std::vector<NodeId> next{NodeId{20}};
-  fg.delete_batch(next);
-  EXPECT_EQ(fg.shards().last_region_roots().size(),
-            static_cast<size_t>(fg.last_repair().regions));
+  EXPECT_EQ(fg.last_region_assignment(), assignment);
 }
 
 }  // namespace

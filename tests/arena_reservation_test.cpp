@@ -2,11 +2,11 @@
 // (contract C4, docs/CONCURRENCY.md):
 //
 //   * Property: every committed wave's final forest has the identical
-//     arena_size() and the identical checkpoint (base-image) bytes across commit
-//     worker counts {1, 2, 4} and both RegionSplit modes — the handle of
-//     every vnode a commit allocates is fixed at plan time by region order
-//     alone, so the schedule cannot leak into the structure. Runs under
-//     the TSan preset with commit workers > 1 (the concurrency gate).
+//     arena_size() and the identical checkpoint (base-image) bytes across
+//     commit worker counts {1, 2, 4} — the handle of every vnode a commit
+//     allocates is fixed at plan time by region order alone, so the
+//     schedule cannot leak into the structure. Runs under the TSan preset
+//     with commit workers > 1 (the concurrency gate).
 //   * Plan shape: the reservation is contiguous, disjoint, and exactly
 //     sized (fresh + steps per region, prefix-summed in region id order).
 //   * Guards: an exhausted or misaligned reservation fails loudly
@@ -35,10 +35,7 @@ using support::checkpoint;
 // Property: checkpoints are a pure function of the schedule, not the
 // commit worker count.
 
-class ArenaReservation : public ::testing::TestWithParam<core::RegionSplit> {};
-
-TEST_P(ArenaReservation, CommitWorkerCountNeverChangesTheForest) {
-  const core::RegionSplit split = GetParam();
+TEST(ArenaReservation, CommitWorkerCountNeverChangesTheForest) {
   Rng rng(271);
   Graph g0 = make_erdos_renyi(160, 7.0 / 160, rng);
 
@@ -50,7 +47,6 @@ TEST_P(ArenaReservation, CommitWorkerCountNeverChangesTheForest) {
   engines.reserve(worker_counts.size());
   for (int workers : worker_counts) {
     engines.emplace_back(g0);
-    engines.back().set_region_split(split);
     engines.back().set_shard_workers(workers);
     engines.back().set_commit_workers(workers);
     engines.back().set_break_workers(workers);
@@ -79,15 +75,6 @@ TEST_P(ArenaReservation, CommitWorkerCountNeverChangesTheForest) {
     EXPECT_TRUE(is_connected(fg.healed()));
   }
 }
-
-INSTANTIATE_TEST_SUITE_P(Splits, ArenaReservation,
-                         ::testing::Values(core::RegionSplit::kPerRegion,
-                                           core::RegionSplit::kGlobal),
-                         [](const ::testing::TestParamInfo<core::RegionSplit>& info) {
-                           return info.param == core::RegionSplit::kPerRegion
-                                      ? "PerRegion"
-                                      : "Global";
-                         });
 
 TEST(ArenaReservation, PlanRangesAreContiguousDisjointAndExact) {
   Rng rng(277);

@@ -85,6 +85,13 @@ TEST(MakeHealer, FactoryNames) {
   EXPECT_EQ(make_healer("line", g0)->forgiving(), nullptr);
 }
 
+TEST(MakeHealer, BadNamesAndParametersReturnNull) {
+  Graph g0 = make_cycle(4);
+  for (const char* name : {"bogus", "", "kary:", "kary:x", "kary:3x", "kary:1", "kary:-2"})
+    EXPECT_EQ(make_healer(name, g0), nullptr) << name;
+  EXPECT_NE(make_healer("kary:2", g0), nullptr);
+}
+
 TEST(BinaryTreeHealer, RepeatedDeletionsAccumulateDegree) {
   // The ablation motivation: without RT merging, repeated deletions around
   // the same survivor accumulate unbounded degree relative to G'.

@@ -17,6 +17,7 @@
 //     fan-out across waves and worker-count changes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <memory>
 #include <thread>
@@ -180,21 +181,28 @@ TEST(BreakPool, EngineKnobComposesWithMergeWorkersAcrossWaves) {
 }
 
 TEST(BreakPool, GlobalSplitSingleRegionBreaksInline) {
-  // A kGlobal wave has one region; the fan-out gate (regions <= 1) breaks
-  // it on the calling thread, and it must still be byte-identical.
+  // A wave of G'-adjacent victims is one region (a G' edge between two
+  // victims unites them); the fan-out gate (regions <= 1) breaks it on the
+  // calling thread, and it must still be byte-identical.
   Rng rng(331);
   Graph g0 = make_erdos_renyi(100, 7.0 / 100, rng);
   ForgivingGraph single(g0);
   ForgivingGraph pooled(g0);
-  single.set_region_split(core::RegionSplit::kGlobal);
-  pooled.set_region_split(core::RegionSplit::kGlobal);
   pooled.set_break_workers(4);
 
+  // Grow the wave along G' edges from a random start: each victim after
+  // the first is a G' neighbour of an earlier one.
   auto alive = single.healed().alive_nodes();
-  rng.shuffle(alive);
-  alive.resize(6);
-  single.delete_batch(alive);
-  pooled.delete_batch(alive);
+  std::vector<NodeId> wave{rng.pick(alive)};
+  for (size_t i = 0; i < wave.size() && wave.size() < 6; ++i)
+    for (NodeId y : single.gprime().neighbors(wave[i]))
+      if (wave.size() < 6 && std::find(wave.begin(), wave.end(), y) == wave.end())
+        wave.push_back(y);
+  ASSERT_EQ(wave.size(), 6u);
+  ASSERT_EQ(single.plan_delete_batch(wave).regions.size(), 1u);
+
+  single.delete_batch(wave);
+  pooled.delete_batch(wave);
   EXPECT_EQ(checkpoint(single), checkpoint(pooled));
   pooled.validate();
 }

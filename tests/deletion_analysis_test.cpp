@@ -65,9 +65,8 @@ std::vector<VNodeId> reference_roots(const core::StructuralCore& core,
 /// table's load, and each seed's roots against the brute-force reference.
 /// Returns the dirty-set size.
 size_t expect_matches_reference(const core::StructuralCore& core,
-                                const std::vector<NodeId>& victims,
-                                core::RegionSplit split) {
-  const core::DeletionAnalysis a = core.analyze_deletion(victims, split);
+                                const std::vector<NodeId>& victims) {
+  const core::DeletionAnalysis a = core.analyze_deletion(victims);
   const Reference ref = reference(core, victims);
   const VirtualForest& f = core.forest();
   size_t dirty = 0;
@@ -94,9 +93,6 @@ size_t expect_matches_reference(const core::StructuralCore& core,
   }
   std::sort(all_roots.begin(), all_roots.end());
   EXPECT_EQ(all_roots, reference_roots(core, victims));
-  if (split == core::RegionSplit::kGlobal) {
-    EXPECT_EQ(a.seeds.size(), 1u);
-  }
   return dirty;
 }
 
@@ -113,7 +109,7 @@ std::vector<NodeId> pick_victims(const ForgivingGraph& fg, int count, Rng& rng) 
 // Wide waves in a small arena: 64 victims a wave on a 512-node network
 // with an insertion burst before every wave, so the dirty set is a large
 // share of the (compacting) arena — the regime a dense mark array served.
-// Both region splits are held against the reference on every wave.
+// The analysis is held against the reference on every wave.
 TEST(DeletionAnalysis, WideWavesInASmallArenaMatchTheReference) {
   for (uint64_t seed : {3u, 17u, 41u}) {
     Rng rng(seed);
@@ -125,9 +121,7 @@ TEST(DeletionAnalysis, WideWavesInASmallArenaMatchTheReference) {
         fg.insert(attach);
       }
       std::vector<NodeId> victims = pick_victims(fg, 64, rng);
-      const size_t dirty =
-          expect_matches_reference(fg.core(), victims, core::RegionSplit::kPerRegion);
-      expect_matches_reference(fg.core(), victims, core::RegionSplit::kGlobal);
+      const size_t dirty = expect_matches_reference(fg.core(), victims);
       if (static_cast<size_t>(fg.forest().arena_size()) <= 64 * dirty) ++dense_waves;
       fg.delete_batch(victims);
     }
@@ -150,8 +144,7 @@ TEST(DeletionAnalysis, SingleVictimsDeepInALargeArenaMatchTheReference) {
     const NodeId v = 1 + static_cast<NodeId>(rng.next_below(kSpokes));
     if (!fg.is_alive(v)) continue;
     const std::vector<NodeId> victims{v};
-    const size_t dirty =
-        expect_matches_reference(fg.core(), victims, core::RegionSplit::kPerRegion);
+    const size_t dirty = expect_matches_reference(fg.core(), victims);
     EXPECT_GE(dirty, 16u);  // a leaf ~16 levels deep, and its helper's chain
     EXPECT_LE(dirty, 64u);  // O(log n), not O(arena)
     EXPECT_GT(static_cast<size_t>(fg.forest().arena_size()), 64 * dirty);

@@ -5,12 +5,9 @@
 // byte-identical engine checkpoints AND byte-identical sampled-certificate
 // streams, because worker counts are pure scheduling choices — the op
 // stream alone decides what commits (src/fg/healer_service.h). Each wave
-// heals inside the push() that fills it, and malformed inserts are
-// rejected at ingest, never applied. On top of that, the epoch-gated
-// admission path is driven through its test seam: a mutation landing
-// between plan and commit must be detected and re-planned, never
-// committed — the core's FG_CHECK death is the wall the gate keeps the
-// service from hitting.
+// heals inside the push() that fills it through one delete_batch, and
+// malformed inserts are rejected at ingest, never applied. A queued victim
+// killed through engine() between pushes is dropped, never planned.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -60,6 +57,12 @@ std::vector<ChurnOp> make_stream(int n, int ops, uint64_t seed) {
   return stream;
 }
 
+/// push() every op of `ops`, then flush() the trailing wave.
+void push_all(HealerService& service, const std::vector<ChurnOp>& ops) {
+  for (const ChurnOp& op : ops) service.push(op);
+  service.flush();
+}
+
 struct ServiceRun {
   std::vector<uint8_t> checkpoint;
   std::string cert_bytes;
@@ -67,16 +70,13 @@ struct ServiceRun {
 };
 
 ServiceRun run_service(const Graph& g0, const std::vector<ChurnOp>& ops,
-                       HealerConfig config,
-                       core::RegionSplit split = core::RegionSplit::kPerRegion) {
+                       HealerConfig config) {
   HealerService service(g0, config);
-  service.engine().set_region_split(split);
   std::ostringstream certs;
   service.set_certificate_stream(&certs);
   int64_t alerts = 0;
   service.set_alert([&alerts](int64_t, const std::string&) { ++alerts; });
-  VectorChurnStream stream(ops);
-  service.run(stream);
+  push_all(service, ops);
   EXPECT_EQ(alerts, 0);
   EXPECT_EQ(service.stats().cert_rejections, 0);
   return ServiceRun{checkpoint(service.engine()), certs.str(), service.stats()};
@@ -123,7 +123,6 @@ TEST_P(HealerServiceEquivalence, PipelinedMatchesSerialByteIdentically) {
   EXPECT_EQ(reference.stats.inserts, wide.stats.inserts);
   EXPECT_EQ(reference.stats.dropped_deletes, wide.stats.dropped_deletes);
   EXPECT_EQ(reference.stats.certified_waves, wide.stats.certified_waves);
-  EXPECT_EQ(wide.stats.stale_replans, 0);
 }
 
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, HealerServiceEquivalence,
@@ -131,30 +130,25 @@ INSTANTIATE_TEST_SUITE_P(WorkerCounts, HealerServiceEquivalence,
 
 TEST(HealerService, BreakWorkersBitIdenticalAcrossSplits) {
   // The fan-outs through the full serving loop: workers {2,4} (plan, break
-  // and commit alike) × both RegionSplit modes must produce byte-identical
-  // checkpoints AND byte-identical sampled-certificate streams to one
-  // worker (C4 extended to the break phase). Each split heals a different
-  // structure, so each compares against its own one-worker reference.
+  // and commit alike) must produce byte-identical checkpoints AND
+  // byte-identical sampled-certificate streams to one worker, however the
+  // waves split into dirty regions (C4 extended to the break phase).
   Rng rng(9002);
   Graph g0 = make_sparse_random(300, 5.0, rng);
   std::vector<ChurnOp> ops = make_stream(300, 1500, 0xBEEF);
 
-  for (core::RegionSplit split :
-       {core::RegionSplit::kPerRegion, core::RegionSplit::kGlobal}) {
-    HealerConfig config;
-    config.wave_size = 16;
-    config.certify_every = 8;
-    ServiceRun reference = run_service(g0, ops, config, split);
-    ASSERT_GT(reference.stats.certified_waves, 1);
+  HealerConfig config;
+  config.wave_size = 16;
+  config.certify_every = 8;
+  ServiceRun reference = run_service(g0, ops, config);
+  ASSERT_GT(reference.stats.certified_waves, 1);
 
-    for (int workers : {2, 4}) {
-      ServiceRun wide = run_service(g0, ops, with_workers(config, workers), split);
-      EXPECT_EQ(reference.checkpoint, wide.checkpoint)
-          << "checkpoint diverged at workers=" << workers;
-      EXPECT_EQ(reference.cert_bytes, wide.cert_bytes)
-          << "certificate stream diverged at workers=" << workers;
-      EXPECT_EQ(wide.stats.stale_replans, 0);
-    }
+  for (int workers : {2, 4}) {
+    ServiceRun wide = run_service(g0, ops, with_workers(config, workers));
+    EXPECT_EQ(reference.checkpoint, wide.checkpoint)
+        << "checkpoint diverged at workers=" << workers;
+    EXPECT_EQ(reference.cert_bytes, wide.cert_bytes)
+        << "certificate stream diverged at workers=" << workers;
   }
 }
 
@@ -224,63 +218,7 @@ TEST(HealerService, FlushHealsThePartialTrailingWave) {
 }
 
 // ---------------------------------------------------------------------------
-// Epoch-gated admission.
-
-TEST(HealerService, StaleAdmissionReplansInsteadOfCommitting) {
-  Rng rng(7);
-  Graph g0 = make_sparse_random(128, 4.0, rng);
-  HealerConfig config;
-  config.wave_size = 4;
-  HealerService service(g0, config);
-
-  // The seam fires between snapshot and commit; an insert through engine()
-  // bumps the mutation epoch without touching any planned victim.
-  int64_t hooked_wave = -1;
-  service.set_admission_hook([&](int64_t wave) {
-    if (wave != 0 || hooked_wave != -1) return;
-    hooked_wave = wave;
-    std::vector<NodeId> neighbors{NodeId{60}, NodeId{61}};
-    service.engine().insert(neighbors);
-  });
-
-  for (NodeId v = 0; v < 8; ++v) service.push(ChurnOp::Delete(v));
-  service.flush();
-
-  EXPECT_EQ(hooked_wave, 0);
-  EXPECT_EQ(service.stats().stale_replans, 1);
-  EXPECT_EQ(service.stats().waves, 2);
-  EXPECT_EQ(service.stats().deletes, 8);  // the re-planned wave committed whole
-  EXPECT_EQ(service.stats().dropped_deletes, 0);
-  for (NodeId v = 0; v < 8; ++v) EXPECT_FALSE(service.engine().is_alive(v));
-  service.engine().validate();
-}
-
-TEST(HealerService, StaleAdmissionRevalidatesKilledVictims) {
-  Rng rng(8);
-  Graph g0 = make_sparse_random(128, 4.0, rng);
-  HealerConfig config;
-  config.wave_size = 4;
-  HealerService service(g0, config);
-
-  // The intervening mutation is itself a deletion of one of the wave's own
-  // victims: the gate must drop the now-dead victim and re-plan the rest.
-  bool fired = false;
-  service.set_admission_hook([&](int64_t wave) {
-    if (wave != 0 || fired) return;
-    fired = true;
-    service.engine().remove(NodeId{2});
-  });
-
-  for (NodeId v = 0; v < 4; ++v) service.push(ChurnOp::Delete(v));
-  service.flush();
-
-  EXPECT_TRUE(fired);
-  EXPECT_EQ(service.stats().stale_replans, 1);
-  EXPECT_EQ(service.stats().dropped_deletes, 1);  // victim 2 died externally
-  EXPECT_EQ(service.stats().deletes, 3);
-  for (NodeId v = 0; v < 4; ++v) EXPECT_FALSE(service.engine().is_alive(v));
-  service.engine().validate();
-}
+// Victims killed behind the service, and the core's stale-plan wall.
 
 TEST(HealerService, QueuedVictimKilledThroughEngineIsDropped) {
   // engine() may be mutated between calls into the service. A queued victim
@@ -298,14 +236,13 @@ TEST(HealerService, QueuedVictimKilledThroughEngineIsDropped) {
   EXPECT_EQ(service.stats().waves, 1);
   EXPECT_EQ(service.stats().deletes, 1);
   EXPECT_EQ(service.stats().dropped_deletes, 1);
-  EXPECT_EQ(service.stats().stale_replans, 0);
   EXPECT_FALSE(service.engine().is_alive(NodeId{7}));
   service.engine().validate();
 }
 
 TEST(HealerService, WaveOfKilledVictimsOnlyCommitsNothing) {
-  // Every queued victim died through engine(): the wave counts, like the
-  // epoch gate's empty wave, but nothing is planned or committed.
+  // Every queued victim died through engine(): the wave counts, but
+  // nothing is planned or committed.
   Rng rng(11);
   Graph g0 = make_sparse_random(64, 4.0, rng);
   HealerConfig config;
@@ -313,10 +250,10 @@ TEST(HealerService, WaveOfKilledVictimsOnlyCommitsNothing) {
   HealerService service(g0, config);
   service.push(ChurnOp::Delete(NodeId{5}));
   service.engine().remove(NodeId{5});
-  const uint64_t epoch = service.engine().mutation_epoch();
+  const uint64_t epoch = service.engine().core().mutation_epoch();
   service.flush();
 
-  EXPECT_EQ(service.engine().mutation_epoch(), epoch);
+  EXPECT_EQ(service.engine().core().mutation_epoch(), epoch);
   EXPECT_EQ(service.stats().waves, 1);
   EXPECT_EQ(service.stats().deletes, 0);
   EXPECT_EQ(service.stats().dropped_deletes, 1);
@@ -324,10 +261,10 @@ TEST(HealerService, WaveOfKilledVictimsOnlyCommitsNothing) {
 }
 
 TEST(HealerServiceDeathTest, ForcedStaleCommitDiesWithoutTheGate) {
-  // What the admission gate protects against: bypass the service and drive
-  // the engine's plan/commit split directly — a mutation between the two
-  // hits the core's FG_CHECK wall. The service turns this death into the
-  // re-plan counted by the tests above.
+  // The wall behind the service's one delete_batch per wave: drive the
+  // engine's plan/commit split directly and mutate between the two — the
+  // core's begin_break refuses the stale plan. Inside one push() nothing
+  // can land there, so the service needs no gate of its own.
   Rng rng(9);
   Graph g0 = make_sparse_random(64, 4.0, rng);
   HealerService service(g0);
@@ -351,8 +288,7 @@ TEST(HealerService, GuardrailSamplesEveryKthWaveAndTeesValidCertificates) {
   HealerService service(g0, config);
   std::ostringstream certs;
   service.set_certificate_stream(&certs);
-  VectorChurnStream stream(ops);
-  service.run(stream);
+  push_all(service, ops);
 
   const HealerStats& stats = service.stats();
   ASSERT_GT(stats.waves, 6);
@@ -412,20 +348,15 @@ TEST(HealerService, AuditGuardrailDetectsAlertsAndRecovers) {
   });
 
   // Corrupt derived state (an image multiplicity, away from the wave's
-  // victims) between snapshot and commit. The injection bumps the mutation
-  // epoch, so the admission gate re-plans; the post-commit audit then finds
-  // the drift and the stabilizer repairs it in-loop.
-  bool fired = false;
-  service.set_admission_hook([&](int64_t wave) {
-    if (wave != 0 || fired) return;
-    fired = true;
-    service.engine().core().inject_multiplicity_bump(NodeId{50}, NodeId{51});
-  });
-
-  for (NodeId v = 0; v < 8; ++v) service.push(ChurnOp::Delete(v));
+  // victims) before the push that fills wave 0, so the wave plans and
+  // commits over the drifted state; the post-commit audit then finds the
+  // drift and the stabilizer repairs it in-loop.
+  for (NodeId v = 0; v < 8; ++v) {
+    if (v == 3) service.engine().core().inject_multiplicity_bump(NodeId{50}, NodeId{51});
+    service.push(ChurnOp::Delete(v));
+  }
   service.flush();
 
-  EXPECT_TRUE(fired);
   const HealerStats& stats = service.stats();
   EXPECT_EQ(stats.waves, 2);
   EXPECT_EQ(stats.audits, 2);  // audit_every=1 samples every wave
@@ -456,16 +387,12 @@ TEST(HealerService, GuardrailTeesCertificatesInOrdinalOrderAcrossRecovery) {
   std::ostringstream certs;
   service.set_certificate_stream(&certs);
 
-  bool fired = false;
-  service.set_admission_hook([&](int64_t wave) {
-    if (wave != 0 || fired) return;
-    fired = true;
-    service.engine().core().inject_multiplicity_bump(NodeId{50}, NodeId{51});
-  });
-
-  for (NodeId v = 0; v < 8; ++v) service.push(ChurnOp::Delete(v));
+  // The drift lands before the push that fills wave 0.
+  for (NodeId v = 0; v < 8; ++v) {
+    if (v == 3) service.engine().core().inject_multiplicity_bump(NodeId{50}, NodeId{51});
+    service.push(ChurnOp::Delete(v));
+  }
   service.flush();
-  ASSERT_TRUE(fired);
   ASSERT_EQ(service.stats().recoveries, 1);
   EXPECT_EQ(service.stats().cert_rejections, 0);
 
@@ -548,13 +475,16 @@ TEST(HealerService, RejectsInsertWithRepeatedNeighbour) {
 }
 
 TEST(HealerService, RunReportsIngestedOpCount) {
+  // Every pushed op is counted once, and lands in exactly one outcome.
   Rng rng(12);
   Graph g0 = make_sparse_random(64, 4.0, rng);
   HealerService service(g0);
   std::vector<ChurnOp> ops = make_stream(64, 100, 13);
-  VectorChurnStream stream(ops);
-  EXPECT_EQ(service.run(stream), 100);
-  EXPECT_EQ(service.stats().ops, 100);
+  push_all(service, ops);
+  const HealerStats& stats = service.stats();
+  EXPECT_EQ(stats.ops, 100);
+  EXPECT_EQ(stats.inserts + stats.rejected_inserts + stats.deletes + stats.dropped_deletes,
+            100);
 }
 
 }  // namespace

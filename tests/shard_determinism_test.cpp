@@ -115,44 +115,39 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ShardDeterminism, BreakWorkersBitIdenticalAcrossSplits) {
   // The acceptance matrix of the parallel break: plan workers {1,4} ×
-  // break workers {1,2,4} × commit workers {1,2,4} × both RegionSplit
-  // modes must land on the byte-identical checkpoint AND emit
-  // byte-identical certificates (C4 extended to the break fan-out). The
-  // plan axis runs the plan fan-out on the same shared pool as break and
-  // merge. Each split mode heals a different structure, so each compares
-  // against its own all-ones reference.
+  // break workers {1,2,4} × commit workers {1,2,4}, over three
+  // multi-victim waves, must land on the byte-identical checkpoint AND
+  // emit byte-identical certificates (C4 extended to the break fan-out).
+  // The plan axis runs the plan fan-out on the same shared pool as break
+  // and merge.
   Rng rng(55);
   Graph g0 = make_erdos_renyi(140, 7.0 / 140, rng);
   const std::vector<std::vector<NodeId>> waves = {
       {4, 41, 77, 110}, {9, 52, 96}, {15, 16, 60, 121, 133}};
 
-  for (core::RegionSplit split :
-       {core::RegionSplit::kPerRegion, core::RegionSplit::kGlobal}) {
-    std::vector<uint8_t> ref_checkpoint;
-    std::string ref_certs;
-    for (int pw : {1, 4}) {
-      for (int bw : {1, 2, 4}) {
-        for (int cw : {1, 2, 4}) {
-          ForgivingGraph fg(g0);
-          fg.set_region_split(split);
-          fg.set_shard_workers(pw);
-          fg.set_break_workers(bw);
-          fg.set_commit_workers(cw);
-          std::ostringstream certs;
-          harness::CertificateWriter writer(certs);
-          fg.set_certificate_sink(&writer);
-          for (const auto& wave : waves) fg.delete_batch(wave);
-          fg.validate();
-          if (pw == 1 && bw == 1 && cw == 1) {
-            ref_checkpoint = checkpoint(fg);
-            ref_certs = certs.str();
-            ASSERT_FALSE(ref_certs.empty());
-          } else {
-            EXPECT_EQ(ref_checkpoint, checkpoint(fg))
-                << "checkpoint diverged at plan=" << pw << " break=" << bw << " commit=" << cw;
-            EXPECT_EQ(ref_certs, certs.str()) << "certificate bytes diverged at plan=" << pw
-                                              << " break=" << bw << " commit=" << cw;
-          }
+  std::vector<uint8_t> ref_checkpoint;
+  std::string ref_certs;
+  for (int pw : {1, 4}) {
+    for (int bw : {1, 2, 4}) {
+      for (int cw : {1, 2, 4}) {
+        ForgivingGraph fg(g0);
+        fg.set_shard_workers(pw);
+        fg.set_break_workers(bw);
+        fg.set_commit_workers(cw);
+        std::ostringstream certs;
+        harness::CertificateWriter writer(certs);
+        fg.set_certificate_sink(&writer);
+        for (const auto& wave : waves) fg.delete_batch(wave);
+        fg.validate();
+        if (pw == 1 && bw == 1 && cw == 1) {
+          ref_checkpoint = checkpoint(fg);
+          ref_certs = certs.str();
+          ASSERT_FALSE(ref_certs.empty());
+        } else {
+          EXPECT_EQ(ref_checkpoint, checkpoint(fg))
+              << "checkpoint diverged at plan=" << pw << " break=" << bw << " commit=" << cw;
+          EXPECT_EQ(ref_certs, certs.str()) << "certificate bytes diverged at plan=" << pw
+                                            << " break=" << bw << " commit=" << cw;
         }
       }
     }

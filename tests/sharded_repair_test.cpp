@@ -132,41 +132,6 @@ TEST(RegionPartition, TransitiveChainingThroughSharedRt) {
   EXPECT_EQ(fg.plan_delete_batch(sparse).regions.size(), 2u);
 }
 
-TEST(RegionPartition, GlobalSplitForcesOneRegion) {
-  ForgivingGraph fg(make_path(30));
-  fg.set_region_split(core::RegionSplit::kGlobal);
-  std::vector<NodeId> wave{5, 15, 25};
-  auto plan = fg.plan_delete_batch(wave);
-  ASSERT_EQ(plan.regions.size(), 1u);
-  fg.delete_batch(wave);
-  fg.validate();
-  EXPECT_TRUE(is_connected(fg.healed()));
-  // One wave-wide RT over all six anchors.
-  EXPECT_EQ(fg.last_repair().regions, 1);
-  EXPECT_EQ(fg.last_repair().final_rt_leaves, 6);
-}
-
-TEST(RegionPartition, PerRegionAndGlobalBothSatisfyInvariants) {
-  Rng rng(71);
-  Graph g0 = make_erdos_renyi(80, 6.0 / 80, rng);
-  ForgivingGraph split(g0);
-  ForgivingGraph global(g0);
-  global.set_region_split(core::RegionSplit::kGlobal);
-  for (int wave = 0; wave < 5; ++wave) {
-    auto alive = split.healed().alive_nodes();
-    if (alive.size() <= 10) break;
-    rng.shuffle(alive);
-    alive.resize(6);
-    split.delete_batch(alive);
-    global.delete_batch(alive);
-    ASSERT_NO_FATAL_FAILURE(split.validate());
-    ASSERT_NO_FATAL_FAILURE(global.validate());
-    ASSERT_TRUE(is_connected(split.healed()));
-    ASSERT_TRUE(is_connected(global.healed()));
-    ASSERT_EQ(split.healed().alive_count(), global.healed().alive_count());
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Concurrent planning purity (contract C4, plan side).
 
@@ -213,23 +178,23 @@ TEST(ShardedRepair, WorkersProduceBitIdenticalEngines) {
 }
 
 TEST(ShardedRepair, ShardBookkeepingTracksFinalRts) {
-  ForgivingGraph fg(make_path(30));
+  core::StructuralCore core(make_path(30));
+  ShardedForest shards;
   std::vector<NodeId> wave{5, 15, 25};
-  auto plan = fg.plan_delete_batch(wave);
-  fg.commit_delete_batch(plan);
+  core::RepairPlan plan = shards.plan(core, wave);
   ASSERT_EQ(plan.regions.size(), 3u);
-  const std::vector<VNodeId>& roots = fg.shards().last_region_roots();
+  const std::vector<VNodeId> roots = shards.execute(core, plan);
   ASSERT_EQ(roots.size(), plan.regions.size());
   for (VNodeId h : roots) {
     ASSERT_NE(h, kNoVNode);
-    EXPECT_TRUE(fg.forest().exists(h));
-    EXPECT_TRUE(fg.forest().is_root(h));
+    EXPECT_TRUE(core.forest().exists(h));
+    EXPECT_TRUE(core.forest().is_root(h));
   }
   // One distinct final RT per region.
   EXPECT_NE(roots[0], roots[1]);
   EXPECT_NE(roots[0], roots[2]);
   EXPECT_NE(roots[1], roots[2]);
-  for (int region : fg.shards().last_assignment()) {
+  for (int region : shards.last_assignment()) {
     EXPECT_GE(region, 0);
     EXPECT_LT(region, 3);
   }
@@ -382,25 +347,25 @@ TEST(ShardedRepair, DistPerRegionBitIdenticalToCentral) {
 
 TEST(ShardedRepair, DisjointWaveRepairsInParallelRounds) {
   // The Lemma-4 payoff: disjoint regions repair through independent DAG
-  // branches, so the wave's rounds are the max over regions — strictly
-  // below the single wave-wide merge the kGlobal split runs.
+  // branches, so the wave's rounds are the max over its regions, not the
+  // sum — exactly the rounds of the slowest victim deleted on its own.
   std::vector<NodeId> wave;
   for (NodeId v = 10; v < 200; v += 24) wave.push_back(v);
 
   dist::DistForgivingGraph split(make_path(200));
-  dist::DistForgivingGraph global(make_path(200));
-  global.set_region_split(core::RegionSplit::kGlobal);
   split.delete_batch(wave);
-  global.delete_batch(wave);
-
   EXPECT_EQ(split.last_repair_cost().regions, static_cast<int>(wave.size()));
-  EXPECT_EQ(global.last_repair_cost().regions, 1);
-  EXPECT_LT(split.last_repair_cost().rounds, global.last_repair_cost().rounds);
-  EXPECT_LT(split.last_repair_cost().words, global.last_repair_cost().words);
+
+  int slowest = 0;
+  for (NodeId v : wave) {
+    dist::DistForgivingGraph alone(make_path(200));
+    alone.remove(v);
+    slowest = std::max(slowest, alone.last_repair_cost().rounds);
+  }
+  EXPECT_GT(slowest, 0);
+  EXPECT_EQ(split.last_repair_cost().rounds, slowest);
   split.validate();
-  global.validate();
   EXPECT_TRUE(is_connected(split.image()));
-  EXPECT_TRUE(is_connected(global.image()));
 }
 
 TEST(ShardedRepair, StageWisePerRegionKeepsInvariants) {

@@ -8,7 +8,7 @@
 //      replay path is exact).
 //   2. C4 extended to snapshot bytes: base bytes and every delta frame are
 //      a pure function of the op stream — identical at any break x commit
-//      worker count and either RegionSplit mode.
+//      worker count.
 //   3. Crash consistency: any truncation or byte flip in the delta tail is
 //      detected (CRC framing), restore recovers to the last consistent
 //      wave, and the restored core passes the full I1-I5 audit; a resumed
@@ -86,12 +86,11 @@ struct Capture {
 };
 
 Capture run_engine(const Graph& g0, const std::vector<ChurnOp>& ops,
-                   int wave_size, int workers, core::RegionSplit split) {
+                   int wave_size, int workers) {
   ForgivingGraph fg(g0);
   fg.set_shard_workers(workers);
   fg.set_commit_workers(workers);
   fg.set_break_workers(workers);
-  fg.set_region_split(split);
 
   Capture cap;
   fg.core().to_base_image(&cap.base);
@@ -130,7 +129,7 @@ Capture run_engine(const Graph& g0, const std::vector<ChurnOp>& ops,
   fg.core().set_delta_recorder(nullptr);
   fg.core().to_base_image(&cap.final_image);
   cap.final_checkpoint = checkpoint(fg);
-  cap.final_epoch = fg.mutation_epoch();
+  cap.final_epoch = fg.core().mutation_epoch();
   return cap;
 }
 
@@ -165,8 +164,7 @@ TEST(SnapshotFormat, FileHelpersRoundTrip) {
 TEST(SnapshotFormat, BaseImageRoundTripsThroughBytes) {
   Rng rng(11);
   Graph g0 = make_sparse_random(300, 4.0, rng);
-  Capture cap =
-      run_engine(g0, make_stream(300, 800, 0xABC), 8, 1, core::RegionSplit::kPerRegion);
+  Capture cap = run_engine(g0, make_stream(300, 800, 0xABC), 8, 1);
 
   // The live engine's final base image, pushed through bytes.
   snap::BaseImage image = cap.final_image;
@@ -294,8 +292,7 @@ TEST_P(SnapshotRoundTrip, DeltaReplayMatchesLiveEngineAtEveryWave) {
              : generator == 1 ? make_barabasi_albert(250, 3, rng)
                               : make_grid(16, 16);
   const int n = g0.node_capacity();
-  Capture cap =
-      run_engine(g0, make_stream(n, 900, 0xBEEF), 8, 2, core::RegionSplit::kPerRegion);
+  Capture cap = run_engine(g0, make_stream(n, 900, 0xBEEF), 8, 2);
   ASSERT_GE(cap.deltas.size(), 5u);
   ASSERT_EQ(cap.deltas.size(), cap.wave_checkpoints.size());
 
@@ -323,8 +320,7 @@ INSTANTIATE_TEST_SUITE_P(Generators, SnapshotRoundTrip, ::testing::Values(0, 1, 
 TEST(SnapshotRoundTrip, ApplyWaveDeltaRejectsCorruptRecords) {
   Rng rng(31);
   Graph g0 = make_sparse_random(200, 4.0, rng);
-  Capture cap =
-      run_engine(g0, make_stream(200, 600, 0xACE), 8, 1, core::RegionSplit::kPerRegion);
+  Capture cap = run_engine(g0, make_stream(200, 600, 0xACE), 8, 1);
   ASSERT_GE(cap.deltas.size(), 2u);
 
   auto fresh_shadow = [&] {
@@ -363,19 +359,15 @@ TEST(SnapshotRoundTrip, ApplyWaveDeltaRejectsCorruptRecords) {
 // ---------------------------------------------------------------------------
 // C4 extended to snapshot bytes.
 
-class SnapshotC4 : public ::testing::TestWithParam<int> {};
-
-TEST_P(SnapshotC4, BytesAreScheduleIndependent) {
-  const core::RegionSplit split =
-      GetParam() == 0 ? core::RegionSplit::kPerRegion : core::RegionSplit::kGlobal;
+TEST(SnapshotC4, BytesAreScheduleIndependent) {
   Rng rng(42);
   Graph g0 = make_sparse_random(300, 5.0, rng);
   std::vector<ChurnOp> ops = make_stream(300, 1200, 0xC4C4);
 
-  Capture reference = run_engine(g0, ops, 12, 1, split);
+  Capture reference = run_engine(g0, ops, 12, 1);
   ASSERT_GE(reference.deltas.size(), 5u);
   for (int workers : {2, 4}) {
-    Capture other = run_engine(g0, ops, 12, workers, split);
+    Capture other = run_engine(g0, ops, 12, workers);
     EXPECT_EQ(reference.base_bytes, other.base_bytes);
     EXPECT_EQ(reference.frame_bytes, other.frame_bytes)
         << "delta bytes diverged at " << workers << " workers";
@@ -383,10 +375,14 @@ TEST_P(SnapshotC4, BytesAreScheduleIndependent) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Splits, SnapshotC4, ::testing::Values(0, 1));
-
 // ---------------------------------------------------------------------------
 // Service integration: durable files, restore, resume.
+
+/// push() every op of `ops`, then flush() the trailing wave.
+void push_all(HealerService& service, const std::vector<ChurnOp>& ops) {
+  for (const ChurnOp& op : ops) service.push(op);
+  service.flush();
+}
 
 struct ServiceFiles {
   std::string base;
@@ -424,8 +420,7 @@ TEST(SnapshotService, ResumeMatchesUninterruptedByteForByte) {
   int64_t reference_waves = 0;
   {
     HealerService service(g0, plain);
-    VectorChurnStream stream(ops);
-    service.run(stream);
+    push_all(service, ops);
     reference = checkpoint(service.engine());
     reference_waves = service.stats().waves;
   }
@@ -461,6 +456,85 @@ TEST(SnapshotService, ResumeMatchesUninterruptedByteForByte) {
   }
 }
 
+/// One push of the drift scenario below, into a service running `config`.
+/// Before the delete that fills an audited wave past the first, bump the
+/// multiplicity of a live image edge behind the service's back, so that
+/// wave commits over drifted state and its own audit repairs it. Every
+/// delete of a make_stream stream is queued, so *queued counts the forming
+/// wave. Returns whether the push healed an audited wave.
+bool push_with_drift(HealerService& service, const HealerConfig& config, const ChurnOp& op,
+                     int* queued) {
+  const int64_t wave = service.stats().waves;
+  const bool deletes = op.kind == ChurnOp::Kind::kDelete;
+  const bool audited = wave % config.audit_every == 0;
+  if (deletes && *queued + 1 == config.wave_size && wave > 0 && audited) {
+    const Graph& g = service.engine().healed();
+    for (NodeId u : g.alive_nodes()) {
+      if (g.degree(u) == 0) continue;
+      service.engine().core().inject_multiplicity_bump(u, *g.neighbors(u).begin());
+      break;
+    }
+  }
+  service.push(op);
+  if (deletes) ++*queued;
+  if (service.stats().waves == wave) return false;
+  *queued = 0;
+  return audited;
+}
+
+TEST(SnapshotService, RebasedWaveCountsInTheRestoredWaveTotal) {
+  // A wave that commits over state mutated behind the service cannot be
+  // logged as a delta: the recorder discards its delta and the next
+  // maintain() writes a fresh base. That base reflects the wave, so it must count it;
+  // stamped one wave low, a service resumed from it would sample
+  // certify_every and audit_every one wave behind the uninterrupted run.
+  Rng rng(81);
+  Graph g0 = make_sparse_random(300, 4.0, rng);
+  std::vector<ChurnOp> ops = make_stream(300, 2000, 0x4EBA5E);
+  const std::string tag = "rebase";
+  HealerConfig config = snapshot_config(tag, 4);
+  ServiceFiles files = service_paths(tag);
+
+  // Killed right after the first audited wave at or past op 1333, so every
+  // drift injected so far has been audited and repaired.
+  size_t cut = 0;
+  int64_t killed_waves = 0;
+  std::vector<uint8_t> live;
+  {
+    HealerService service(g0, config);
+    int queued = 0;
+    bool audited = false;
+    while (cut < 1333 || !audited)
+      audited = push_with_drift(service, config, ops[cut++], &queued);
+    ASSERT_GE(service.stats().recoveries, 10);
+    killed_waves = service.stats().waves;
+    live = checkpoint(service.engine());
+  }
+  core::StructuralCore restored;
+  SnapshotRestore res = restore_snapshot(files.base, files.log, &restored);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(checkpoint(restored), live);
+  EXPECT_TRUE(audit(restored).clean());
+  EXPECT_EQ(res.waves, static_cast<uint64_t>(killed_waves));
+  ASSERT_EQ(res.cursor, cut);
+
+  HealerService resumed(std::move(restored), res.waves, res.cursor, config);
+  int queued = 0;
+  for (size_t i = res.cursor; i < ops.size(); ++i)
+    push_with_drift(resumed, config, ops[i], &queued);
+  resumed.flush();
+
+  HealerConfig plain = config;
+  plain.snapshot_every = 0;
+  plain.snapshot_path.clear();
+  HealerService reference(g0, plain);
+  queued = 0;
+  for (const ChurnOp& op : ops) push_with_drift(reference, plain, op, &queued);
+  reference.flush();
+  EXPECT_EQ(resumed.stats().waves, reference.stats().waves);
+  EXPECT_EQ(checkpoint(resumed.engine()), checkpoint(reference.engine()));
+}
+
 TEST(SnapshotService, DeltaLogShrinksRestoreCost) {
   // The point of the subsystem: between base rotations, restore replays
   // only the delta tail. With rotation every 64 waves and churn past one
@@ -475,8 +549,7 @@ TEST(SnapshotService, DeltaLogShrinksRestoreCost) {
   std::vector<uint8_t> final_checkpoint;
   {
     HealerService service(g0, config);
-    VectorChurnStream stream(ops);
-    service.run(stream);
+    push_all(service, ops);
     waves = service.stats().waves;
     final_checkpoint = checkpoint(service.engine());
   }
@@ -511,8 +584,7 @@ TEST(SnapshotTornWrite, TruncationsAndFlipsRecoverToAuditCleanState) {
   ServiceFiles files = service_paths(tag);
   {
     HealerService service(g0, config);
-    VectorChurnStream stream(ops);
-    service.run(stream);
+    push_all(service, ops);
   }
   std::vector<uint8_t> base_bytes, log_bytes;
   std::string error;
@@ -609,8 +681,7 @@ TEST(SnapshotGolden, ServiceBaseAndLogArePinned) {
     HealerService service(g0, config);
     int64_t alerts = 0;
     service.set_alert([&alerts](int64_t, const std::string&) { ++alerts; });
-    VectorChurnStream stream(ops);
-    service.run(stream);
+    push_all(service, ops);
     waves = service.stats().waves;
     EXPECT_EQ(alerts, 0);
   }
@@ -645,8 +716,7 @@ TEST(SnapshotTool, FgsnapExitCodesPinned) {
   ServiceFiles files = service_paths(tag);
   {
     HealerService service(g0, config);
-    VectorChurnStream stream(ops);
-    service.run(stream);
+    push_all(service, ops);
   }
 
   auto fgsnap = [](const std::string& args) {

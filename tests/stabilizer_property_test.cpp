@@ -38,10 +38,10 @@ void expect_clean(ForgivingGraph& fg, const std::string& what) {
   AuditReport report = stabilizer.audit();
   EXPECT_TRUE(report.clean()) << report.summary();
   const std::vector<uint8_t> before = checkpoint(fg);
-  const uint64_t epoch = fg.mutation_epoch();
+  const uint64_t epoch = fg.core().mutation_epoch();
   RecoveryStats recovery = stabilizer.stabilize();
   EXPECT_FALSE(recovery.recovered);
-  EXPECT_EQ(fg.mutation_epoch(), epoch);
+  EXPECT_EQ(fg.core().mutation_epoch(), epoch);
   EXPECT_EQ(checkpoint(fg), before);
 }
 
