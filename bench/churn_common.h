@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <fstream>
+#include <functional>
 #include <numeric>
 #include <ostream>
 #include <string>
@@ -60,9 +61,12 @@ inline double resident_mb() {
   return 0.0;
 }
 
-inline ChurnDriverResult run_churn_driver(const ChurnDriverConfig& cfg,
-                                          std::ostream* cert_stream = nullptr,
-                                          HealerService::AlertFn alert = nullptr) {
+/// `attach`, when set, is called on the freshly built service before the
+/// first op (a bench installs a delta recorder on its core there).
+inline ChurnDriverResult run_churn_driver(
+    const ChurnDriverConfig& cfg, std::ostream* cert_stream = nullptr,
+    HealerService::AlertFn alert = nullptr,
+    const std::function<void(HealerService&)>& attach = nullptr) {
   using Clock = std::chrono::steady_clock;
   auto ms_since = [](Clock::time_point t0) {
     return std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
@@ -77,6 +81,7 @@ inline ChurnDriverResult run_churn_driver(const ChurnDriverConfig& cfg,
   if (cert_stream != nullptr) service.set_certificate_stream(cert_stream);
   if (alert) service.set_alert(std::move(alert));
   result.build_ms = ms_since(t_build);
+  if (attach) attach(service);
 
   std::vector<NodeId> pool(static_cast<size_t>(cfg.nodes));
   std::iota(pool.begin(), pool.end(), NodeId{0});

@@ -531,14 +531,55 @@ void churn_service(Table& t) {
                     static_cast<double>(r.stats.certified_waves), 0.0});
 }
 
-// Scenario I (R8): the durable-snapshot subsystem (src/snap) at the
-// acceptance scale, n = 2^20. Three costs and one size:
+/// Times SnapshotRecorder::on_wave_committed, the wave's record build plus
+/// its frame (a sink that appends it to a reused buffer), and forwards the
+/// other hooks untimed.
+class TimedRecorder final : public core::DeltaRecorder {
+ public:
+  TimedRecorder() {
+    rec_.set_sink([this](const snap::WaveDelta& d) {
+      frame_.clear();
+      snap::append_delta(&frame_, d);
+    });
+  }
+
+  SnapshotRecorder& recorder() { return rec_; }
+  int waves() const { return waves_; }
+  double mean_ms() const { return waves_ > 0 ? total_ms_ / waves_ : 0.0; }
+
+  void on_insert(NodeId id, std::span<const NodeId> neighbors) override {
+    rec_.on_insert(id, neighbors);
+  }
+  void on_image_touch(NodeId u, NodeId v) override { rec_.on_image_touch(u, v); }
+  void on_wave_committed(const core::StructuralCore& core,
+                         const core::RepairPlan& plan) override {
+    auto t0 = std::chrono::steady_clock::now();
+    rec_.on_wave_committed(core, plan);
+    total_ms_ += ms_since(t0);
+    ++waves_;
+  }
+
+ private:
+  SnapshotRecorder rec_;
+  std::vector<uint8_t> frame_;
+  double total_ms_ = 0.0;
+  int waves_ = 0;
+};
+
+// Scenario I (R8): the durable-snapshot subsystem (src/snap). Three costs
+// and one size at the acceptance scale, n = 2^20:
 //
 //   snapshot_base   — to_base_image + encode_base of the full engine
-//   snapshot_delta  — framing one 64-victim wave delta (the steady-state
-//                     per-wave cost the healer service pays)
+//   snapshot_delta  — framing one 64-victim wave delta of a fresh engine
 //   restore_delta   — decode base + replay ONE delta
 //   bytes_per_node  — base-image size over n
+//
+// and the steady-state per-wave durability cost the healer service pays:
+//
+//   snapshot_record — the whole record per wave (build plus frame, mean
+//                     over the waves) on the bench/churn_common.h stream at
+//                     n = 2^16 with 64-victim waves, where the dead
+//                     clusters grow into one giant RT
 //
 // The restored core is FG_CHECKed to land on the live engine's checkpoint.
 void snapshot_cost(Table& t) {
@@ -586,6 +627,17 @@ void snapshot_cost(Table& t) {
   record(t, "restore_delta", kN, kWave, ms_since(t0));
   FG_CHECK_MSG(checkpoint(from_snap) == checkpoint(fg.core()),
                "snapshot restore diverged from the live engine");
+
+  ChurnDriverConfig cfg;
+  cfg.nodes = 1 << 16;
+  cfg.ops = 130'000;
+  TimedRecorder timed;
+  ChurnDriverResult r = run_churn_driver(cfg, nullptr, nullptr, [&timed](HealerService& s) {
+    timed.recorder().begin(s.engine().core(), 0, 0);
+    s.engine().core().set_delta_recorder(&timed);
+  });
+  FG_CHECK(timed.waves() == r.stats.waves && !timed.recorder().needs_rebase());
+  record(t, "snapshot_record", cfg.nodes, cfg.service.wave_size, timed.mean_ms());
 }
 
 void write_json(const std::string& path) {

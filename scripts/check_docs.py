@@ -743,6 +743,27 @@ def check_single_heal_path():
     return problems
 
 
+# The one-encoder gate (rule 12). Every snapshot record is sized up front
+# and written through one presized little-endian cursor; put_u8/put_u32/
+# put_u64 (and their signed twins) were the per-byte push_back primitives
+# over a std::vector<uint8_t>* that the cursor replaced.
+SNAP_ENCODER = "src/snap/snapshot.cpp"
+PUSH_PRIMITIVE_RE = re.compile(r"\bput_(?:u8|u32|u64|i32|i64)\b")
+
+
+def check_single_encoder():
+    path = REPO / SNAP_ENCODER
+    if not path.exists():
+        return [f"{SNAP_ENCODER}: missing, but the one-encoder rule covers it"]
+    return [
+        f"{SNAP_ENCODER}: names `{token}` — every snapshot record is sized "
+        "once and written through the presized Writer cursor, never pushed "
+        "byte by byte into a std::vector<uint8_t> (docs/SNAPSHOTS.md, "
+        "\"Measured cost\")"
+        for token in sorted(set(PUSH_PRIMITIVE_RE.findall(path.read_text())))
+    ]
+
+
 def main():
     problems = (check_links() + check_snippet_sync() + check_concurrency_sync() +
                 check_graph_api_sync() + check_healer_service_sync() +
@@ -750,7 +771,7 @@ def main():
                 check_certificate_independence() + check_single_state_format() +
                 check_single_effect_mode() + check_single_allocation_mode() +
                 check_single_repair_driver())
-    problems += check_single_heal_path()
+    problems += check_single_heal_path() + check_single_encoder()
     for p in problems:
         print(p, file=sys.stderr)
     if problems:
@@ -768,7 +789,8 @@ def main():
           "one allocation mode (no on-demand path in src/), one repair "
           "driver (no second planner, committer or break callback in src/)")
     print("docs OK: one heal path and one partition (no admission hook, "
-          "wave-wide split or cached last-wave roots in src/)")
+          "wave-wide split or cached last-wave roots in src/), one snapshot "
+          "encoder (no per-byte push primitive in src/snap/snapshot.cpp)")
 
 
 if __name__ == "__main__":

@@ -36,6 +36,7 @@
 #include "fg/virtual_forest.h"
 #include "graph/graph.h"
 #include "util/check.h"
+#include "util/prefetch.h"
 
 namespace fg::core {
 
@@ -116,6 +117,11 @@ class SlotTable {
   std::span<const Entry> entries(NodeId v) const {
     const Head& h = head(v);
     return {data(h), static_cast<size_t>(h.count)};
+  }
+
+  /// Prefetch processor v's table head (a cache hint; no effect on state).
+  void prefetch(NodeId v) const {
+    if (!heads_.empty()) util::prefetch(&heads_[static_cast<size_t>(v)]);
   }
 
   /// Rewrite every entry's leaf and helper through `renumber` (indexed by

@@ -659,47 +659,96 @@ bool narrow_row(const snap::VRow& r, VirtualForest::VNode* n) {
 
 }  // namespace
 
-void StructuralCore::to_base_image(snap::BaseImage* out) const {
-  out->epoch = epoch_;
-  out->capacity = static_cast<uint32_t>(gprime_.node_capacity());
+template <typename Out>
+void StructuralCore::emit_base(Out& out) const {
+  // G' edges in canonical (u, v) order, independent of how they
+  // accumulated: v ascends and each neighbour view is sorted.
+  const NodeId capacity = gprime_.node_capacity();
+  out.begin_gprime(static_cast<uint32_t>(capacity), static_cast<uint64_t>(gprime_.edge_count()));
+  for (NodeId v = 0; v < capacity; ++v) {
+    NeighborView nb = gprime_.neighbors(v);
+    for (const NodeId* w = std::upper_bound(nb.begin(), nb.end(), v); w != nb.end(); ++w)
+      out.edge(static_cast<uint32_t>(v), static_cast<uint32_t>(*w));
+  }
 
-  out->dead.clear();
-  for (NodeId v = 0; v < gprime_.node_capacity(); ++v)
-    if (!g_.is_alive(v)) out->dead.push_back(static_cast<uint32_t>(v));
+  uint64_t dead = 0;
+  for (NodeId v = 0; v < capacity; ++v) dead += g_.is_alive(v) ? 0 : 1;
+  out.begin_live(dead);
+  for (NodeId v = 0; v < capacity; ++v)
+    if (!g_.is_alive(v)) out.dead(static_cast<uint32_t>(v));
 
-  // Canonical adjacency order, independent of how the edges accumulated.
-  out->gprime_edges.clear();
-  out->gprime_edges.reserve(static_cast<size_t>(gprime_.edge_count()));
-  for (NodeId v = 0; v < gprime_.node_capacity(); ++v)
-    for (NodeId w : gprime_.neighbors(v))
-      if (v < w)
-        out->gprime_edges.push_back(
-            {static_cast<uint32_t>(v), static_cast<uint32_t>(w)});
-  std::sort(out->gprime_edges.begin(), out->gprime_edges.end());
-
-  out->forest_live = forest_.live_count();
   const auto& arena = forest_.dump();
-  out->rows.clear();
-  out->rows.reserve(arena.size());
+  out.begin_forest(arena.size(), forest_.live_count());
   for (const auto& n : arena)
-    out->rows.push_back({n.owner, n.other, n.parent, n.left, n.right, n.rep, n.height,
-                         n.leaf_count, n.is_leaf, n.alive});
+    out.row({n.owner, n.other, n.parent, n.left, n.right, n.rep, n.height, n.leaf_count,
+             n.is_leaf, n.alive});
 
-  out->slots.clear();
-  for (NodeId v = 0; v < static_cast<NodeId>(procs_.size()); ++v)
+  const NodeId procs = static_cast<NodeId>(procs_.size());
+  uint64_t slots = 0;
+  for (NodeId v = 0; v < procs; ++v) slots += static_cast<uint64_t>(slots_.count(v));
+  out.begin_slots(slots);
+  for (NodeId v = 0; v < procs; ++v)
     for (const SlotTable::Entry& s : slots_.entries(v))
-      out->slots.push_back({static_cast<uint32_t>(v), s.other, s.leaf, s.helper});
+      out.slot({static_cast<uint32_t>(v), s.other, s.leaf, s.helper});
 
   // MULT walks G's sorted adjacency (u < w), which is already in (u, v)
   // order: each edge counts its first unit plus its excess.
-  out->mult.clear();
-  out->mult.reserve(static_cast<size_t>(g_.edge_count()));
+  out.begin_mult(static_cast<uint64_t>(g_.edge_count()));
   for (NodeId u = 0; u < g_.node_capacity(); ++u) {
     NeighborView nb = g_.neighbors(u);
     for (const NodeId* w = std::upper_bound(nb.begin(), nb.end(), u); w != nb.end(); ++w)
-      out->mult.push_back({static_cast<uint32_t>(u), static_cast<uint32_t>(*w),
-                           1 + image_excess_.count(edge_key(u, *w))});
+      out.mult({static_cast<uint32_t>(u), static_cast<uint32_t>(*w),
+                1 + image_excess_.count(edge_key(u, *w))});
   }
+}
+
+namespace {
+
+/// emit_base's collector for to_base_image: each section into its vector.
+struct ImageCollector {
+  snap::BaseImage* image;
+
+  void begin_gprime(uint32_t capacity, uint64_t edges) {
+    image->capacity = capacity;
+    image->gprime_edges.clear();
+    image->gprime_edges.reserve(edges);
+  }
+  void edge(uint32_t u, uint32_t v) { image->gprime_edges.push_back({u, v}); }
+  void begin_live(uint64_t dead) {
+    image->dead.clear();
+    image->dead.reserve(dead);
+  }
+  void dead(uint32_t v) { image->dead.push_back(v); }
+  void begin_forest(uint64_t rows, int64_t forest_live) {
+    image->forest_live = forest_live;
+    image->rows.clear();
+    image->rows.reserve(rows);
+  }
+  void row(const snap::VRow& r) { image->rows.push_back(r); }
+  void begin_slots(uint64_t slots) {
+    image->slots.clear();
+    image->slots.reserve(slots);
+  }
+  void slot(const snap::BaseImage::SlotEntry& e) { image->slots.push_back(e); }
+  void begin_mult(uint64_t mult) {
+    image->mult.clear();
+    image->mult.reserve(mult);
+  }
+  void mult(const snap::BaseImage::MultEntry& m) { image->mult.push_back(m); }
+};
+
+}  // namespace
+
+void StructuralCore::to_base_image(snap::BaseImage* out) const {
+  out->epoch = epoch_;
+  ImageCollector collector{out};
+  emit_base(collector);
+}
+
+void StructuralCore::stream_base_image(snap::BaseEncoder* enc, uint64_t wave,
+                                       uint64_t cursor) const {
+  enc->header(wave, epoch_, cursor);
+  emit_base(*enc);
 }
 
 bool StructuralCore::from_base_image(const snap::BaseImage& image, StructuralCore* out,

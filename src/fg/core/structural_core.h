@@ -82,6 +82,7 @@
 
 namespace fg::snap {
 struct BaseImage;
+class BaseEncoder;
 struct WaveDelta;
 }  // namespace fg::snap
 
@@ -532,6 +533,11 @@ class StructuralCore {
   /// wave/cursor header fields untouched; epoch is stamped from this core.
   void to_base_image(snap::BaseImage* out) const;
 
+  /// Stream the same image into `enc`, stamped with `wave` and `cursor`:
+  /// the bytes snap::encode_base(to_base_image) produces, with no BaseImage
+  /// and no whole-file buffer in between (the snapshot writer's base path).
+  void stream_base_image(snap::BaseEncoder* enc, uint64_t wave, uint64_t cursor) const;
+
   /// Restore a core from a base image. Malformed images (out-of-range
   /// handles, duplicate edges, derived state inconsistent with the forest)
   /// return false + *error, never abort. The restored core's mutation
@@ -583,6 +589,11 @@ class StructuralCore {
   /// drop below multiplicity zero) is skipped by the batch, so the count
   /// catches it in every build type.
   void flush_edge_drops();
+
+  /// The base image's contents in file order, section by section, to
+  /// to_base_image's collector or stream_base_image's encoder.
+  template <typename Out>
+  void emit_base(Out& out) const;
 
   /// Tell the delta recorder (if any) that edge (u, v)'s multiplicity is
   /// about to change. Called from both multiplicity funnels, which only

@@ -133,6 +133,7 @@ void HealerService::heal_wave() {
   if (victims.empty()) {
     ++stats_.waves;
     stats_.wave_latency.record_ms(ms_since(t0));
+    maintain_snapshot(wave);
     return;
   }
 
@@ -183,18 +184,25 @@ void HealerService::heal_wave() {
   stats_.deletes += static_cast<int64_t>(victims.size());
   ++stats_.waves;
   stats_.wave_latency.record_ms(ms_since(t0));
+  maintain_snapshot(wave);
+}
 
-  // Snapshot upkeep: the wave's delta was appended when the commit fired
-  // on_wave_committed; rotate to a fresh base when due, or rebase after
-  // anything that diverged the mutation epoch from the op stream (the
-  // stabilize() recovery above, a mutation through engine() between
-  // pushes). Disk failures degrade to an alert, never to a crash — the
-  // service keeps healing, the snapshot goes stale.
-  if (snapshot_) {
-    snapshot_->maintain(fg_.core());
-    std::string err = snapshot_->take_error();
-    if (!err.empty() && alert_) alert_(wave, "snapshot: " + err);
-  }
+void HealerService::maintain_snapshot(int64_t wave) {
+  if (!snapshot_) return;
+  // The wave's delta was appended when the commit fired on_wave_committed.
+  // The snapshot counts the service's waves: a commit made through
+  // engine() between pushes is not one, and a wave whose victims were all
+  // killed is one though it commits nothing, so a count that drifted
+  // forces a rebase stamped with stats_.waves (both are rare; the steady
+  // state appends deltas only). Otherwise rotate to a fresh base when due,
+  // or rebase after anything that diverged the mutation epoch from the op
+  // stream (the stabilize() recovery above, a mutation through engine()
+  // between pushes). Disk failures degrade to an alert, never to a crash —
+  // the service keeps healing, the snapshot goes stale.
+  snapshot_->set_waves(static_cast<uint64_t>(stats_.waves));
+  snapshot_->maintain(fg_.core());
+  std::string err = snapshot_->take_error();
+  if (!err.empty() && alert_) alert_(wave, "snapshot: " + err);
 }
 
 }  // namespace fg

@@ -193,6 +193,10 @@ class HealerService {
   /// one delete_batch, check the sampled certificate, audit, and keep the
   /// snapshot up to date: one whole wave, on the calling thread.
   void heal_wave();
+  /// Post-wave snapshot upkeep (a no-op with snapshots off): stamp the
+  /// writer with the service's wave count, rotate or rebase when due, and
+  /// alert on a disk failure.
+  void maintain_snapshot(int64_t wave);
   /// Why an insert must be rejected (a dead, out-of-range or repeated
   /// neighbour), or empty when it may apply.
   std::string insert_error(const std::vector<NodeId>& neighbors) const;

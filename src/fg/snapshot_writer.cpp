@@ -1,7 +1,12 @@
 #include "fg/snapshot_writer.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <utility>
+
+#include "util/check.h"
+#include "util/prefetch.h"
 
 namespace fg {
 
@@ -22,6 +27,56 @@ snap::VRow to_vrow(const VirtualForest::VNode& n) {
   return r;
 }
 
+/// Sort `keys` ascending and drop repeats: an LSD radix sort through
+/// `scratch`. A 64-bit key is two 32-bit ids (a slot_key), so each 32-bit
+/// half is sorted over the bits its widest value uses, in digits of at most
+/// 11 bits: ids below 2^22 take two passes per half, and one counting pass
+/// builds every digit's histogram.
+template <typename Key>
+void sort_unique(std::vector<Key>* keys, std::vector<Key>* scratch) {
+  constexpr int kMaxDigitBits = 11;
+  constexpr size_t kMaxDigits = sizeof(Key) / 4 * 3;  // 32 bits = 3 digits
+  const size_t n = keys->size();
+  if (n > 1) {
+    Key used = 0;
+    for (Key k : *keys) used |= k;
+    struct Digit {
+      int shift = 0;
+      Key mask = 0;
+    };
+    std::array<Digit, kMaxDigits> digits;
+    size_t nd = 0;
+    for (int half = 0; half < static_cast<int>(sizeof(Key) / 4); ++half) {
+      const int width = std::bit_width(static_cast<uint32_t>(used >> (32 * half)));
+      const int passes = (width + kMaxDigitBits - 1) / kMaxDigitBits;
+      for (int p = 0; p < passes; ++p) {
+        const int lo = p * width / passes;
+        const int hi = (p + 1) * width / passes;
+        digits[nd++] = {32 * half + lo, static_cast<Key>((Key{1} << (hi - lo)) - 1)};
+      }
+    }
+    std::array<std::array<uint32_t, size_t{1} << kMaxDigitBits>, kMaxDigits> count;
+    for (size_t d = 0; d < nd; ++d) std::fill_n(count[d].begin(), digits[d].mask + 1, 0u);
+    for (Key k : *keys)
+      for (size_t d = 0; d < nd; ++d) ++count[d][(k >> digits[d].shift) & digits[d].mask];
+
+    scratch->resize(n);
+    Key* from = keys->data();
+    Key* to = scratch->data();
+    for (size_t d = 0; d < nd; ++d) {
+      const int shift = digits[d].shift;
+      const Key mask = digits[d].mask;
+      uint32_t* c = count[d].data();
+      uint32_t sum = 0;
+      for (Key b = 0; b <= mask; ++b) sum += std::exchange(c[b], sum);
+      for (size_t i = 0; i < n; ++i) to[c[(from[i] >> shift) & mask]++] = from[i];
+      std::swap(from, to);
+    }
+    if (from != keys->data()) keys->swap(*scratch);
+  }
+  keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
+}
+
 }  // namespace
 
 // ----------------------------------------------------------- SnapshotRecorder
@@ -32,24 +87,32 @@ void SnapshotRecorder::begin(const core::StructuralCore& core, uint64_t waves,
   cursor_ = cursor;
   expected_epoch_ = core.mutation_epoch();
   needs_rebase_ = false;
-  pending_inserts_.clear();
-  touched_mult_.clear();
+  discard_pending();
 }
 
 void SnapshotRecorder::rebased(const core::StructuralCore& core) {
   expected_epoch_ = core.mutation_epoch();
   needs_rebase_ = false;
-  pending_inserts_.clear();
+  discard_pending();
+}
+
+void SnapshotRecorder::set_waves(uint64_t waves) {
+  if (waves == waves_) return;
+  waves_ = waves;
+  needs_rebase_ = true;
+}
+
+void SnapshotRecorder::discard_pending() {
+  delta_.inserts.clear();
   touched_mult_.clear();
 }
 
 void SnapshotRecorder::on_insert(NodeId id, std::span<const NodeId> neighbors) {
   ++expected_epoch_;
-  snap::WaveDelta::Insert ins;
+  snap::WaveDelta::Insert& ins = delta_.inserts.emplace_back();
   ins.id = static_cast<uint32_t>(id);
   ins.neighbors.reserve(neighbors.size());
   for (NodeId v : neighbors) ins.neighbors.push_back(static_cast<uint32_t>(v));
-  pending_inserts_.push_back(std::move(ins));
 }
 
 void SnapshotRecorder::on_image_touch(NodeId u, NodeId v) {
@@ -68,18 +131,15 @@ void SnapshotRecorder::on_wave_committed(const core::StructuralCore& core,
   if (plan.recovery || core.mutation_epoch() != expected_epoch_) {
     needs_rebase_ = true;
     expected_epoch_ = core.mutation_epoch();
-    pending_inserts_.clear();
-    touched_mult_.clear();
+    discard_pending();
     return;
   }
 
-  snap::WaveDelta d;
+  snap::WaveDelta& d = delta_;
   d.wave = waves_;
   d.epoch_after = core.mutation_epoch();
   d.cursor = cursor_;
-  d.inserts = std::move(pending_inserts_);
-  pending_inserts_.clear();
-  d.victims.reserve(plan.victims.size());
+  d.victims.clear();
   for (NodeId v : plan.victims) d.victims.push_back(static_cast<uint32_t>(v));
 
   const VirtualForest& forest = core.forest();
@@ -89,57 +149,96 @@ void SnapshotRecorder::on_wave_committed(const core::StructuralCore& core,
   // Touched rows: every break-script handle plus the wave's whole arena
   // reservation (fresh anchor leaves and helpers). Merge-side parent-link
   // rewrites only ever hit piece roots (script events) and new helpers
-  // (reservation), so this set is complete.
-  std::vector<VNodeId> handles;
-  for (const core::RegionPlan& region : plan.regions) {
-    for (const core::RegionPlan::Event& e : region.events) handles.push_back(e.h);
-  }
-  for (int i = 0; i < plan.arena_total; ++i) handles.push_back(plan.arena_start + i);
-  std::sort(handles.begin(), handles.end());
-  handles.erase(std::unique(handles.begin(), handles.end()), handles.end());
+  // (reservation), so this set is complete. The script handles are rows
+  // that existed when the wave was planned, so they all lie below the
+  // reservation, which starts at that arena size: only they need sorting.
+  //
+  // Every lookup below is an independent cache miss (a scattered row; a
+  // slot-table or adjacency head, then its entries; an excess cell), so
+  // each loop prefetches kAhead keys ahead, heads 2 * kAhead ahead, and the
+  // misses overlap instead of queueing.
+  constexpr size_t kAhead = 16;
+  handles_.clear();
+  for (const core::RegionPlan& region : plan.regions)
+    for (const core::RegionPlan::Event& e : region.events)
+      handles_.push_back(static_cast<uint32_t>(e.h));
+  sort_unique(&handles_, &scratch32_);
+  FG_CHECK(handles_.empty() || handles_.back() < static_cast<uint32_t>(plan.arena_start));
 
   const std::vector<VirtualForest::VNode>& rows = forest.dump();
-  d.rows.reserve(handles.size());
-  std::vector<uint64_t> slot_keys;
-  slot_keys.reserve(handles.size());
-  for (VNodeId h : handles) {
-    const VirtualForest::VNode& row = rows[static_cast<size_t>(h)];
-    d.rows.push_back({static_cast<uint32_t>(h), to_vrow(row)});
+  d.rows.clear();
+  slot_keys_.clear();
+  auto add_row = [&](uint32_t h) {
+    const VirtualForest::VNode& row = rows[h];
+    d.rows.push_back({h, to_vrow(row)});
     // Tombstones keep (owner, other), so torn-down rows still name the slot
     // key whose entry the break cleared.
-    if (row.owner != kInvalidNode) slot_keys.push_back(slot_key(row.owner, row.other));
+    if (row.owner != kInvalidNode) slot_keys_.push_back(slot_key(row.owner, row.other));
+  };
+  for (size_t i = 0; i < handles_.size(); ++i) {
+    if (i + kAhead < handles_.size()) util::prefetch(&rows[handles_[i + kAhead]]);
+    add_row(handles_[i]);
+  }
+  for (int i = 0; i < plan.arena_total; ++i) add_row(static_cast<uint32_t>(plan.arena_start + i));
+
+  // Final slot values. The keys ascend, so each owner's keys form one run,
+  // looked up by one forward walk over its sorted table.
+  sort_unique(&slot_keys_, &scratch64_);
+  d.slots.clear();
+  const core::SlotTable& slots = core.slot_table();
+  const size_t nslots = slot_keys_.size();
+  for (size_t i = 0; i < nslots;) {
+    const NodeId owner = slot_owner(slot_keys_[i]);
+    const std::span<const core::SlotTable::Entry> table = slots.entries(owner);
+    auto at = table.begin();
+    for (; i < nslots && slot_owner(slot_keys_[i]) == owner; ++i) {
+      if (i + 2 * kAhead < nslots) slots.prefetch(slot_owner(slot_keys_[i + 2 * kAhead]));
+      if (i + kAhead < nslots)
+        util::prefetch(slots.entries(slot_owner(slot_keys_[i + kAhead])).data());
+      const NodeId other = static_cast<NodeId>(static_cast<uint32_t>(slot_keys_[i]));
+      at = std::lower_bound(at, table.end(), other,
+                            [](const core::SlotTable::Entry& e, NodeId o) { return e.other < o; });
+      const bool present = at != table.end() && at->other == other;
+      snap::WaveDelta::SlotOp& op = d.slots.emplace_back();
+      op.owner = static_cast<uint32_t>(owner);
+      op.other = static_cast<uint32_t>(other);
+      op.present = present;
+      op.leaf = present ? static_cast<int32_t>(at->leaf) : -1;
+      op.helper = present ? static_cast<int32_t>(at->helper) : -1;
+    }
   }
 
-  std::sort(slot_keys.begin(), slot_keys.end());
-  slot_keys.erase(std::unique(slot_keys.begin(), slot_keys.end()), slot_keys.end());
-  d.slots.reserve(slot_keys.size());
-  for (uint64_t key : slot_keys) {
-    NodeId owner = static_cast<NodeId>(key >> 32);
-    NodeId other = static_cast<NodeId>(static_cast<uint32_t>(key));
-    const core::SlotTable::Entry* s = core.slot_table().find(owner, other);
-    snap::WaveDelta::SlotOp op;
-    op.owner = static_cast<uint32_t>(owner);
-    op.other = static_cast<uint32_t>(other);
-    op.present = s != nullptr;
-    op.leaf = s != nullptr ? static_cast<int32_t>(s->leaf) : -1;
-    op.helper = s != nullptr ? static_cast<int32_t>(s->helper) : -1;
-    d.slots.push_back(op);
+  // Final multiplicities, core.image_multiplicity's sum of G's edge (0 or
+  // 1) and the excess count, with each u's run walked forward over its
+  // sorted image adjacency.
+  sort_unique(&touched_mult_, &scratch64_);
+  d.mult.clear();
+  const Graph& image = core.image();
+  const util::FlatCountMap& excess = core.image_excess();
+  const size_t nmult = touched_mult_.size();
+  for (size_t i = 0; i < nmult;) {
+    const NodeId u = slot_owner(touched_mult_[i]);
+    const NeighborView adjacent = image.neighbors(u);
+    const NodeId* at = adjacent.begin();
+    for (; i < nmult && slot_owner(touched_mult_[i]) == u; ++i) {
+      if (i + 2 * kAhead < nmult) {
+        image.prefetch(slot_owner(touched_mult_[i + 2 * kAhead]));
+        excess.prefetch(touched_mult_[i + 2 * kAhead]);
+      }
+      if (i + kAhead < nmult)
+        util::prefetch(image.neighbors(slot_owner(touched_mult_[i + kAhead])).begin());
+      const uint64_t key = touched_mult_[i];
+      const NodeId v = static_cast<NodeId>(static_cast<uint32_t>(key));
+      at = std::lower_bound(at, adjacent.end(), v);
+      snap::WaveDelta::MultOp& op = d.mult.emplace_back();
+      op.u = static_cast<uint32_t>(u);
+      op.v = static_cast<uint32_t>(v);
+      op.count = (at != adjacent.end() && *at == v ? 1 : 0) + excess.count(key);
+    }
   }
-
-  std::sort(touched_mult_.begin(), touched_mult_.end());
-  touched_mult_.erase(std::unique(touched_mult_.begin(), touched_mult_.end()),
-                      touched_mult_.end());
-  d.mult.reserve(touched_mult_.size());
-  for (uint64_t key : touched_mult_) {
-    snap::WaveDelta::MultOp op;
-    op.u = static_cast<uint32_t>(key >> 32);
-    op.v = static_cast<uint32_t>(key);
-    op.count = core.image_multiplicity(static_cast<NodeId>(op.u), static_cast<NodeId>(op.v));
-    d.mult.push_back(op);
-  }
-  touched_mult_.clear();
 
   if (sink_) sink_(d);
+  discard_pending();
 }
 
 // ------------------------------------------------------------- SnapshotWriter
@@ -150,10 +249,10 @@ SnapshotWriter::SnapshotWriter(std::string base_path, std::string log_path,
       log_path_(std::move(log_path)),
       base_every_(base_every) {
   recorder_.set_sink([this](const snap::WaveDelta& delta) {
-    std::vector<uint8_t> frame;
-    snap::append_delta(&frame, delta);
+    frame_.clear();
+    snap::append_delta(&frame_, delta);
     std::string err;
-    if (!snap::append_file(log_path_, frame, &err)) {
+    if (!snap::append_file(log_path_, frame_, &err)) {
       if (error_.empty()) error_ = "delta append failed: " + err;
       return;
     }
@@ -187,12 +286,15 @@ std::string SnapshotWriter::take_error() {
 }
 
 bool SnapshotWriter::write_base(const core::StructuralCore& core) {
-  snap::BaseImage image;
-  core.to_base_image(&image);
-  image.wave = recorder_.waves();
-  image.cursor = recorder_.cursor();
+  // Streamed straight from the core: a base write holds no BaseImage and
+  // no whole-file buffer, so it leaves no tens-of-megabytes transient in
+  // the heap every rotation.
+  const uint64_t wave = recorder_.waves();
+  const uint64_t cursor = recorder_.cursor();
   std::string err;
-  if (!snap::write_file_atomic(base_path_, snap::encode_base(image), &err)) {
+  if (!snap::write_base_file(
+          base_path_,
+          [&](snap::BaseEncoder& enc) { core.stream_base_image(&enc, wave, cursor); }, &err)) {
     if (error_.empty()) error_ = "base write failed: " + err;
     return false;
   }
@@ -231,9 +333,11 @@ SnapshotRestore restore_snapshot(const std::string& base_path,
     res.truncated = scan.truncated;
     if (scan.truncated) res.error = scan.detail;
     for (const snap::WaveDelta& delta : scan.deltas) {
-      // Records at or below the base's wave are a pre-rotation remnant (the
-      // crash window between base write and log reset) — already reflected.
-      if (delta.wave <= res.waves) continue;
+      // A record the base already reflects is a remnant of the crash window
+      // between a base write and its log reset: its wave is at or below the
+      // base's, or, when the rebase renumbered the waves to the service's
+      // count, its epoch is (epochs never repeat).
+      if (delta.wave <= res.waves || delta.epoch_after <= image.epoch) continue;
       if (delta.wave != res.waves + 1) {
         res.error = "delta log gap: wave " + std::to_string(delta.wave) +
                     " after wave " + std::to_string(res.waves);

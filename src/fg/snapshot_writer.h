@@ -65,6 +65,12 @@ class SnapshotRecorder : public core::DeltaRecorder {
   /// recovery commits are not waves.
   uint64_t waves() const { return waves_; }
 
+  /// Adopt the owner's wave count. A count that differs from waves() (a
+  /// commit made through the engine between the owner's waves, or an
+  /// owner wave that committed nothing) flags a rebase, so the next base
+  /// is stamped with `waves` and the log restarts from it.
+  void set_waves(uint64_t waves);
+
   /// True when the mutation epoch diverged from the op stream (recovery
   /// rebuild, fault injection, out-of-band mutation): the pending delta
   /// was discarded and the owner must write a fresh base. Cleared by
@@ -82,13 +88,24 @@ class SnapshotRecorder : public core::DeltaRecorder {
                          const core::RepairPlan& plan) override;
 
  private:
+  /// Drop what the next delta would have carried (a rebase's base holds it).
+  void discard_pending();
+
   DeltaSink sink_;
   uint64_t waves_ = 0;
   uint64_t cursor_ = 0;
   uint64_t expected_epoch_ = 0;
   bool needs_rebase_ = false;
-  std::vector<snap::WaveDelta::Insert> pending_inserts_;
+  // Reused from wave to wave, so a steady-state wave allocates nothing but
+  // its inserts' neighbour lists: the record under construction (its
+  // inserts accumulate between commits), the touched keys, and the radix
+  // sort's scratch.
+  snap::WaveDelta delta_;
   std::vector<uint64_t> touched_mult_;  ///< slot_key(u, v) with u < v.
+  std::vector<uint32_t> handles_;
+  std::vector<uint64_t> slot_keys_;
+  std::vector<uint32_t> scratch32_;
+  std::vector<uint64_t> scratch64_;
 };
 
 /// A SnapshotRecorder bound to on-disk files: `base_path` (the latest base
@@ -108,6 +125,10 @@ class SnapshotWriter : public core::DeltaRecorder {
 
   void set_cursor(uint64_t ops) { recorder_.set_cursor(ops); }
   uint64_t waves() const { return recorder_.waves(); }
+
+  /// SnapshotRecorder::set_waves: a different count makes the next
+  /// maintain() write a base stamped with `waves`.
+  void set_waves(uint64_t waves) { recorder_.set_waves(waves); }
 
   /// Post-wave upkeep (call with no plan in flight): writes a fresh base
   /// if the recorder flagged an epoch rebase or the rotation period is
@@ -134,6 +155,7 @@ class SnapshotWriter : public core::DeltaRecorder {
   bool write_base(const core::StructuralCore& core);
 
   SnapshotRecorder recorder_;
+  std::vector<uint8_t> frame_;  ///< The delta frame, reused from wave to wave.
   std::string base_path_;
   std::string log_path_;
   int base_every_ = 0;

@@ -24,6 +24,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/prefetch.h"
+
 namespace fg {
 
 /// Processor / vertex identifier. Dense, non-negative, never reused.
@@ -118,6 +120,10 @@ class Graph {
 
   bool has_edge(NodeId u, NodeId v) const;
   bool is_alive(NodeId v) const;
+
+  /// Prefetch v's adjacency head (a cache hint; no effect on state), so a
+  /// loop over independent neighbors() calls can overlap their misses.
+  void prefetch(NodeId v) const { util::prefetch(&adj_[static_cast<size_t>(v)]); }
 
   /// Number of ids ever created (alive + dead).
   int node_capacity() const { return static_cast<int>(adj_.size()); }

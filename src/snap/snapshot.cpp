@@ -3,8 +3,16 @@
 #include <array>
 #include <bit>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define FG_SNAP_CLMUL 1
+#else
+#define FG_SNAP_CLMUL 0
+#endif
 
 namespace fg::snap {
 
@@ -16,6 +24,7 @@ namespace {
 /// all of it, so the byte-at-a-time loop was the dominant decode cost.
 struct CrcTable {
   std::array<std::array<uint32_t, 256>, 8> t{};
+  bool clmul = false;  ///< The CPU has carry-less multiply (crc32_clmul).
   CrcTable() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
@@ -27,28 +36,103 @@ struct CrcTable {
         t[static_cast<size_t>(j)][i] =
             (t[static_cast<size_t>(j - 1)][i] >> 8) ^
             t[0][t[static_cast<size_t>(j - 1)][i] & 0xFFu];
+#if FG_SNAP_CLMUL
+    __builtin_cpu_init();
+    clmul = __builtin_cpu_supports("pclmul");
+#endif
   }
 };
 const CrcTable kCrc;
 
-// --- Little-endian primitives over a byte vector. ---------------------------
-
-void put_u8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
-void put_u32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+#if FG_SNAP_CLMUL
+/// CRC-32 by carry-less multiplication, the bit-reflected folding of Intel's
+/// "Fast CRC Computation for Generic Polynomials Using PCLMULQDQ" (2009):
+/// four 128-bit lanes fold across each 64-byte block, the lanes fold into
+/// one, and a Barrett reduction takes it to 32 bits. Every constant is
+/// x^k mod P, bit-reflected: k1/k2 fold 512 bits, k3/k4 128 bits, k5 64
+/// bits, then mu = x^64 / P and P itself. `c` is the running register
+/// (seed already inverted); `n` is a multiple of 16, at least 64.
+/// Bit-identical to the table recurrence, which takes the tail.
+__attribute__((target("pclmul"))) __m128i clmul_fold(__m128i x, __m128i k) {
+  return _mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00), _mm_clmulepi64_si128(x, k, 0x11));
 }
 
-void put_u64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
+__attribute__((target("pclmul"))) uint32_t crc32_clmul(uint32_t c, const uint8_t* p,
+                                                       size_t n) {
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i mu_p = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i low32 = _mm_set_epi32(0, 0, 0, -1);
+  auto load = [](const uint8_t* q) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(q));
+  };
 
-void put_i32(std::vector<uint8_t>* out, int32_t v) {
-  put_u32(out, static_cast<uint32_t>(v));
-}
+  __m128i x0 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x1 = load(p + 16);
+  __m128i x2 = load(p + 32);
+  __m128i x3 = load(p + 48);
+  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+    x0 = _mm_xor_si128(clmul_fold(x0, k1k2), load(p));
+    x1 = _mm_xor_si128(clmul_fold(x1, k1k2), load(p + 16));
+    x2 = _mm_xor_si128(clmul_fold(x2, k1k2), load(p + 32));
+    x3 = _mm_xor_si128(clmul_fold(x3, k1k2), load(p + 48));
+  }
+  __m128i x = _mm_xor_si128(clmul_fold(x0, k3k4), x1);
+  x = _mm_xor_si128(clmul_fold(x, k3k4), x2);
+  x = _mm_xor_si128(clmul_fold(x, k3k4), x3);
+  for (; n >= 16; p += 16, n -= 16) x = _mm_xor_si128(clmul_fold(x, k3k4), load(p));
 
-void put_i64(std::vector<uint8_t>* out, int64_t v) {
-  put_u64(out, static_cast<uint64_t>(v));
+  // 128 -> 64 bits (appending 32 zero bits), then 64 -> 32 by Barrett.
+  x = _mm_xor_si128(_mm_clmulepi64_si128(x, k3k4, 0x10), _mm_srli_si128(x, 8));
+  x = _mm_xor_si128(_mm_clmulepi64_si128(_mm_and_si128(x, low32), k5, 0x00),
+                    _mm_srli_si128(x, 4));
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x, low32), mu_p, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, low32), mu_p, 0x00);
+  return static_cast<uint32_t>(_mm_cvtsi128_si32(_mm_srli_si128(_mm_xor_si128(t, x), 4)));
+}
+#endif
+
+/// Sequential little-endian writer over bytes already sized for what it
+/// writes. Every field is fixed-width, so the encoders compute a record's
+/// (append_delta) or an entry's (BaseEncoder) byte count first, size the
+/// buffer once and write through this cursor with no per-field growth
+/// check. append_delta ends with check_end, so a length that disagrees with
+/// the fields written aborts instead of framing a malformed record.
+class Writer {
+ public:
+  explicit Writer(uint8_t* at) : at_(at) {}
+
+  uint8_t* at() const { return at_; }
+
+  void u8(uint8_t v) { *at_++ = v; }
+  void u32(uint32_t v) { store(v); }
+  void u64(uint64_t v) { store(v); }
+  void i32(int32_t v) { store(static_cast<uint32_t>(v)); }
+  void i64(int64_t v) { store(static_cast<uint64_t>(v)); }
+  void bytes(const void* p, size_t n) {
+    std::memcpy(at_, p, n);
+    at_ += n;
+  }
+
+ private:
+  template <typename T>
+  void store(T v) {
+    if constexpr (std::endian::native == std::endian::little) {
+      std::memcpy(at_, &v, sizeof v);
+    } else {
+      for (size_t i = 0; i < sizeof v; ++i) at_[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+    at_ += sizeof v;
+  }
+
+  uint8_t* at_;
+};
+
+void check_end(const Writer& w, const uint8_t* end) {
+  if (w.at() == end) return;
+  std::fputs("fg::snap: record length disagrees with its fields\n", stderr);
+  std::abort();
 }
 
 /// Bounds-checked sequential reader. Every get_* reports underrun through
@@ -103,17 +187,19 @@ class Reader {
 // --- Row and record payload codecs. -----------------------------------------
 
 constexpr size_t kRowBytes = 7 * 4 + 8 + 1;  // 6 handles + height, leaf_count, flags
+constexpr size_t kSlotOpBytes = 4 + 4 + 1 + 4 + 4;  // owner, other, present, leaf, helper
+constexpr size_t kMultBytes = 4 + 4 + 4;              // u, v, count
 
-void put_row(std::vector<uint8_t>* out, const VRow& r) {
-  put_i32(out, r.owner);
-  put_i32(out, r.other);
-  put_i32(out, r.parent);
-  put_i32(out, r.left);
-  put_i32(out, r.right);
-  put_i32(out, r.rep);
-  put_i32(out, r.height);
-  put_i64(out, r.leaf_count);
-  put_u8(out, static_cast<uint8_t>((r.is_leaf ? 1 : 0) | (r.alive ? 2 : 0)));
+void put_row(Writer* w, const VRow& r) {
+  w->i32(r.owner);
+  w->i32(r.other);
+  w->i32(r.parent);
+  w->i32(r.left);
+  w->i32(r.right);
+  w->i32(r.rep);
+  w->i32(r.height);
+  w->i64(r.leaf_count);
+  w->u8(static_cast<uint8_t>((r.is_leaf ? 1 : 0) | (r.alive ? 2 : 0)));
 }
 
 VRow get_row(Reader* r) {
@@ -143,10 +229,6 @@ bool get_count(Reader* r, size_t min_elem_bytes, uint64_t* out) {
   return true;
 }
 
-void append_magic(std::vector<uint8_t>* out) {
-  for (size_t i = 0; i < kMagicLen; ++i) put_u8(out, static_cast<uint8_t>(kMagic[i]));
-}
-
 bool check_magic(Reader* r) {
   if (r->left() < kMagicLen) return false;
   const uint8_t* want = reinterpret_cast<const uint8_t*>(kMagic);
@@ -155,52 +237,55 @@ bool check_magic(Reader* r) {
   return r->ok();
 }
 
-/// Frame one base section: tag + length + payload + crc32(payload).
-void put_section(std::vector<uint8_t>* out, const char tag[4],
-                 const std::vector<uint8_t>& payload) {
-  out->insert(out->end(), reinterpret_cast<const uint8_t*>(tag),
-              reinterpret_cast<const uint8_t*>(tag) + 4);
-  put_u64(out, payload.size());
-  out->insert(out->end(), payload.begin(), payload.end());
-  put_u32(out, crc32(payload));
-}
-
 bool set_error(std::string* error, const std::string& msg) {
   if (error != nullptr) *error = msg;
   return false;
 }
 
-void put_delta_payload(std::vector<uint8_t>* out, const WaveDelta& d) {
-  put_u64(out, d.epoch_after);
-  put_u64(out, d.cursor);
-  put_u64(out, d.arena_size_after);
-  put_i64(out, d.forest_live_after);
-  put_u64(out, d.inserts.size());
+
+/// The exact byte length put_delta_payload writes for `d`.
+size_t delta_payload_bytes(const WaveDelta& d) {
+  size_t n = 4 * 8;  // epoch_after, cursor, arena_size_after, forest_live_after
+  n += 8;
+  for (const WaveDelta::Insert& ins : d.inserts) n += 4 + 4 + 4 * ins.neighbors.size();
+  n += 8 + 4 * d.victims.size();
+  n += 8 + (4 + kRowBytes) * d.rows.size();
+  n += 8 + kSlotOpBytes * d.slots.size();
+  n += 8 + kMultBytes * d.mult.size();
+  return n;
+}
+
+void put_delta_payload(Writer* w, const WaveDelta& d) {
+  w->u64(d.epoch_after);
+  w->u64(d.cursor);
+  w->u64(d.arena_size_after);
+  w->i64(d.forest_live_after);
+  w->u64(d.inserts.size());
   for (const WaveDelta::Insert& ins : d.inserts) {
-    put_u32(out, ins.id);
-    put_u32(out, static_cast<uint32_t>(ins.neighbors.size()));
-    for (uint32_t w : ins.neighbors) put_u32(out, w);
+    w->u32(ins.id);
+    w->u32(static_cast<uint32_t>(ins.neighbors.size()));
+    for (uint32_t v : ins.neighbors) w->u32(v);
   }
-  put_u64(out, d.victims.size());
-  for (uint32_t v : d.victims) put_u32(out, v);
-  put_u64(out, d.rows.size());
+  w->u64(d.victims.size());
+  for (uint32_t v : d.victims) w->u32(v);
+  w->u64(d.rows.size());
   for (const WaveDelta::Row& row : d.rows) {
-    put_u32(out, row.handle);
-    put_row(out, row.row);
+    w->u32(row.handle);
+    put_row(w, row.row);
   }
-  put_u64(out, d.slots.size());
+  w->u64(d.slots.size());
   for (const WaveDelta::SlotOp& s : d.slots) {
-    put_u32(out, s.owner);
-    put_u32(out, s.other);
-    put_u8(out, s.present ? 1 : 0);
-    put_i32(out, s.leaf);
-    put_i32(out, s.helper);
+    w->u32(s.owner);
+    w->u32(s.other);
+    w->u8(s.present ? 1 : 0);
+    w->i32(s.leaf);
+    w->i32(s.helper);
   }
-  put_u64(out, d.mult.size());
+  w->u64(d.mult.size());
   for (const WaveDelta::MultOp& m : d.mult) {
-    put_u32(out, m.u);
-    put_u32(out, m.v);
-    put_i32(out, m.count);
+    w->u32(m.u);
+    w->u32(m.v);
+    w->i32(m.count);
   }
 }
 
@@ -232,7 +317,7 @@ bool get_delta_payload(std::span<const uint8_t> payload, WaveDelta* d,
     row.handle = r.get_u32();
     row.row = get_row(&r);
   }
-  if (!get_count(&r, 17, &n)) return set_error(error, "delta: bad slot count");
+  if (!get_count(&r, kSlotOpBytes, &n)) return set_error(error, "delta: bad slot count");
   d->slots.resize(n);
   for (WaveDelta::SlotOp& s : d->slots) {
     s.owner = r.get_u32();
@@ -241,7 +326,7 @@ bool get_delta_payload(std::span<const uint8_t> payload, WaveDelta* d,
     s.leaf = r.get_i32();
     s.helper = r.get_i32();
   }
-  if (!get_count(&r, 12, &n)) return set_error(error, "delta: bad mult count");
+  if (!get_count(&r, kMultBytes, &n)) return set_error(error, "delta: bad mult count");
   d->mult.resize(n);
   for (WaveDelta::MultOp& m : d->mult) {
     m.u = r.get_u32();
@@ -259,6 +344,14 @@ uint32_t crc32(std::span<const uint8_t> bytes, uint32_t seed) {
   uint32_t c = seed ^ 0xFFFFFFFFu;
   const uint8_t* p = bytes.data();
   size_t n = bytes.size();
+#if FG_SNAP_CLMUL
+  if (n >= 64 && kCrc.clmul) {
+    const size_t folded = n & ~size_t{15};
+    c = crc32_clmul(c, p, folded);
+    p += folded;
+    n -= folded;
+  }
+#endif
   // Slicing-by-8: two little-endian words per step, one table per byte
   // lane. Bit-identical to the byte-at-a-time recurrence.
   while (n >= 8) {
@@ -278,82 +371,178 @@ uint32_t crc32(std::span<const uint8_t> bytes, uint32_t seed) {
   return c ^ 0xFFFFFFFFu;
 }
 
+// --- BaseEncoder. -------------------------------------------------------------
+
+/// The encoder's buffer: big enough that flushes are rare, small enough
+/// that a base write of tens of megabytes holds no large allocation.
+constexpr size_t kBaseBufferBytes = size_t{1} << 16;
+
+BaseEncoder::BaseEncoder(std::vector<uint8_t>* out) : out_(out), buf_(kBaseBufferBytes) {}
+
+BaseEncoder::BaseEncoder(std::FILE* file) : file_(file), buf_(kBaseBufferBytes) {}
+
+uint8_t* BaseEncoder::take(size_t n) {
+  if (used_ + n > buf_.size()) flush();
+  uint8_t* p = buf_.data() + used_;
+  used_ += n;
+  return p;
+}
+
+void BaseEncoder::flush() {
+  if (in_section_) crc_ = crc32({buf_.data() + crc_from_, used_ - crc_from_}, crc_);
+  crc_from_ = 0;
+  if (out_ != nullptr) {
+    out_->insert(out_->end(), buf_.data(), buf_.data() + used_);
+  } else if (used_ > 0) {
+    ok_ = ok_ && std::fwrite(buf_.data(), 1, used_, file_) == used_;
+  }
+  used_ = 0;
+}
+
+void BaseEncoder::header(uint64_t wave, uint64_t epoch, uint64_t cursor) {
+  Writer w(take(kMagicLen + 1 + 3 * 8 + 4));
+  w.bytes(kMagic, kMagicLen);
+  w.u8('B');
+  w.u64(wave);
+  w.u64(epoch);
+  w.u64(cursor);
+  w.u32(5);  // section count
+}
+
+void BaseEncoder::begin_section(const char tag[4], uint64_t payload_bytes, uint64_t entries) {
+  if (in_section_) end_section();
+  Writer w(take(12));
+  w.bytes(tag, 4);
+  w.u64(payload_bytes);
+  in_section_ = true;
+  crc_from_ = used_;
+  crc_ = 0;
+  left_ = entries;
+}
+
+void BaseEncoder::end_section() {
+  crc_ = crc32({buf_.data() + crc_from_, used_ - crc_from_}, crc_);
+  in_section_ = false;
+  ok_ = ok_ && left_ == 0;
+  ++sections_;
+  Writer(take(4)).u32(crc_);
+}
+
+void BaseEncoder::entry() {
+  ok_ = ok_ && left_ > 0;
+  --left_;
+}
+
+void BaseEncoder::begin_gprime(uint32_t capacity, uint64_t edges) {
+  begin_section("GPRM", 4 + 8 + 8 * edges, edges);
+  Writer w(take(12));
+  w.u32(capacity);
+  w.u64(edges);
+}
+
+void BaseEncoder::edge(uint32_t u, uint32_t v) {
+  entry();
+  Writer w(take(8));
+  w.u32(u);
+  w.u32(v);
+}
+
+void BaseEncoder::begin_live(uint64_t dead) {
+  begin_section("LIVE", 8 + 4 * dead, dead);
+  Writer(take(8)).u64(dead);
+}
+
+void BaseEncoder::dead(uint32_t v) {
+  entry();
+  Writer(take(4)).u32(v);
+}
+
+void BaseEncoder::begin_forest(uint64_t rows, int64_t forest_live) {
+  begin_section("FRST", 8 + 8 + kRowBytes * rows, rows);
+  Writer w(take(16));
+  w.u64(rows);
+  w.i64(forest_live);
+}
+
+void BaseEncoder::row(const VRow& r) {
+  entry();
+  Writer w(take(kRowBytes));
+  put_row(&w, r);
+}
+
+void BaseEncoder::begin_slots(uint64_t slots) {
+  begin_section("SLOT", 8 + 16 * slots, slots);
+  Writer(take(8)).u64(slots);
+}
+
+void BaseEncoder::slot(const BaseImage::SlotEntry& e) {
+  entry();
+  Writer w(take(16));
+  w.u32(e.owner);
+  w.i32(e.other);
+  w.i32(e.leaf);
+  w.i32(e.helper);
+}
+
+void BaseEncoder::begin_mult(uint64_t mult) {
+  begin_section("MULT", 8 + kMultBytes * mult, mult);
+  Writer(take(8)).u64(mult);
+}
+
+void BaseEncoder::mult(const BaseImage::MultEntry& m) {
+  entry();
+  Writer w(take(kMultBytes));
+  w.u32(m.u);
+  w.u32(m.v);
+  w.i32(m.count);
+}
+
+bool BaseEncoder::finish() {
+  if (in_section_) end_section();
+  flush();
+  return ok_ && sections_ == 5;
+}
+
 std::vector<uint8_t> encode_base(const BaseImage& image) {
   std::vector<uint8_t> out;
-  append_magic(&out);
-  put_u8(&out, 'B');
-  put_u64(&out, image.wave);
-  put_u64(&out, image.epoch);
-  put_u64(&out, image.cursor);
-  put_u32(&out, 5);  // section count
-
-  std::vector<uint8_t> payload;
-  payload.reserve(image.gprime_edges.size() * 8 + 16);
-  put_u32(&payload, image.capacity);
-  put_u64(&payload, image.gprime_edges.size());
-  for (const auto& [u, v] : image.gprime_edges) {
-    put_u32(&payload, u);
-    put_u32(&payload, v);
-  }
-  put_section(&out, "GPRM", payload);
-
-  payload.clear();
-  put_u64(&payload, image.dead.size());
-  for (uint32_t v : image.dead) put_u32(&payload, v);
-  put_section(&out, "LIVE", payload);
-
-  payload.clear();
-  payload.reserve(image.rows.size() * kRowBytes + 16);
-  put_u64(&payload, image.rows.size());
-  put_i64(&payload, image.forest_live);
-  for (const VRow& r : image.rows) put_row(&payload, r);
-  put_section(&out, "FRST", payload);
-
-  payload.clear();
-  payload.reserve(image.slots.size() * 16 + 8);
-  put_u64(&payload, image.slots.size());
-  for (const BaseImage::SlotEntry& s : image.slots) {
-    put_u32(&payload, s.owner);
-    put_i32(&payload, s.other);
-    put_i32(&payload, s.leaf);
-    put_i32(&payload, s.helper);
-  }
-  put_section(&out, "SLOT", payload);
-
-  payload.clear();
-  payload.reserve(image.mult.size() * 12 + 8);
-  put_u64(&payload, image.mult.size());
-  for (const BaseImage::MultEntry& m : image.mult) {
-    put_u32(&payload, m.u);
-    put_u32(&payload, m.v);
-    put_i32(&payload, m.count);
-  }
-  put_section(&out, "MULT", payload);
+  out.reserve(kMagicLen + 1 + 3 * 8 + 4 + 5 * (4 + 8 + 4) + (4 + 8) + 8 + (8 + 8) + 8 + 8 +
+              8 * image.gprime_edges.size() + 4 * image.dead.size() +
+              kRowBytes * image.rows.size() + 16 * image.slots.size() +
+              kMultBytes * image.mult.size());
+  BaseEncoder enc(&out);
+  enc.header(image.wave, image.epoch, image.cursor);
+  enc.begin_gprime(image.capacity, image.gprime_edges.size());
+  for (const auto& [u, v] : image.gprime_edges) enc.edge(u, v);
+  enc.begin_live(image.dead.size());
+  for (uint32_t v : image.dead) enc.dead(v);
+  enc.begin_forest(image.rows.size(), image.forest_live);
+  for (const VRow& r : image.rows) enc.row(r);
+  enc.begin_slots(image.slots.size());
+  for (const BaseImage::SlotEntry& e : image.slots) enc.slot(e);
+  enc.begin_mult(image.mult.size());
+  for (const BaseImage::MultEntry& m : image.mult) enc.mult(m);
+  enc.finish();
   return out;
 }
 
 std::vector<uint8_t> encode_log_header() {
-  std::vector<uint8_t> out;
-  append_magic(&out);
-  return out;
+  return std::vector<uint8_t>(kMagic, kMagic + kMagicLen);
 }
 
 void append_delta(std::vector<uint8_t>* out, const WaveDelta& delta) {
-  put_u8(out, 'D');
-  // The payload is encoded in place behind a length placeholder, which is
-  // patched once the payload's size is known. The frame CRC covers the
-  // header fields too, so a bit flip in the wave id or the length is as
-  // detectable as one in the payload.
-  const size_t header = out->size();
-  put_u64(out, delta.wave);
-  put_u64(out, 0);
-  put_delta_payload(out, delta);
-  const uint64_t len = out->size() - header - 16;
-  for (int i = 0; i < 8; ++i)
-    (*out)[header + 8 + static_cast<size_t>(i)] = static_cast<uint8_t>(len >> (8 * i));
-  const uint32_t crc =
-      crc32(std::span<const uint8_t>(*out).subspan(header, out->size() - header));
-  put_u32(out, crc);
+  // 'D', wave, payload length, payload, frame CRC: sized once, written in
+  // place. The frame CRC covers the header fields too, so a bit flip in
+  // the wave id or the length is as detectable as one in the payload.
+  const size_t payload = delta_payload_bytes(delta);
+  const size_t start = out->size();
+  out->resize(start + 1 + 16 + payload + 4);
+  Writer w(out->data() + start);
+  w.u8('D');
+  w.u64(delta.wave);
+  w.u64(payload);
+  put_delta_payload(&w, delta);
+  w.u32(crc32({out->data() + start + 1, 16 + payload}));
+  check_end(w, out->data() + out->size());
 }
 
 bool decode_base(std::span<const uint8_t> bytes, BaseImage* out,
@@ -509,6 +698,27 @@ bool scan_log(std::span<const uint8_t> bytes, LogScan* out, std::string* error) 
     delta.wave = wave;
     out->deltas.push_back(std::move(delta));
     out->valid_bytes = r.at();
+  }
+  return true;
+}
+
+bool write_base_file(const std::string& path,
+                     const std::function<void(BaseEncoder&)>& fill, std::string* error) {
+  const std::string tmp = path + ".tmp";
+  std::FILE* f = std::fopen(tmp.c_str(), "wb");
+  if (f == nullptr) return set_error(error, "cannot create " + tmp);
+  BaseEncoder enc(f);
+  fill(enc);
+  bool ok = enc.finish();
+  ok = (std::fflush(f) == 0) && ok;
+  ok = (std::fclose(f) == 0) && ok;
+  if (!ok) {
+    std::remove(tmp.c_str());
+    return set_error(error, "write error on " + tmp);
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return set_error(error, "cannot rename " + tmp + " over " + path);
   }
   return true;
 }

@@ -38,6 +38,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -167,6 +169,55 @@ struct WaveDelta {
 
 // --- Encoding (always succeeds; bytes are canonical). -----------------------
 
+/// Encodes a base file in file order through a bounded buffer, so no
+/// caller needs the whole image or the whole file in memory: header(),
+/// then each section's begin_*() (its header fields and entry count) and
+/// exactly that many entries, GPRM, LIVE, FRST, SLOT, MULT, then finish().
+/// StructuralCore::stream_base_image feeds one straight from the engine;
+/// encode_base feeds one from a BaseImage. Same content, same bytes.
+class BaseEncoder {
+ public:
+  /// Append the encoding to `*out`.
+  explicit BaseEncoder(std::vector<uint8_t>* out);
+  /// Write the encoding to the open file `file` (write_base_file).
+  explicit BaseEncoder(std::FILE* file);
+
+  void header(uint64_t wave, uint64_t epoch, uint64_t cursor);
+  void begin_gprime(uint32_t capacity, uint64_t edges);
+  void edge(uint32_t u, uint32_t v);
+  void begin_live(uint64_t dead);
+  void dead(uint32_t v);
+  void begin_forest(uint64_t rows, int64_t forest_live);
+  void row(const VRow& r);
+  void begin_slots(uint64_t slots);
+  void slot(const BaseImage::SlotEntry& e);
+  void begin_mult(uint64_t mult);
+  void mult(const BaseImage::MultEntry& m);
+
+  /// Flush the buffer. False when a file write failed, a section got a
+  /// different number of entries than its begin_*() declared, or not all
+  /// five sections were written.
+  bool finish();
+
+ private:
+  uint8_t* take(size_t n);
+  void begin_section(const char tag[4], uint64_t payload_bytes, uint64_t entries);
+  void end_section();
+  void entry();
+  void flush();
+
+  std::vector<uint8_t>* out_ = nullptr;
+  std::FILE* file_ = nullptr;
+  std::vector<uint8_t> buf_;
+  size_t used_ = 0;
+  size_t crc_from_ = 0;  ///< Buffer offset of the open section's unsummed bytes.
+  uint32_t crc_ = 0;     ///< The open section's payload CRC so far.
+  uint64_t left_ = 0;    ///< Entries the open section still expects.
+  int sections_ = 0;
+  bool in_section_ = false;
+  bool ok_ = true;
+};
+
 /// The complete base file: magic + one 'B' record with per-section CRCs.
 std::vector<uint8_t> encode_base(const BaseImage& image);
 
@@ -211,6 +262,12 @@ bool read_file(const std::string& path, std::vector<uint8_t>* out,
 /// observes a half-written base image.
 bool write_file_atomic(const std::string& path, std::span<const uint8_t> bytes,
                        std::string* error);
+
+/// Write a base file to `path` with write_file_atomic's discipline, its
+/// content streamed by `fill` into a file-backed BaseEncoder: the whole
+/// file is never in memory at once.
+bool write_base_file(const std::string& path,
+                     const std::function<void(BaseEncoder&)>& fill, std::string* error);
 
 /// Append bytes to `path` (creating it). A crash mid-append leaves a torn
 /// tail that scan_log detects and drops — the append-only half of the

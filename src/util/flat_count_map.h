@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "util/check.h"
+#include "util/prefetch.h"
 
 namespace fg::util {
 
@@ -52,6 +53,11 @@ class FlatCountMap {
     if (cells_.empty()) return 0;
     size_t i = find_slot(key);
     return cells_[i].key == key ? cells_[i].count : 0;
+  }
+
+  /// Prefetch key's home cell (a cache hint; no effect on state).
+  void prefetch(uint64_t key) const {
+    if (!cells_.empty()) util::prefetch(&cells_[home_of(key)]);
   }
 
   /// Number of distinct keys.

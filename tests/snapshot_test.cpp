@@ -1,7 +1,7 @@
 // The durable-snapshot battery (src/snap + fg::SnapshotWriter +
 // core::StructuralCore binary restore; docs/SNAPSHOTS.md).
 //
-// Four contracts are pinned here:
+// Six contracts are pinned here:
 //   1. Round-trip: a base image plus the per-wave delta tail restores a core
 //      whose checkpoint (base-image bytes) is byte-identical to the live
 //      engine's — after EVERY wave, not just the last (the O(changes)
@@ -17,6 +17,10 @@
 //   4. Typed loader errors: decode_base / from_base_image / apply_wave_delta
 //      reject malformed input with an error message, never an abort — one
 //      tampered image per from_base_image rule, each pinned by its message.
+//   5. Encoder conformance: the presized encoders and the CRC produce the
+//      bytes of a byte-at-a-time reference kept in this file.
+//   6. The service's wave count: a restore reports stats().waves, whatever
+//      commits went through engine() and whatever waves committed nothing.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -159,6 +163,353 @@ TEST(SnapshotFormat, FileHelpersRoundTrip) {
 
   EXPECT_FALSE(snap::read_file(path + ".does-not-exist", &back, &error));
   EXPECT_NE(error.find("cannot open"), std::string::npos);
+}
+
+// The reference encoder: the format's fields pushed one byte at a time, with
+// a bit-at-a-time CRC. The library's presized encoder and its carry-less
+// CRC must produce exactly these bytes.
+namespace reference {
+
+uint32_t crc32(const uint8_t* p, size_t n, uint32_t seed = 0) {
+  uint32_t c = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return ~c;
+}
+
+void put_u8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
+void put_u32(std::vector<uint8_t>* out, uint32_t v) {
+  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+void put_u64(std::vector<uint8_t>* out, uint64_t v) {
+  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+}
+void put_i32(std::vector<uint8_t>* out, int32_t v) { put_u32(out, static_cast<uint32_t>(v)); }
+void put_i64(std::vector<uint8_t>* out, int64_t v) { put_u64(out, static_cast<uint64_t>(v)); }
+
+void put_row(std::vector<uint8_t>* out, const snap::VRow& r) {
+  put_i32(out, r.owner);
+  put_i32(out, r.other);
+  put_i32(out, r.parent);
+  put_i32(out, r.left);
+  put_i32(out, r.right);
+  put_i32(out, r.rep);
+  put_i32(out, r.height);
+  put_i64(out, r.leaf_count);
+  put_u8(out, static_cast<uint8_t>((r.is_leaf ? 1 : 0) | (r.alive ? 2 : 0)));
+}
+
+void put_section(std::vector<uint8_t>* out, const char* tag,
+                 const std::vector<uint8_t>& payload) {
+  out->insert(out->end(), tag, tag + 4);
+  put_u64(out, payload.size());
+  out->insert(out->end(), payload.begin(), payload.end());
+  put_u32(out, crc32(payload.data(), payload.size()));
+}
+
+std::vector<uint8_t> encode_base(const snap::BaseImage& image) {
+  std::vector<uint8_t> out(snap::kMagic, snap::kMagic + snap::kMagicLen);
+  put_u8(&out, 'B');
+  put_u64(&out, image.wave);
+  put_u64(&out, image.epoch);
+  put_u64(&out, image.cursor);
+  put_u32(&out, 5);
+  std::vector<uint8_t> payload;
+  put_u32(&payload, image.capacity);
+  put_u64(&payload, image.gprime_edges.size());
+  for (const auto& [u, v] : image.gprime_edges) {
+    put_u32(&payload, u);
+    put_u32(&payload, v);
+  }
+  put_section(&out, "GPRM", payload);
+  payload.clear();
+  put_u64(&payload, image.dead.size());
+  for (uint32_t v : image.dead) put_u32(&payload, v);
+  put_section(&out, "LIVE", payload);
+  payload.clear();
+  put_u64(&payload, image.rows.size());
+  put_i64(&payload, image.forest_live);
+  for (const snap::VRow& r : image.rows) put_row(&payload, r);
+  put_section(&out, "FRST", payload);
+  payload.clear();
+  put_u64(&payload, image.slots.size());
+  for (const snap::BaseImage::SlotEntry& e : image.slots) {
+    put_u32(&payload, e.owner);
+    put_i32(&payload, e.other);
+    put_i32(&payload, e.leaf);
+    put_i32(&payload, e.helper);
+  }
+  put_section(&out, "SLOT", payload);
+  payload.clear();
+  put_u64(&payload, image.mult.size());
+  for (const snap::BaseImage::MultEntry& m : image.mult) {
+    put_u32(&payload, m.u);
+    put_u32(&payload, m.v);
+    put_i32(&payload, m.count);
+  }
+  put_section(&out, "MULT", payload);
+  return out;
+}
+
+void append_delta(std::vector<uint8_t>* out, const snap::WaveDelta& d) {
+  std::vector<uint8_t> payload;
+  put_u64(&payload, d.epoch_after);
+  put_u64(&payload, d.cursor);
+  put_u64(&payload, d.arena_size_after);
+  put_i64(&payload, d.forest_live_after);
+  put_u64(&payload, d.inserts.size());
+  for (const snap::WaveDelta::Insert& ins : d.inserts) {
+    put_u32(&payload, ins.id);
+    put_u32(&payload, static_cast<uint32_t>(ins.neighbors.size()));
+    for (uint32_t w : ins.neighbors) put_u32(&payload, w);
+  }
+  put_u64(&payload, d.victims.size());
+  for (uint32_t v : d.victims) put_u32(&payload, v);
+  put_u64(&payload, d.rows.size());
+  for (const snap::WaveDelta::Row& row : d.rows) {
+    put_u32(&payload, row.handle);
+    put_row(&payload, row.row);
+  }
+  put_u64(&payload, d.slots.size());
+  for (const snap::WaveDelta::SlotOp& op : d.slots) {
+    put_u32(&payload, op.owner);
+    put_u32(&payload, op.other);
+    put_u8(&payload, op.present ? 1 : 0);
+    put_i32(&payload, op.leaf);
+    put_i32(&payload, op.helper);
+  }
+  put_u64(&payload, d.mult.size());
+  for (const snap::WaveDelta::MultOp& m : d.mult) {
+    put_u32(&payload, m.u);
+    put_u32(&payload, m.v);
+    put_i32(&payload, m.count);
+  }
+  std::vector<uint8_t> frame;
+  put_u64(&frame, d.wave);
+  put_u64(&frame, payload.size());
+  frame.insert(frame.end(), payload.begin(), payload.end());
+  put_u8(out, 'D');
+  out->insert(out->end(), frame.begin(), frame.end());
+  put_u32(out, crc32(frame.data(), frame.size()));
+}
+
+}  // namespace reference
+
+/// A handle field: -1 ("none") about a quarter of the time, else any id.
+int32_t random_handle(Rng& rng) {
+  return rng.next_bool(0.25) ? -1 : static_cast<int32_t>(rng.next_u64() >> 33);
+}
+
+snap::VRow random_row(Rng& rng) {
+  snap::VRow r;
+  r.owner = random_handle(rng);
+  r.other = random_handle(rng);
+  r.parent = random_handle(rng);
+  r.left = random_handle(rng);
+  r.right = random_handle(rng);
+  r.rep = random_handle(rng);
+  r.height = static_cast<int32_t>(rng.next_below(40));
+  // leaf_count spans the whole 64-bit field, past 2^31 and negative.
+  r.leaf_count = rng.next_bool(0.5) ? static_cast<int64_t>(rng.next_below(1u << 20))
+                                    : static_cast<int64_t>(rng.next_u64());
+  r.is_leaf = rng.next_bool(0.5);
+  r.alive = rng.next_bool(0.5);
+  return r;
+}
+
+/// A size for one record list: empty, small, or (rarely) thousands.
+size_t random_count(Rng& rng) {
+  const uint64_t pick = rng.next_below(8);
+  return pick == 0 ? 0 : pick == 7 ? 2000 + rng.next_below(3000) : rng.next_below(40);
+}
+
+snap::WaveDelta random_delta(Rng& rng) {
+  snap::WaveDelta d;
+  d.wave = rng.next_u64();
+  d.epoch_after = rng.next_u64();
+  d.cursor = rng.next_u64();
+  d.arena_size_after = rng.next_u64();
+  d.forest_live_after = static_cast<int64_t>(rng.next_u64());
+  d.inserts.resize(random_count(rng));
+  for (snap::WaveDelta::Insert& ins : d.inserts) {
+    ins.id = static_cast<uint32_t>(rng.next_u64());
+    ins.neighbors.resize(rng.next_below(5));  // zero-degree inserts included
+    for (uint32_t& w : ins.neighbors) w = static_cast<uint32_t>(rng.next_u64());
+  }
+  d.victims.resize(random_count(rng));
+  for (uint32_t& v : d.victims) v = static_cast<uint32_t>(rng.next_u64());
+  d.rows.resize(random_count(rng));
+  for (snap::WaveDelta::Row& row : d.rows) {
+    row.handle = static_cast<uint32_t>(rng.next_u64());
+    row.row = random_row(rng);
+  }
+  d.slots.resize(random_count(rng));
+  for (snap::WaveDelta::SlotOp& op : d.slots) {
+    op.owner = static_cast<uint32_t>(rng.next_u64());
+    op.other = static_cast<uint32_t>(rng.next_u64());
+    op.present = rng.next_bool(0.5);
+    op.leaf = random_handle(rng);
+    op.helper = random_handle(rng);
+  }
+  d.mult.resize(random_count(rng));
+  for (snap::WaveDelta::MultOp& m : d.mult) {
+    m.u = static_cast<uint32_t>(rng.next_u64());
+    m.v = static_cast<uint32_t>(rng.next_u64());
+    m.count = static_cast<int32_t>(rng.next_u64());
+  }
+  return d;
+}
+
+snap::BaseImage random_base(Rng& rng) {
+  snap::BaseImage b;
+  b.wave = rng.next_u64();
+  b.epoch = rng.next_u64();
+  b.cursor = rng.next_u64();
+  b.capacity = static_cast<uint32_t>(rng.next_u64());
+  b.dead.resize(random_count(rng));
+  for (uint32_t& v : b.dead) v = static_cast<uint32_t>(rng.next_u64());
+  b.gprime_edges.resize(random_count(rng));
+  for (auto& [u, v] : b.gprime_edges) {
+    u = static_cast<uint32_t>(rng.next_u64());
+    v = static_cast<uint32_t>(rng.next_u64());
+  }
+  b.forest_live = static_cast<int64_t>(rng.next_u64());
+  b.rows.resize(random_count(rng));
+  for (snap::VRow& r : b.rows) r = random_row(rng);
+  b.slots.resize(random_count(rng));
+  for (snap::BaseImage::SlotEntry& e : b.slots) {
+    e.owner = static_cast<uint32_t>(rng.next_u64());
+    e.other = random_handle(rng);
+    e.leaf = random_handle(rng);
+    e.helper = random_handle(rng);
+  }
+  b.mult.resize(random_count(rng));
+  for (snap::BaseImage::MultEntry& m : b.mult) {
+    m.u = static_cast<uint32_t>(rng.next_u64());
+    m.v = static_cast<uint32_t>(rng.next_u64());
+    m.count = static_cast<int32_t>(rng.next_u64());
+  }
+  return b;
+}
+
+void expect_same_delta(const snap::WaveDelta& got, const snap::WaveDelta& want) {
+  EXPECT_EQ(got.wave, want.wave);
+  EXPECT_EQ(got.epoch_after, want.epoch_after);
+  EXPECT_EQ(got.cursor, want.cursor);
+  EXPECT_EQ(got.inserts, want.inserts);
+  EXPECT_EQ(got.victims, want.victims);
+  EXPECT_EQ(got.arena_size_after, want.arena_size_after);
+  EXPECT_EQ(got.forest_live_after, want.forest_live_after);
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(got.slots, want.slots);
+  EXPECT_EQ(got.mult, want.mult);
+}
+
+TEST(SnapshotFormat, EncoderMatchesReferenceBytes) {
+  Rng rng(0x5EC0DE);
+  // The CRC alone, at every length and alignment around the 16-byte folding
+  // blocks and the 64-byte minimum of the carry-less path, chained or not.
+  std::vector<uint8_t> bytes(4096 + 8);
+  for (uint8_t& b : bytes) b = static_cast<uint8_t>(rng.next_u64());
+  const uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(snap::crc32(check), 0xCBF43926u);
+  for (size_t n : {size_t{0}, size_t{1}, size_t{15}, size_t{63}, size_t{64}, size_t{65},
+                   size_t{127}, size_t{128}, size_t{200}, size_t{4096}}) {
+    for (size_t off = 0; off < 8; ++off) {
+      const uint32_t seed = static_cast<uint32_t>(rng.next_u64());
+      EXPECT_EQ(snap::crc32({bytes.data() + off, n}, seed),
+                reference::crc32(bytes.data() + off, n, seed))
+          << "length " << n << ", offset " << off;
+    }
+  }
+
+  // Empty records: every section and list empty.
+  EXPECT_EQ(snap::encode_base(snap::BaseImage{}), reference::encode_base(snap::BaseImage{}));
+  std::vector<uint8_t> frame;
+  std::vector<uint8_t> want;
+  snap::append_delta(&frame, snap::WaveDelta{});
+  reference::append_delta(&want, snap::WaveDelta{});
+  EXPECT_EQ(frame, want);
+
+  // Random records, appended to one log so each frame lands at an odd
+  // offset behind the last.
+  std::vector<uint8_t> log = snap::encode_log_header();
+  std::vector<uint8_t> ref_log = log;
+  std::vector<snap::WaveDelta> deltas;
+  for (int trial = 0; trial < 40; ++trial) {
+    snap::BaseImage image = random_base(rng);
+    std::vector<uint8_t> base = snap::encode_base(image);
+    ASSERT_EQ(base, reference::encode_base(image)) << "base trial " << trial;
+    snap::BaseImage back;
+    std::string error;
+    ASSERT_TRUE(snap::decode_base(base, &back, &error)) << error;
+    EXPECT_EQ(back.wave, image.wave);
+    EXPECT_EQ(back.epoch, image.epoch);
+    EXPECT_EQ(back.cursor, image.cursor);
+    EXPECT_EQ(back.capacity, image.capacity);
+    EXPECT_EQ(back.dead, image.dead);
+    EXPECT_EQ(back.gprime_edges, image.gprime_edges);
+    EXPECT_EQ(back.forest_live, image.forest_live);
+    EXPECT_EQ(back.rows, image.rows);
+    EXPECT_EQ(back.slots, image.slots);
+    EXPECT_EQ(back.mult, image.mult);
+    if (trial % 8 == 0) {
+      // The file path streams the same encoder through its bounded buffer.
+      const std::string path = testing::TempDir() + "/snap_encoder_base.bin";
+      ASSERT_TRUE(snap::write_base_file(
+          path,
+          [&image](snap::BaseEncoder& enc) {
+            enc.header(image.wave, image.epoch, image.cursor);
+            enc.begin_gprime(image.capacity, image.gprime_edges.size());
+            for (const auto& [u, v] : image.gprime_edges) enc.edge(u, v);
+            enc.begin_live(image.dead.size());
+            for (uint32_t v : image.dead) enc.dead(v);
+            enc.begin_forest(image.rows.size(), image.forest_live);
+            for (const snap::VRow& r : image.rows) enc.row(r);
+            enc.begin_slots(image.slots.size());
+            for (const auto& e : image.slots) enc.slot(e);
+            enc.begin_mult(image.mult.size());
+            for (const auto& m : image.mult) enc.mult(m);
+          },
+          &error))
+          << error;
+      std::vector<uint8_t> file;
+      ASSERT_TRUE(snap::read_file(path, &file, &error)) << error;
+      EXPECT_EQ(file, base) << "base trial " << trial;
+    }
+
+    deltas.push_back(random_delta(rng));
+    snap::append_delta(&log, deltas.back());
+    reference::append_delta(&ref_log, deltas.back());
+    ASSERT_EQ(log, ref_log) << "delta trial " << trial;
+  }
+  // A section whose entries disagree with its declared count, or a missing
+  // section, fails finish() instead of framing a malformed base.
+  {
+    std::vector<uint8_t> bad;
+    snap::BaseEncoder enc(&bad);
+    enc.header(1, 2, 3);
+    enc.begin_gprime(4, 2);
+    enc.edge(0, 1);
+    enc.begin_live(0);
+    enc.begin_forest(0, 0);
+    enc.begin_slots(0);
+    enc.begin_mult(0);
+    EXPECT_FALSE(enc.finish());
+    snap::BaseEncoder short_enc(&bad);
+    short_enc.header(1, 2, 3);
+    short_enc.begin_gprime(4, 0);
+    EXPECT_FALSE(short_enc.finish());
+  }
+
+  snap::LogScan scan;
+  std::string error;
+  ASSERT_TRUE(snap::scan_log(log, &scan, &error)) << error;
+  EXPECT_FALSE(scan.truncated) << scan.detail;
+  ASSERT_EQ(scan.deltas.size(), deltas.size());
+  for (size_t i = 0; i < deltas.size(); ++i) expect_same_delta(scan.deltas[i], deltas[i]);
 }
 
 TEST(SnapshotFormat, BaseImageRoundTripsThroughBytes) {
@@ -533,6 +884,114 @@ TEST(SnapshotService, RebasedWaveCountsInTheRestoredWaveTotal) {
   reference.flush();
   EXPECT_EQ(resumed.stats().waves, reference.stats().waves);
   EXPECT_EQ(checkpoint(resumed.engine()), checkpoint(reference.engine()));
+}
+
+/// The files restore to the live core, stamped with the service's wave count.
+void expect_restores_live(const HealerService& service, const ServiceFiles& files) {
+  core::StructuralCore restored;
+  SnapshotRestore res = restore_snapshot(files.base, files.log, &restored);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.waves, static_cast<uint64_t>(service.stats().waves));
+  EXPECT_EQ(checkpoint(restored), checkpoint(service.engine()));
+}
+
+/// Two-victim waves over a 64-node substrate, a delta every wave.
+HealerConfig small_wave_config(const std::string& tag) {
+  HealerConfig config;
+  config.wave_size = 2;
+  config.snapshot_every = 64;
+  config.snapshot_path = testing::TempDir() + "/snapshot_" + tag;
+  return config;
+}
+
+// The snapshot counts the service's waves, not the recorder's commits: a
+// commit made through engine() between pushes is not a service wave, and a
+// service wave whose victims were all killed commits nothing. A restored
+// count off by either would make a resumed service sample certify_every
+// and audit_every off by as many waves.
+TEST(SnapshotService, EngineCommitBetweenPushesIsNotAWave) {
+  Rng rng(82);
+  Graph g0 = make_sparse_random(64, 4.0, rng);
+  const std::string tag = "engine_commit";
+  ServiceFiles files = service_paths(tag);
+  HealerService service(g0, small_wave_config(tag));
+  service.push(ChurnOp::Delete(5));
+  service.engine().remove(5);  // the recorder's wave 1
+  service.push(ChurnOp::Delete(7));  // 5 dropped; 7 heals as service wave 1
+  ASSERT_EQ(service.stats().waves, 1);
+  expect_restores_live(service, files);
+
+  // Later waves append to the log from the service's count.
+  service.push(ChurnOp::Delete(9));
+  service.push(ChurnOp::Delete(11));
+  ASSERT_EQ(service.stats().waves, 2);
+  expect_restores_live(service, files);
+}
+
+TEST(SnapshotService, WaveWithEveryVictimKilledCounts) {
+  Rng rng(83);
+  Graph g0 = make_sparse_random(64, 4.0, rng);
+  const std::string tag = "all_killed";
+  ServiceFiles files = service_paths(tag);
+  HealerService service(g0, small_wave_config(tag));
+  // A commit the recorder never sees (made with it detached) kills the
+  // queued victim, so the service wave below commits nothing: the recorder
+  // counts one wave fewer than the service.
+  service.push(ChurnOp::Delete(5));
+  core::DeltaRecorder* recorder = service.engine().core().delta_recorder();
+  service.engine().core().set_delta_recorder(nullptr);
+  service.engine().remove(5);
+  service.engine().core().set_delta_recorder(recorder);
+  service.flush();
+  ASSERT_EQ(service.stats().waves, 1);
+  EXPECT_EQ(service.stats().dropped_deletes, 1);
+  expect_restores_live(service, files);
+
+  service.push(ChurnOp::Delete(7));
+  service.push(ChurnOp::Delete(9));
+  ASSERT_EQ(service.stats().waves, 2);
+  expect_restores_live(service, files);
+}
+
+TEST(SnapshotService, CrashBeforeTheLogResetSkipsRecordsTheBaseReflects) {
+  // The rebase in EngineCommitBetweenPushesIsNotAWave stamps its base one
+  // wave below the last record the log holds until the reset that follows.
+  // A crash between the two leaves that log behind, and restore must skip
+  // every record the base reflects, by epoch where the wave ids run past it.
+  Rng rng(82);
+  Graph g0 = make_sparse_random(64, 4.0, rng);
+  const std::string tag = "crash_reset";
+  ServiceFiles files = service_paths(tag);
+  HealerService service(g0, small_wave_config(tag));
+  service.push(ChurnOp::Delete(5));
+  service.engine().remove(5);
+  service.push(ChurnOp::Delete(7));
+  ASSERT_EQ(service.stats().waves, 1);
+
+  // The log the service appended before the reset, rebuilt by the same
+  // commits on a twin engine: the engine commit as wave 1, the service
+  // wave (resume cursor 2) as wave 2.
+  ForgivingGraph twin(g0);
+  SnapshotRecorder rec;
+  rec.begin(twin.core(), 0, 0);
+  std::vector<uint8_t> log = snap::encode_log_header();
+  rec.set_sink([&log](const snap::WaveDelta& d) { snap::append_delta(&log, d); });
+  twin.core().set_delta_recorder(&rec);
+  twin.remove(5);
+  rec.set_cursor(2);
+  twin.remove(7);
+  twin.core().set_delta_recorder(nullptr);
+  ASSERT_EQ(rec.waves(), 2u);
+  ASSERT_EQ(checkpoint(twin), checkpoint(service.engine()));
+
+  const std::string crash_log = files.log + ".crash";
+  std::string error;
+  ASSERT_TRUE(snap::write_file_atomic(crash_log, log, &error)) << error;
+  core::StructuralCore restored;
+  SnapshotRestore res = restore_snapshot(files.base, crash_log, &restored);
+  ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(res.waves, 1u);
+  EXPECT_EQ(checkpoint(restored), checkpoint(service.engine()));
 }
 
 TEST(SnapshotService, DeltaLogShrinksRestoreCost) {

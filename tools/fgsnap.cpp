@@ -64,14 +64,15 @@ bool load_log(const std::string& path, LogScan* scan, int* status) {
   return true;
 }
 
-/// The log's wave ids against the base: records at or below the base's wave
-/// are pre-rotation remnants (legal); past it they must be consecutive.
-/// Returns the wave the snapshot restores to, or reports the gap.
+/// The log's wave ids against the base: records the base already reflects
+/// (wave or epoch at or below the base's) are pre-rotation remnants
+/// (legal); past it they must be consecutive. Returns the wave the snapshot
+/// restores to, or reports the gap.
 bool check_sequence(const BaseImage& base, const LogScan& scan,
                     const std::string& log_path, uint64_t* restore_wave) {
   uint64_t wave = base.wave;
   for (const WaveDelta& d : scan.deltas) {
-    if (d.wave <= base.wave) continue;
+    if (d.wave <= base.wave || d.epoch_after <= base.epoch) continue;
     if (d.wave != wave + 1) {
       std::cerr << log_path << ": wave sequence gap: wave " << d.wave
                 << " after wave " << wave << '\n';
