@@ -73,6 +73,18 @@
    not come back: no `RegionSplit`, `AdmissionHook`, `set_admission_hook`,
    `ChurnStream`, `VectorChurnStream`, `last_region_roots` or
    `clear_region_roots` token anywhere under src/ (comments included).
+12. One encoder: no per-byte push primitive (`put_u8`, `put_u32`, ...) in
+   src/snap/snapshot.cpp; every record goes through the presized cursor.
+13. One planner, one derivation: every wave — recovery included — plans
+   through ShardedForest::plan, and finalize_plan alone writes a plan's
+   arena reservation; the core derives its slot table and multiplicities
+   in one place and records liveness once, in G. The hand-built recovery
+   plan must not come back: no `build_recovery_plan`, `RowDsu` or
+   `send_uncounted` token anywhere under src/ (comments included), no
+   `procs_` token in src/fg/core/structural_core.{h,cpp}, and no
+   assignment to a plan's `arena_base`, `arena_start` or `arena_total`
+   (`x.arena_base = ...`, `p->arena_total += ...`) in any src/ file but
+   src/fg/core/structural_core.cpp.
 
 Exits non-zero with a per-problem report on any violation.
 """
@@ -764,6 +776,48 @@ def check_single_encoder():
     ]
 
 
+# The one-planner gate (rule 13). build_recovery_plan was the stabilizer's
+# hand-built second planner (its own regions, steps and reservation
+# arithmetic), RowDsu its copy of the planner's union-find, send_uncounted a
+# network entry point nothing called, and procs_ the core's second record
+# of liveness beside G.
+SECOND_PLANNER_RE = re.compile(r"\b(build_recovery_plan|RowDsu|send_uncounted)\b")
+CORE_FILES = ("src/fg/core/structural_core.h", "src/fg/core/structural_core.cpp")
+SECOND_LIVENESS_RE = re.compile(r"\bprocs_\b")
+RESERVATION_FIELD = r"(arena_base|arena_start|arena_total)"
+RESERVATION_WRITE_RE = re.compile(
+    r"(?:\.|->)\s*" + RESERVATION_FIELD + r"\s*(?:[-+*/|&^]?=(?!=)|\+\+|--)"
+    r"|(?:\+\+|--)\s*[\w.>-]*(?:\.|->)\s*" + RESERVATION_FIELD + r"\b")
+RESERVATION_WRITER = "src/fg/core/structural_core.cpp"
+
+
+def check_single_planner():
+    problems = []
+    for src in sorted((REPO / "src").rglob("*")):
+        if not src.is_file():
+            continue
+        rel = src.relative_to(REPO).as_posix()
+        text = src.read_text()
+        for token in sorted(set(SECOND_PLANNER_RE.findall(text))):
+            problems.append(
+                f"{rel}: names `{token}` — recovery waves plan through "
+                "ShardedForest::plan like any wave (docs/SELF_STABILIZATION.md)")
+        if rel in CORE_FILES and SECOND_LIVENESS_RE.search(text):
+            problems.append(
+                f"{rel}: names `procs_` — the core records liveness once, in G")
+        if rel == RESERVATION_WRITER:
+            continue
+        code = header_code(src)
+        for m in RESERVATION_WRITE_RE.finditer(code):
+            line = code.count("\n", 0, m.start()) + 1
+            field = m.group(1) or m.group(2)
+            problems.append(
+                f"{rel}:{line}: assigns a plan's `{field}` — only "
+                "StructuralCore::finalize_plan writes the arena reservation "
+                "(docs/CONCURRENCY.md)")
+    return problems
+
+
 def main():
     problems = (check_links() + check_snippet_sync() + check_concurrency_sync() +
                 check_graph_api_sync() + check_healer_service_sync() +
@@ -771,7 +825,7 @@ def main():
                 check_certificate_independence() + check_single_state_format() +
                 check_single_effect_mode() + check_single_allocation_mode() +
                 check_single_repair_driver())
-    problems += check_single_heal_path() + check_single_encoder()
+    problems += check_single_heal_path() + check_single_encoder() + check_single_planner()
     for p in problems:
         print(p, file=sys.stderr)
     if problems:
@@ -790,7 +844,10 @@ def main():
           "driver (no second planner, committer or break callback in src/)")
     print("docs OK: one heal path and one partition (no admission hook, "
           "wave-wide split or cached last-wave roots in src/), one snapshot "
-          "encoder (no per-byte push primitive in src/snap/snapshot.cpp)")
+          "encoder (no per-byte push primitive in src/snap/snapshot.cpp), "
+          "one planner (no hand-built recovery plan, second union-find or "
+          "second liveness record in src/; only finalize_plan writes a "
+          "plan's arena reservation)")
 
 
 if __name__ == "__main__":

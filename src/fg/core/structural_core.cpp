@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <array>
-#include <numeric>
 
 #include "snap/snapshot.h"
 #include "util/check.h"
+#include "util/dsu.h"
 
 namespace fg::core {
 
@@ -14,7 +14,6 @@ StructuralCore::StructuralCore(const Graph& g0) : gprime_(g0), g_(g0) {
   // starts empty.
   FG_CHECK_MSG(g0.alive_count() == g0.node_capacity(),
                "initial graph must have no tombstones");
-  procs_.resize(static_cast<size_t>(g0.node_capacity()));
   slots_.resize(static_cast<size_t>(g0.node_capacity()));
 }
 
@@ -52,8 +51,7 @@ NodeId StructuralCore::insert_node(std::span<const NodeId> neighbors) {
   NodeId id = gprime_.add_node();
   NodeId id2 = g_.add_node();
   FG_CHECK(id == id2);
-  procs_.emplace_back();
-  slots_.resize(procs_.size());
+  slots_.resize(static_cast<size_t>(id) + 1);
   for (NodeId y : neighbors) {
     FG_CHECK_MSG(g_.is_alive(y), "insertion neighbor must be alive");
     // add_edge rejects an edge that already exists, so a duplicate in the
@@ -66,30 +64,6 @@ NodeId StructuralCore::insert_node(std::span<const NodeId> neighbors) {
 }
 
 namespace {
-
-/// Deterministic union-find over the wave's victims (indexed by wave
-/// position): the representative is always the smallest index, so the
-/// partition is independent of the union order.
-struct Dsu {
-  std::vector<int> parent;
-  explicit Dsu(int n) : parent(static_cast<size_t>(n)) {
-    std::iota(parent.begin(), parent.end(), 0);
-  }
-  int find(int x) {
-    while (parent[static_cast<size_t>(x)] != x) {
-      parent[static_cast<size_t>(x)] = parent[static_cast<size_t>(parent[static_cast<size_t>(x)])];
-      x = parent[static_cast<size_t>(x)];
-    }
-    return x;
-  }
-  void unite(int a, int b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return;
-    if (a > b) std::swap(a, b);
-    parent[static_cast<size_t>(b)] = a;
-  }
-};
 
 /// Lemma 1: an RT's height is at most 31, so a chain from any vnode up to
 /// its root has at most 32 nodes.
@@ -172,9 +146,13 @@ void DirtySet::rehash(size_t capacity) {
   }
 }
 
-DeletionAnalysis StructuralCore::analyze_deletion(std::span<const NodeId> victims) const {
-  FG_CHECK_MSG(!victims.empty(), "empty deletion batch");
+DeletionAnalysis StructuralCore::analyze_deletion(std::span<const NodeId> victims,
+                                                  bool recovery) const {
+  // A recovery wave may be empty: it still commits the re-derived state
+  // and emits its certificate.
+  FG_CHECK_MSG(recovery || !victims.empty(), "empty deletion batch");
   DeletionAnalysis a;
+  a.recovery = recovery;
   a.victims.assign(victims.begin(), victims.end());
   const int k = static_cast<int>(victims.size());
 
@@ -189,7 +167,11 @@ DeletionAnalysis StructuralCore::analyze_deletion(std::span<const NodeId> victim
   wave_index.reserve(victims.size());
   for (int i = 0; i < k; ++i) {
     NodeId v = a.victims[static_cast<size_t>(i)];
-    FG_CHECK_MSG(g_.is_alive(v), "deleting a dead or unknown processor");
+    if (recovery)
+      FG_CHECK_MSG(v >= 0 && v < g_.node_capacity() && !g_.is_alive(v) && slots_.count(v) == 0,
+                   "recovery victim must be a dead processor with no slots");
+    else
+      FG_CHECK_MSG(g_.is_alive(v), "deleting a dead or unknown processor");
     wave_index.push_back({v, i});
   }
   std::sort(wave_index.begin(), wave_index.end());
@@ -213,7 +195,7 @@ DeletionAnalysis StructuralCore::analyze_deletion(std::span<const NodeId> victim
   size_t slot_count = 0;
   for (NodeId v : a.victims) slot_count += slots_.entries(v).size();
   a.dirty.reserve_more(kDirtyPerSlot * slot_count);
-  Dsu dsu(k);
+  util::Dsu dsu(k);
   std::vector<std::pair<VNodeId, int>> roots;  // (RT root, claimant wave position)
   for (int i = 0; i < k; ++i) {
     NodeId v = a.victims[static_cast<size_t>(i)];
@@ -285,10 +267,13 @@ void StructuralCore::plan_region(const DeletionAnalysis& analysis, int region,
   // a fresh real node (a trivial one-node RT) for the edge slot (y, v). An
   // edge between two victims spawns no real node: both endpoints die, so
   // nobody survives to simulate one (exactly the state sequential deletions
-  // converge to).
+  // converge to). A recovery wave re-anchors exactly the dead edges the
+  // quarantine left bare.
   for (NodeId v : seed.victims) {
     for (NodeId y : gprime_.neighbors(v)) {
       if (!g_.is_alive(y) || analysis.is_victim(y)) continue;
+      FG_CHECK_MSG(!analysis.recovery || slots_.find(y, v) == nullptr,
+                   "recovery planning a victim that still has anchors");
       out->fresh.push_back({y, v});
     }
   }
@@ -296,10 +281,12 @@ void StructuralCore::plan_region(const DeletionAnalysis& analysis, int region,
   // Victim-victim G' edges, in the exact order the break drops them. Both
   // endpoints always land in the same region (a shared G' edge unites
   // them), so recording the pairs here lets one region's break run with no
-  // wave-wide lookup at all.
-  for (NodeId v : seed.victims)
-    for (NodeId y : gprime_.neighbors(v))
-      if (v < y && analysis.is_victim(y)) out->victim_edges.push_back({v, y});
+  // wave-wide lookup at all. A recovery wave's victims died long ago: their
+  // image edges are gone, so there is nothing to drop.
+  if (!analysis.recovery)
+    for (NodeId v : seed.victims)
+      for (NodeId y : gprime_.neighbors(v))
+        if (v < y && analysis.is_victim(y)) out->victim_edges.push_back({v, y});
 
   // Merge-plan input: detached pieces in event order, then fresh leaves —
   // the same deterministic piece order the single-pass walk emitted.
@@ -315,6 +302,7 @@ void StructuralCore::plan_region(const DeletionAnalysis& analysis, int region,
 void StructuralCore::finalize_plan(const DeletionAnalysis& analysis,
                                    RepairPlan* plan) const {
   plan->victims = analysis.victims;
+  plan->recovery = analysis.recovery;
   plan->epoch = epoch_;
   // The arena-id reservation: region r's commit allocates exactly its
   // anchor leaves plus one helper per merge step, so contiguous handle
@@ -515,7 +503,6 @@ void StructuralCore::finish_break(const RepairPlan& plan) {
   if (plan.recovery) return;
   // The processors themselves die. All of their image edges must be gone.
   for (NodeId v : plan.victims) {
-    procs_[static_cast<size_t>(v)].alive = false;
     slots_.clear(v);
     FG_CHECK_MSG(g_.degree(v) == 0, "image bookkeeping left edges on a deleted node");
     g_.remove_node(v);
@@ -594,7 +581,7 @@ haft::PieceInfo StructuralCore::piece_info(VNodeId root) const {
 }
 
 int StructuralCore::helper_count(NodeId v) const {
-  FG_CHECK(v >= 0 && static_cast<size_t>(v) < procs_.size());
+  FG_CHECK(v >= 0 && v < gprime_.node_capacity());
   int count = 0;
   for (const SlotTable::Entry& slot : slots_.entries(v))
     if (slot.helper != kNoVNode) ++count;
@@ -602,7 +589,7 @@ int StructuralCore::helper_count(NodeId v) const {
 }
 
 std::vector<VNodeId> StructuralCore::slot_roots(NodeId v) const {
-  FG_CHECK(v >= 0 && static_cast<size_t>(v) < procs_.size());
+  FG_CHECK(v >= 0 && v < gprime_.node_capacity());
   std::vector<VNodeId> roots;
   for (const SlotTable::Entry& slot : slots_.entries(v))
     for (VNodeId h : {slot.leaf, slot.helper})
@@ -683,11 +670,10 @@ void StructuralCore::emit_base(Out& out) const {
     out.row({n.owner, n.other, n.parent, n.left, n.right, n.rep, n.height, n.leaf_count,
              n.is_leaf, n.alive});
 
-  const NodeId procs = static_cast<NodeId>(procs_.size());
   uint64_t slots = 0;
-  for (NodeId v = 0; v < procs; ++v) slots += static_cast<uint64_t>(slots_.count(v));
+  for (NodeId v = 0; v < capacity; ++v) slots += static_cast<uint64_t>(slots_.count(v));
   out.begin_slots(slots);
-  for (NodeId v = 0; v < procs; ++v)
+  for (NodeId v = 0; v < capacity; ++v)
     for (const SlotTable::Entry& s : slots_.entries(v))
       out.slot({static_cast<uint32_t>(v), s.other, s.leaf, s.helper});
 
@@ -751,6 +737,84 @@ void StructuralCore::stream_base_image(snap::BaseEncoder* enc, uint64_t wave,
   emit_base(*enc);
 }
 
+std::string StructuralCore::derive_state(std::vector<std::pair<uint64_t, int32_t>>* mult) {
+  const NodeId capacity = gprime_.node_capacity();
+
+  // The slot table: one registration per alive row. The same walk collects
+  // each cross-processor parent link's edge key.
+  slots_ = SlotTable{};
+  slots_.resize(static_cast<size_t>(capacity));
+  std::vector<uint64_t> links;
+  const auto& nodes = forest_.dump();
+  for (VNodeId h = 0; h < static_cast<VNodeId>(nodes.size()); ++h) {
+    const auto& n = nodes[static_cast<size_t>(h)];
+    if (!n.alive) continue;
+    SlotTable::Entry& s = slots_.ensure(n.owner, n.other);
+    VNodeId& field = n.is_leaf ? s.leaf : s.helper;
+    if (field != kNoVNode)
+      return n.is_leaf ? "slot leaf double-booked" : "slot helper double-booked";
+    field = h;
+    if (n.parent != kNoVNode) {
+      const NodeId p = nodes[static_cast<size_t>(n.parent)].owner;
+      if (p != n.owner) links.push_back(edge_key(n.owner, p));
+    }
+  }
+  std::sort(links.begin(), links.end());
+
+  // The multiplicities: one merge of the alive-alive G' edges (ascending,
+  // as the sorted adjacency yields them) with the sorted links, counting
+  // each key's run.
+  std::vector<std::pair<uint64_t, int32_t>> counts;
+  counts.reserve(static_cast<size_t>(gprime_.edge_count()) + links.size());
+  auto count = [&counts](uint64_t key) {
+    if (!counts.empty() && counts.back().first == key)
+      ++counts.back().second;
+    else
+      counts.emplace_back(key, 1);
+  };
+  size_t li = 0;
+  for (NodeId u = 0; u < capacity; ++u) {
+    if (!g_.is_alive(u)) continue;
+    NeighborView nb = gprime_.neighbors(u);
+    for (const NodeId* w = std::upper_bound(nb.begin(), nb.end(), u); w != nb.end(); ++w) {
+      if (!g_.is_alive(*w)) continue;
+      const uint64_t key = slot_key(u, *w);
+      while (li < links.size() && links[li] < key) count(links[li++]);
+      count(key);
+    }
+  }
+  while (li < links.size()) count(links[li++]);
+
+  // G: an edge per key, bulk-loaded over g_'s liveness (a recovery first
+  // clears the edges it had). With nobody dead and no link every
+  // multiplicity is one, so G is G' — pool and all.
+  if (g_.alive_count() == capacity && links.empty()) {
+    g_ = gprime_;
+  } else {
+    if (g_.edge_count() != 0) {
+      Graph g(static_cast<int>(capacity));
+      for (NodeId v = 0; v < capacity; ++v)
+        if (!g_.is_alive(v)) g.remove_node(v);
+      g_ = std::move(g);
+    }
+    std::vector<std::pair<uint32_t, uint32_t>> edges;
+    edges.reserve(counts.size());
+    for (const auto& [key, c] : counts)
+      edges.emplace_back(static_cast<uint32_t>(key >> 32),
+                         static_cast<uint32_t>(key & 0xFFFFFFFFu));
+    g_.add_edges_bulk(edges);
+  }
+
+  // The excess table: count - 1 for the keys of multiplicity >= 2.
+  std::vector<std::pair<uint64_t, int32_t>> excess;
+  for (const auto& [key, c] : counts)
+    if (c >= 2) excess.emplace_back(key, c - 1);
+  image_excess_ = util::FlatCountMap{};
+  image_excess_.load(excess);
+  if (mult != nullptr) *mult = std::move(counts);
+  return {};
+}
+
 bool StructuralCore::from_base_image(const snap::BaseImage& image, StructuralCore* out,
                                      std::string* error) {
   auto fail = [error](std::string msg) {
@@ -762,15 +826,14 @@ bool StructuralCore::from_base_image(const snap::BaseImage& image, StructuralCor
   const NodeId capacity = static_cast<NodeId>(image.capacity);
   if (capacity < 0) return fail("capacity overflows NodeId");
   core.gprime_ = Graph(static_cast<int>(capacity));
-  core.procs_.resize(static_cast<size_t>(capacity));
-  core.slots_.resize(static_cast<size_t>(capacity));
+  core.g_ = Graph(static_cast<int>(capacity));
 
-  // Liveness first (the sections below validate against it); the healed
-  // image G itself is built last, once the MULT section has been verified.
+  // Liveness first, straight into G (the sections below validate against
+  // it; derive_state lays G's edges over it last).
   for (uint32_t v : image.dead) {
     if (v >= image.capacity) return fail("dead id out of range");
-    if (!core.procs_[v].alive) return fail("duplicate dead id");
-    core.procs_[v].alive = false;
+    if (!core.g_.is_alive(static_cast<NodeId>(v))) return fail("duplicate dead id");
+    core.g_.remove_node(static_cast<NodeId>(v));
   }
 
   // Validate the G' section against the canonical on-disk order (strictly
@@ -790,27 +853,6 @@ bool StructuralCore::from_base_image(const snap::BaseImage& image, StructuralCor
   }
   core.gprime_.add_edges_bulk(image.gprime_edges);
 
-  // The healed image G and the excess table are rebuilt straight from the
-  // CRC-protected MULT section (a G edge exists iff its multiplicity is
-  // positive; its excess is count - 1 when that is positive). The section
-  // is not taken on faith: after the forest walk below it is verified
-  // entry-by-entry against ground truth — the alive-alive G' edges plus
-  // the forest's cross-processor parent links.
-  std::vector<std::pair<uint64_t, int32_t>> mult_entries;
-  mult_entries.reserve(image.mult.size());
-  {
-    uint64_t prev_key = 0;
-    for (const snap::BaseImage::MultEntry& m : image.mult) {
-      if (m.u >= m.v || m.v >= image.capacity || m.count <= 0)
-        return fail("malformed MULT entry");
-      if (!core.procs_[m.u].alive || !core.procs_[m.v].alive)
-        return fail("MULT section disagrees with the rebuild");
-      uint64_t key = slot_key(static_cast<NodeId>(m.u), static_cast<NodeId>(m.v));
-      if (key <= prev_key) return fail("duplicate or out-of-order MULT entry");
-      prev_key = key;
-      mult_entries.emplace_back(key, m.count);
-    }
-  }
   std::vector<VirtualForest::VNode> arena;
   arena.reserve(image.rows.size());
   for (const snap::VRow& r : image.rows) {
@@ -820,40 +862,20 @@ bool StructuralCore::from_base_image(const snap::BaseImage& image, StructuralCor
                   ": aggregates out of range");
     arena.push_back(n);
   }
-  if (std::string why = check_arena_rows(
-          arena, capacity,
-          [&](NodeId v) { return core.procs_[static_cast<size_t>(v)].alive; });
+  if (std::string why = check_arena_rows(arena, capacity,
+                                         [&](NodeId v) { return core.g_.is_alive(v); });
       !why.empty())
     return fail(std::move(why));
   core.forest_ = VirtualForest::from_dump(std::move(arena));
   if (core.forest_.live_count() != image.forest_live)
     return fail("forest live count disagrees with the rows");
 
-  // Rebuild the slot table from ground truth and collect the forest's
-  // cross-processor parent-link keys for the MULT verification merge below.
-  std::vector<uint64_t> link_keys;
-  const auto& nodes = core.forest_.dump();
-  for (VNodeId h = 0; h < static_cast<VNodeId>(nodes.size()); ++h) {
-    const auto& n = nodes[static_cast<size_t>(h)];
-    if (!n.alive) continue;
-    SlotTable::Entry& s = core.slots_.ensure(n.owner, n.other);
-    if (n.is_leaf) {
-      if (s.leaf != kNoVNode) return fail("slot leaf double-booked");
-      s.leaf = h;
-    } else {
-      if (s.helper != kNoVNode) return fail("slot helper double-booked");
-      s.helper = h;
-    }
-    if (n.parent != kNoVNode) {
-      NodeId a = n.owner;
-      NodeId b = nodes[static_cast<size_t>(n.parent)].owner;
-      if (a != b) link_keys.push_back(edge_key(a, b));
-    }
-  }
-  std::sort(link_keys.begin(), link_keys.end());
-  // ...then hold the image's recorded SLOT and MULT sections against it: a
-  // base whose derived sections disagree with its own forest was written by
-  // a buggy producer or corrupted without tripping a CRC — refuse it.
+  // Derive the slot table, G and the excess table from ground truth, then
+  // hold the image's recorded SLOT and MULT sections against them: a base
+  // whose derived sections disagree with its own forest was written by a
+  // buggy producer or corrupted without tripping a CRC — refuse it.
+  std::vector<std::pair<uint64_t, int32_t>> mult;
+  if (std::string why = core.derive_state(&mult); !why.empty()) return fail(std::move(why));
   size_t slot_at = 0;
   for (NodeId v = 0; v < capacity; ++v) {
     for (const SlotTable::Entry& s : core.slots_.entries(v)) {
@@ -865,74 +887,21 @@ bool StructuralCore::from_base_image(const snap::BaseImage& image, StructuralCor
     }
   }
   if (slot_at != image.slots.size()) return fail("SLOT section too long");
-
-  // Hold the recorded MULT section against ground truth: every key's count
-  // must equal its alive-alive G' edges plus its parent links, with nothing
-  // left over on either side. All three streams are in ascending key order
-  // (validated or sorted above), so one linear merge replaces the hash
-  // probe per entry that used to dominate large restores.
-  if (image.dead.empty() && link_keys.empty()) {
-    // Fast path (no deletions, no helpers — e.g. the first rotation after
-    // an insert-only warmup): ground truth is exactly the G' edge list
-    // with multiplicity one, so the verify is a straight comparison.
-    if (mult_entries.size() != image.gprime_edges.size())
-      return fail("MULT section disagrees with the rebuild");
-    for (size_t i = 0; i < mult_entries.size(); ++i) {
-      const auto& [eu, ev] = image.gprime_edges[i];
-      if (mult_entries[i].first !=
-              slot_key(static_cast<NodeId>(eu), static_cast<NodeId>(ev)) ||
-          mult_entries[i].second != 1)
-        return fail("MULT section disagrees with the rebuild");
-    }
-  } else {
-    const auto& gp = image.gprime_edges;
-    size_t ei = 0;
-    size_t li = 0;
-    auto next_alive_edge_key = [&]() -> uint64_t {
-      while (ei < gp.size()) {
-        const auto& [eu, ev] = gp[ei];
-        if (core.procs_[eu].alive && core.procs_[ev].alive)
-          return slot_key(static_cast<NodeId>(eu), static_cast<NodeId>(ev));
-        ++ei;
-      }
-      return 0;  // exhausted; never a real key (low word of a key is v >= 1)
-    };
-    for (const auto& [key, count] : mult_entries) {
-      int64_t derived = 0;
-      while (next_alive_edge_key() == key) {
-        ++derived;
-        ++ei;
-      }
-      while (li < link_keys.size() && link_keys[li] == key) {
-        ++derived;
-        ++li;
-      }
-      if (derived != count) return fail("MULT section disagrees with the rebuild");
-    }
-    if (next_alive_edge_key() != 0 || li != link_keys.size())
+  // The MULT section: well-formed entries, keys strictly ascending, each
+  // equal to the derived entry at its position (both lists ascend by key,
+  // so this is one linear pass), nothing left over on either side.
+  uint64_t prev_key = 0;
+  for (size_t i = 0; i < image.mult.size(); ++i) {
+    const snap::BaseImage::MultEntry& m = image.mult[i];
+    if (m.u >= m.v || m.v >= image.capacity || m.count <= 0)
+      return fail("malformed MULT entry");
+    const uint64_t key = slot_key(static_cast<NodeId>(m.u), static_cast<NodeId>(m.v));
+    if (key <= prev_key) return fail("duplicate or out-of-order MULT entry");
+    prev_key = key;
+    if (i >= mult.size() || mult[i].first != key || mult[i].second != m.count)
       return fail("MULT section disagrees with the rebuild");
   }
-
-  // Build the healed image G from the now-verified MULT section: an edge
-  // exists iff its multiplicity is positive. When nobody is dead the MULT
-  // keys equal the G' edge set (just proven above), so G is a straight
-  // copy of G' — pool and all — instead of a rebuild.
-  if (image.dead.empty() && mult_entries.size() == image.gprime_edges.size()) {
-    core.g_ = core.gprime_;
-  } else {
-    core.g_ = Graph(static_cast<int>(capacity));
-    for (uint32_t v : image.dead) core.g_.remove_node(static_cast<NodeId>(v));
-    std::vector<std::pair<uint32_t, uint32_t>> image_pairs;
-    image_pairs.reserve(mult_entries.size());
-    for (const auto& [key, count] : mult_entries)
-      image_pairs.emplace_back(static_cast<uint32_t>(key >> 32),
-                               static_cast<uint32_t>(key & 0xFFFFFFFFu));
-    core.g_.add_edges_bulk(image_pairs);
-  }
-  // Only the edges of multiplicity >= 2 carry an excess.
-  std::erase_if(mult_entries, [](const auto& entry) { return entry.second < 2; });
-  for (auto& entry : mult_entries) --entry.second;
-  core.image_excess_.load(mult_entries);
+  if (mult.size() != image.mult.size()) return fail("MULT section disagrees with the rebuild");
 
   core.epoch_ = image.epoch;
   *out = std::move(core);
@@ -1024,7 +993,6 @@ bool StructuralCore::apply_wave_delta(const snap::WaveDelta& delta,
     auto v = static_cast<NodeId>(vv);
     if (!g_.is_alive(v)) return fail("victim already dead");
     if (g_.degree(v) != 0) return fail("victim still has image edges");
-    procs_[static_cast<size_t>(v)].alive = false;
     slots_.clear(v);
     g_.remove_node(v);
   }
@@ -1055,16 +1023,16 @@ bool StructuralCore::apply_wave_delta(const snap::WaveDelta& delta,
 
 void StructuralCore::rebuild_for_recovery(const std::vector<uint8_t>& keep) {
   ++epoch_;  // corrupted-state surgery stales any outstanding plan
-  const NodeId capacity = gprime_.node_capacity();
 
   // 1. Forest: tombstone everything outside the kept set. Kept rows must be
-  //    alive and closed under links — the stabilizer's condemnation closure
-  //    keeps whole components or nothing.
+  //    alive, owned by alive processors and closed under links — the
+  //    stabilizer's condemnation closure keeps whole components or nothing.
   std::vector<VirtualForest::VNode> rows = forest_.dump();
   FG_CHECK_MSG(keep.size() == rows.size(), "keep mask must cover the arena");
   for (size_t h = 0; h < rows.size(); ++h) {
     if (keep[h]) {
-      FG_CHECK_MSG(rows[h].alive, "cannot keep a tombstoned forest row");
+      FG_CHECK_MSG(rows[h].alive && g_.is_alive(rows[h].owner),
+                   "cannot keep a tombstoned row or one on a dead processor");
       for (VNodeId l : {rows[h].parent, rows[h].left, rows[h].right})
         FG_CHECK_MSG(l == kNoVNode ||
                          (l >= 0 && static_cast<size_t>(l) < rows.size() &&
@@ -1077,37 +1045,10 @@ void StructuralCore::rebuild_for_recovery(const std::vector<uint8_t>& keep) {
   }
   forest_ = VirtualForest::from_dump(std::move(rows));
 
-  // 2. Slot table from scratch: exactly the kept rows' registrations.
-  slots_ = SlotTable{};
-  slots_.resize(static_cast<size_t>(capacity));
-
-  // 3. Healed image from ground truth: alive-alive G' edges plus the kept
-  //    parent links, recounted through the funnel.
-  g_ = Graph{};
-  for (NodeId v = 0; v < capacity; ++v) g_.add_node();
-  for (NodeId v = 0; v < capacity; ++v)
-    if (!procs_[static_cast<size_t>(v)].alive) g_.remove_node(v);
-  image_excess_ = util::FlatCountMap{};
-  for (NodeId v = 0; v < capacity; ++v) {
-    if (!procs_[static_cast<size_t>(v)].alive) continue;
-    for (NodeId w : gprime_.neighbors(v))
-      if (v < w && procs_[static_cast<size_t>(w)].alive) add_image_edge(v, w);
-  }
-  const auto& nodes = forest_.dump();
-  for (VNodeId h = 0; h < static_cast<VNodeId>(nodes.size()); ++h) {
-    const auto& n = nodes[static_cast<size_t>(h)];
-    if (!n.alive) continue;
-    SlotTable::Entry& s = slots_.ensure(n.owner, n.other);
-    if (n.is_leaf) {
-      FG_CHECK_MSG(s.leaf == kNoVNode, "kept rows double-book a slot leaf");
-      s.leaf = h;
-    } else {
-      FG_CHECK_MSG(s.helper == kNoVNode, "kept rows double-book a slot helper");
-      s.helper = h;
-    }
-    if (n.parent != kNoVNode)
-      add_image_edge(n.owner, nodes[static_cast<size_t>(n.parent)].owner);
-  }
+  // 2. Every derived structure from ground truth, the way a restore
+  //    derives it.
+  const std::string clash = derive_state(nullptr);
+  FG_CHECK_MSG(clash.empty(), "kept rows double-book a slot");
 }
 
 void StructuralCore::inject_vnode_row(VNodeId h, const VirtualForest::VNode& row) {
@@ -1146,10 +1087,10 @@ void StructuralCore::inject_multiplicity_bump(NodeId u, NodeId v) {
 
 void StructuralCore::validate() const {
   // --- I1: slot consistency.
-  for (NodeId u = 0; u < static_cast<NodeId>(procs_.size()); ++u) {
-    const Proc& p = procs_[static_cast<size_t>(u)];
-    FG_CHECK(p.alive == g_.is_alive(u));
-    if (!p.alive) {
+  const NodeId capacity = gprime_.node_capacity();
+  FG_CHECK(g_.node_capacity() == capacity);
+  for (NodeId u = 0; u < capacity; ++u) {
+    if (!g_.is_alive(u)) {
       FG_CHECK(slots_.count(u) == 0);
       continue;
     }
@@ -1176,7 +1117,7 @@ void StructuralCore::validate() const {
 
   // --- I2 + I3: forest structure, haft property, representative invariant.
   std::vector<VNodeId> seen_roots;
-  for (NodeId u = 0; u < static_cast<NodeId>(procs_.size()); ++u)
+  for (NodeId u = 0; u < capacity; ++u)
     for (const SlotTable::Entry& slot : slots_.entries(u))
       for (VNodeId h : {slot.leaf, slot.helper})
         if (h != kNoVNode) seen_roots.push_back(forest_.root_of(h));

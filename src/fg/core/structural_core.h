@@ -168,11 +168,13 @@ struct RepairPlan {
   /// the arena size unchanged, like a teardown-only repair — makes the
   /// plan refuse to commit instead of replaying a stale script.
   uint64_t epoch = 0;
-  /// Recovery plans (fg::Stabilizer) rebuild structure for processors that
-  /// are *already dead*: begin_break inverts the per-victim liveness check,
-  /// the break spawns anchors without dropping (long-gone) image edges, and
-  /// finish_break skips the re-kill. Everything else — regions, arena
-  /// reservation, merge steps, contract C4 — is the ordinary pipeline.
+  /// Recovery plans (fg::Stabilizer, planned with the recovery wave kind)
+  /// rebuild structure for processors that are *already dead*: the planner
+  /// records no victim-victim drops, begin_break inverts the per-victim
+  /// liveness check, the break spawns anchors without dropping (long-gone)
+  /// image edges, and finish_break skips the re-kill. Everything else —
+  /// regions, arena reservation, merge steps, contract C4 — is the
+  /// ordinary pipeline.
   bool recovery = false;
 };
 
@@ -238,6 +240,7 @@ class DirtySet {
 /// gives O(1) probes and O(wave) setup both for a dense wave in a young
 /// arena and for one victim deep in an old one.
 struct DeletionAnalysis {
+  bool recovery = false;                    ///< The wave kind (RepairPlan::recovery).
   std::vector<NodeId> victims;              ///< Wave order.
   std::vector<NodeId> victim_sorted;        ///< Victims, ascending.
   DirtySet dirty;                           ///< Dead vnodes + ancestors.
@@ -283,10 +286,12 @@ class DeltaRecorder {
 
   /// The image multiplicity of edge (u, v) is about to change (u != v).
   /// Fired by both multiplicity funnels — add_image_edge (insertions, the
-  /// merge stitch, the recovery rebuild) and the break stitch's batched
-  /// drops — so the accumulated key set covers every healed-image edge the
-  /// wave (or an insertion) touched. The order follows the stitches, not
-  /// the repair walk; a recorder keeps the set, not the sequence.
+  /// merge stitch) and the break stitch's batched drops — so the
+  /// accumulated key set covers every healed-image edge the wave (or an
+  /// insertion) touched. The order follows the stitches, not the repair
+  /// walk; a recorder keeps the set, not the sequence. A recovery
+  /// re-derives the image wholesale and fires nothing here: its commit
+  /// forces a rebase instead.
   virtual void on_image_touch(NodeId u, NodeId v) { (void)u, (void)v; }
 
   /// A wave's commit fully settled (fired by fg::ShardedForest::execute,
@@ -320,11 +325,14 @@ class StructuralCore {
 
   // --- Plan phase (read-only; safe to run concurrently per region). ------
 
-  /// Partition a wave of victims (alive, distinct) into its connected
-  /// dirty regions and build the shared lookup sets. Each region heals
-  /// into its own RT, which is what lets disjoint regions plan
-  /// concurrently and repair in parallel rounds.
-  DeletionAnalysis analyze_deletion(std::span<const NodeId> victims) const;
+  /// Partition a wave of victims (distinct) into its connected dirty
+  /// regions and build the shared lookup sets. Each region heals into its
+  /// own RT, which is what lets disjoint regions plan concurrently and
+  /// repair in parallel rounds. A deletion wave's victims are alive and at
+  /// least one; a recovery wave (`recovery`, fg::Stabilizer) names dead
+  /// processors that hold no slot, and may be empty.
+  DeletionAnalysis analyze_deletion(std::span<const NodeId> victims,
+                                    bool recovery = false) const;
 
   /// Fill `out` with the complete immutable recipe for region
   /// `analysis.seeds[region]`. Pure read-only: callable from worker
@@ -332,11 +340,12 @@ class StructuralCore {
   void plan_region(const DeletionAnalysis& analysis, int region, RegionPlan* out) const;
 
   /// Fill the wave-level fields of a plan whose regions are already
-  /// populated (victims, victim_region), stamp this core's arena size and
-  /// mutation epoch (what begin_break validates against), and assign
-  /// the arena-id reservation: each region's arena_base
+  /// populated (victims, victim_region, the wave kind), stamp this core's
+  /// arena size and mutation epoch (what begin_break validates against),
+  /// and assign the arena-id reservation: each region's arena_base
   /// follows by prefix sums over (fresh + steps) counts in region id
-  /// order — a pure function of the plan, never of scheduling.
+  /// order — a pure function of the plan, never of scheduling. The only
+  /// writer of a plan's reservation fields.
   void finalize_plan(const DeletionAnalysis& analysis, RepairPlan* plan) const;
 
   // --- Commit phase (deterministic region order; see docs/CONCURRENCY.md).
@@ -474,14 +483,13 @@ class StructuralCore {
   // --- Recovery surface (fg::Stabilizer). --------------------------------
 
   /// Quarantine for self-stabilizing recovery: keep exactly the forest rows
-  /// with keep[h] != 0 (each must be alive, and kept rows' links must stay
-  /// within the kept set — FG_CHECKed), tombstone and unlink everything
-  /// else, then rebuild all derived state from ground truth: the slot table
-  /// from the kept rows, and the healed image (edges + multiplicities) from
-  /// alive-alive G' edges plus kept parent links, through the same funnel
-  /// as every other image edge. Bumps the mutation epoch;
-  /// the caller then plans and commits a recovery wave (RepairPlan::recovery)
-  /// to re-anchor every dead edge the quarantine left uncovered.
+  /// with keep[h] != 0 (each must be alive on an alive processor, and kept
+  /// rows' links must stay within the kept set — FG_CHECKed), tombstone
+  /// and unlink everything else, then derive the slot table, the healed
+  /// image and its multiplicities from ground truth exactly as
+  /// from_base_image does. Bumps the mutation epoch; the caller then plans
+  /// and commits a recovery wave (RepairPlan::recovery) to re-anchor every
+  /// dead edge the quarantine left uncovered.
   void rebuild_for_recovery(const std::vector<uint8_t>& keep);
 
   // --- Fault-injection seams (tests/fuzz/corruptor; never the engines). ---
@@ -539,9 +547,9 @@ class StructuralCore {
   void stream_base_image(snap::BaseEncoder* enc, uint64_t wave, uint64_t cursor) const;
 
   /// Restore a core from a base image. Malformed images (out-of-range
-  /// handles, duplicate edges, derived state inconsistent with the forest)
-  /// return false + *error, never abort. The restored core's mutation
-  /// epoch is the image's.
+  /// handles, duplicate edges, SLOT or MULT sections that disagree with
+  /// the state derived from the forest) return false + *error, never
+  /// abort. The restored core's mutation epoch is the image's.
   static bool from_base_image(const snap::BaseImage& image, StructuralCore* out,
                               std::string* error);
 
@@ -566,11 +574,16 @@ class StructuralCore {
   void validate() const;
 
  private:
-  struct Proc {
-    bool alive = true;
-  };
-
   static uint64_t edge_key(NodeId u, NodeId v);
+
+  /// Derive the slot table, G and the excess table from ground truth — G',
+  /// the liveness g_ records and the alive forest rows: each row registers
+  /// in its slot, and an image edge's multiplicity counts its alive-alive
+  /// G' edge plus the cross-processor parent links over it. Returns the
+  /// first slot clash ("slot leaf double-booked" or "slot helper
+  /// double-booked"; the state is then half-built) or an empty string.
+  /// `mult`, if given, receives every (edge key, multiplicity) ascending.
+  std::string derive_state(std::vector<std::pair<uint64_t, int32_t>>* mult);
 
   /// Plan input for a piece root: leaf count plus the deterministic
   /// representative slot key (the paper's NodeID tie-break).
@@ -598,8 +611,8 @@ class StructuralCore {
   /// Tell the delta recorder (if any) that edge (u, v)'s multiplicity is
   /// about to change. Called from both multiplicity funnels, which only
   /// ever run single-threaded (insert_node, the region-id-ordered
-  /// stitches, the recovery rebuild) — never from break_region or
-  /// merge_region, which only record.
+  /// stitches) — never from break_region or merge_region, which only
+  /// record.
   void note_image_touch(NodeId u, NodeId v) {
     if (recorder_ != nullptr) recorder_->on_image_touch(u, v);
   }
@@ -616,7 +629,6 @@ class StructuralCore {
   Graph gprime_;
   Graph g_;
   VirtualForest forest_;
-  std::vector<Proc> procs_;
   /// Per-processor slot tables (Table 1): pooled sorted flat arrays keyed
   /// by the far endpoint — see slot_table.h for the storage model and the
   /// concurrency contract the parallel commit relies on.

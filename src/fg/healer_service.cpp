@@ -138,48 +138,47 @@ void HealerService::heal_wave() {
   }
 
   // Install the collector around the commit (or the recovery below), then
-  // tee and check the one certificate it emitted. Sampled certificates are
-  // checked here, before the audit runs, so the teed stream's ordinals
-  // ascend.
+  // tee and check the certificate it emitted: one per commit, none when
+  // `emit` reports it committed nothing. Sampled certificates are checked
+  // here, before the audit runs, so the teed stream's ordinals ascend.
   auto certify = [&](auto&& emit) {
     harness::CertificateCollector collector;
     fg_.set_certificate_sink(&collector);
-    emit();
+    const bool committed = emit();
     fg_.set_certificate_sink(nullptr);
-    FG_CHECK(collector.certs.size() == 1);
-    const cert::WaveCertificate& c = collector.certs.front();
-    if (cert_stream_ != nullptr) c.save(*cert_stream_);
-    cert::CheckResult res = cert::check(c);
-    if (!res.ok) {
-      ++stats_.cert_rejections;
-      if (alert_) alert_(wave, res.diagnostic);
+    FG_CHECK(collector.certs.size() == (committed ? 1u : 0u));
+    for (const cert::WaveCertificate& c : collector.certs) {
+      if (cert_stream_ != nullptr) c.save(*cert_stream_);
+      cert::CheckResult res = cert::check(c);
+      if (!res.ok) {
+        ++stats_.cert_rejections;
+        if (alert_) alert_(wave, res.diagnostic);
+      }
     }
   };
 
   if (config_.certify_every > 0 && wave % config_.certify_every == 0) {
-    certify([&] { fg_.delete_batch(victims); });
+    certify([&] { fg_.delete_batch(victims); return true; });
     ++stats_.certified_waves;
   } else {
     fg_.delete_batch(victims);
   }
 
   // Self-stabilization guardrail (config_.audit_every): a sampled
-  // post-commit audit against I1-I5. On any violation, alert with the
-  // report summary and stabilize immediately; the recovery wave's
+  // post-commit audit against I1-I5, run once by stabilize() itself. On
+  // any violation stabilize() has recovered in place by the time it
+  // returns; alert with its report summary, then the recovery wave's
   // certificate is teed and checked like a sampled deletion wave's.
   if (config_.audit_every > 0 && wave % config_.audit_every == 0) {
     ++stats_.audits;
-    Stabilizer stabilizer(fg_);
-    AuditReport report = stabilizer.audit();
-    if (!report.clean()) {
-      stats_.audit_violations += report.total;
-      if (alert_) alert_(wave, "audit: " + report.summary());
-      certify([&] {
-        RecoveryStats recovery = stabilizer.stabilize();
-        FG_CHECK(recovery.recovered);
-      });
+    certify([&] {
+      RecoveryStats recovery = Stabilizer(fg_).stabilize();
+      if (!recovery.recovered) return false;
+      stats_.audit_violations += recovery.report.total;
+      if (alert_) alert_(wave, "audit: " + recovery.report.summary());
       ++stats_.recoveries;
-    }
+      return true;
+    });
   }
   stats_.deletes += static_cast<int64_t>(victims.size());
   ++stats_.waves;

@@ -137,8 +137,8 @@ void ShardedForest::for_each_region(size_t regions, int knob,
 }
 
 core::RepairPlan ShardedForest::plan(const core::StructuralCore& core,
-                                     std::span<const NodeId> victims) const {
-  core::DeletionAnalysis analysis = core.analyze_deletion(victims);
+                                     std::span<const NodeId> victims, bool recovery) const {
+  core::DeletionAnalysis analysis = core.analyze_deletion(victims, recovery);
   core::RepairPlan plan;
   plan.regions.resize(analysis.seeds.size());
   // plan_region only reads the core and writes its own pre-sized slot, so

@@ -149,10 +149,12 @@ class ShardedForest {
   std::vector<VNodeId> execute(core::StructuralCore& core,
                                const core::RepairPlan& plan);
 
-  /// Plan a deletion wave against `core` (analyze_deletion, plan_region
-  /// per region, finalize_plan): bit-identical at every worker count.
+  /// Plan a wave against `core` (analyze_deletion, plan_region per region,
+  /// finalize_plan): bit-identical at every worker count. `recovery`
+  /// selects the wave kind: a deletion wave by default, or the
+  /// fg::Stabilizer's re-anchoring of already-dead processors.
   core::RepairPlan plan(const core::StructuralCore& core,
-                        std::span<const NodeId> victims) const;
+                        std::span<const NodeId> victims, bool recovery = false) const;
 
   /// Victim -> region ids of the most recently committed wave, aligned
   /// with that wave's victim order (the payload of trace `r` lines).

@@ -1,13 +1,13 @@
 #include "fg/stabilizer.h"
 
 #include <algorithm>
-#include <numeric>
 #include <sstream>
 #include <utility>
 
 #include "fg/core/structural_core.h"
-#include "haft/haft.h"
+#include "fg/sharded_forest.h"
 #include "util/check.h"
+#include "util/dsu.h"
 
 namespace fg {
 namespace {
@@ -22,31 +22,6 @@ void note(AuditReport& r, ViolationKind k, VNodeId h, NodeId u, NodeId v,
   if (static_cast<int>(r.violations.size()) < AuditReport::kMaxDetails)
     r.violations.push_back({k, h, u, v, detail});
 }
-
-/// Union-find over forest rows with smallest-index representatives — the
-/// same discipline as the planner's region DSU, so component numbering is
-/// deterministic (component ids ascend with their smallest row).
-struct RowDsu {
-  std::vector<int> parent;
-  explicit RowDsu(int n) : parent(static_cast<size_t>(n)) {
-    std::iota(parent.begin(), parent.end(), 0);
-  }
-  int find(int x) {
-    while (parent[static_cast<size_t>(x)] != x) {
-      parent[static_cast<size_t>(x)] =
-          parent[static_cast<size_t>(parent[static_cast<size_t>(x)])];
-      x = parent[static_cast<size_t>(x)];
-    }
-    return x;
-  }
-  void unite(int a, int b) {
-    a = find(a);
-    b = find(b);
-    if (a == b) return;
-    if (a > b) std::swap(a, b);
-    parent[static_cast<size_t>(b)] = a;
-  }
-};
 
 /// Everything one audit pass derives: the typed report plus the quarantine
 /// partition stabilize() acts on. The report side is what fg::audit
@@ -166,7 +141,9 @@ Analysis analyze(const core::StructuralCore& core) {
   }
 
   // --- Components over mutual links; seed condemnation from bad rows. -----
-  RowDsu dsu(n);
+  // Smallest-row representatives: component ids ascend with their smallest
+  // row.
+  util::Dsu dsu(n);
   for (VNodeId h = 0; h < n; ++h) {
     const VNode& r = row(h);
     if (!r.alive || r.is_leaf) continue;
@@ -585,63 +562,6 @@ Analysis analyze(const core::StructuralCore& core) {
   return out;
 }
 
-/// One recovery wave over the rebuilt core: per G'-connected component of
-/// the affected dead processors, one region spawning exactly the anchors
-/// the quarantine removed, merged into one fresh RT by the ordinary
-/// deterministic pipeline. The plan is stamped against the post-rebuild
-/// epoch and arena, so ShardedForest::execute treats it like any wave.
-core::RepairPlan build_recovery_plan(const core::StructuralCore& core,
-                                     const std::vector<NodeId>& affected) {
-  const Graph& gp = core.gprime();
-  core::RepairPlan plan;
-  plan.recovery = true;
-  plan.arena_start = core.forest().arena_size();
-  plan.arena_total = 0;
-  plan.epoch = core.mutation_epoch();
-
-  std::vector<uint8_t> in_affected(
-      static_cast<size_t>(gp.node_capacity()), 0);
-  for (NodeId w : affected) in_affected[static_cast<size_t>(w)] = 1;
-  std::vector<uint8_t> seen(in_affected.size(), 0);
-  for (NodeId w0 : affected) {
-    if (seen[static_cast<size_t>(w0)]) continue;
-    // Region = the affected slice of one dead cluster, collected in
-    // ascending id order (deterministic BFS from the smallest member).
-    std::vector<NodeId> region_victims{w0};
-    seen[static_cast<size_t>(w0)] = 1;
-    for (size_t i = 0; i < region_victims.size(); ++i)
-      for (NodeId x : gp.neighbors(region_victims[i]))
-        if (in_affected[static_cast<size_t>(x)] && !seen[static_cast<size_t>(x)]) {
-          seen[static_cast<size_t>(x)] = 1;
-          region_victims.push_back(x);
-        }
-    std::sort(region_victims.begin(), region_victims.end());
-
-    core::RegionPlan region;
-    region.id = static_cast<int>(plan.regions.size());
-    region.victims = region_victims;
-    for (NodeId w : region_victims) {
-      for (NodeId u : gp.neighbors(w)) {
-        if (!core.is_alive(u)) continue;
-        FG_CHECK_MSG(core.slot_table().find(u, w) == nullptr,
-                     "recovery planning a victim that still has anchors");
-        region.fresh.push_back({u, w});
-        region.pieces.push_back(haft::PieceInfo{1, slot_key(u, w)});
-      }
-    }
-    region.steps = haft::merge_plan(region.pieces);
-    region.arena_base = plan.arena_start + plan.arena_total;
-    plan.arena_total += static_cast<int>(region.fresh.size()) +
-                        static_cast<int>(region.steps.size());
-    for (NodeId w : region_victims) {
-      plan.victims.push_back(w);
-      plan.victim_region.push_back(region.id);
-    }
-    plan.regions.push_back(std::move(region));
-  }
-  return plan;
-}
-
 }  // namespace
 
 const char* violation_kind_name(ViolationKind k) {
@@ -689,9 +609,11 @@ RecoveryStats Stabilizer::stabilize() {
   stats.condemned_components = a.n_comps - a.kept_comps;
 
   // Quarantine the condemned components and rebuild all derived state from
-  // ground truth, then re-anchor through the ordinary certified pipeline.
+  // ground truth, then re-anchor through the ordinary certified pipeline:
+  // the affected dead processors are planned as a recovery wave, one
+  // region per G'-connected slice, on a one-worker planner.
   fg_.core().rebuild_for_recovery(a.keep);
-  core::RepairPlan plan = build_recovery_plan(fg_.core(), a.affected);
+  core::RepairPlan plan = ShardedForest().plan(fg_.core(), a.affected, /*recovery=*/true);
   stats.regions = static_cast<int>(plan.regions.size());
   stats.victims = static_cast<int>(plan.victims.size());
   for (const core::RegionPlan& r : plan.regions)

@@ -116,11 +116,12 @@ AuditReport audit(const core::StructuralCore& core);
 /// The recovery mode over a centralized engine. stabilize() audits; on any
 /// violation it quarantines every inconsistent forest component (closing
 /// over dead-cluster adjacency so no cluster is ever rebuilt piecemeal),
-/// rebuilds the derived image state from ground truth, then plans one
-/// recovery wave — per dead-adjacency region, exactly the missing anchors —
-/// and commits it through the ordinary pipeline, emitting a certificate
-/// through the engine's sink like any deletion wave. Audit-after-stabilize
-/// is a fixed point: the second pass reports clean.
+/// rebuilds the derived state from ground truth, then plans one recovery
+/// wave through ShardedForest::plan — per dead-adjacency region, exactly
+/// the missing anchors; possibly no region at all — and commits it through
+/// the ordinary pipeline, emitting a certificate through the engine's sink
+/// like any deletion wave. Audit-after-stabilize is a fixed point: the
+/// second pass reports clean.
 class Stabilizer {
  public:
   explicit Stabilizer(ForgivingGraph& fg) : fg_(fg) {}

@@ -29,31 +29,6 @@ void Network::set_policy(const DeliveryPolicy& policy) {
   rng_ = Rng(policy.seed);
 }
 
-void Network::enqueue(NodeId from, NodeId to, std::any payload, int words) {
-  // Fault knobs bite real messages only (words >= 1); uncounted local
-  // events always arrive exactly once. The drop decision comes before any
-  // delay draw, so enabling delays does not reshuffle which messages an
-  // identically-seeded policy drops.
-  const bool on_wire = words >= 1;
-  if (on_wire && policy_.drop_one_in > 0 &&
-      rng_.next_below(static_cast<uint64_t>(policy_.drop_one_in)) == 0)
-    return;
-  int copies = 1;
-  if (on_wire && policy_.dup_one_in > 0 &&
-      rng_.next_below(static_cast<uint64_t>(policy_.dup_one_in)) == 0)
-    copies = 2;
-  for (int c = copies; c > 0; --c) {
-    int delay = 1;
-    if (policy_.max_extra_delay > 0)
-      delay += static_cast<int>(rng_.next_below(
-          static_cast<uint64_t>(policy_.max_extra_delay) + 1));
-    if (c > 1)
-      queue_.push_back(Pending{from, to, payload, words, delay});
-    else
-      queue_.push_back(Pending{from, to, std::move(payload), words, delay});
-  }
-}
-
 void Network::send(NodeId from, NodeId to, std::any payload, int words) {
   FG_CHECK(words >= 1);
   ++stats_.messages;
@@ -63,11 +38,25 @@ void Network::send(NodeId from, NodeId to, std::any payload, int words) {
   int64_t& round_words = round_words_by_node_[from];
   round_words += words;
   stats_.max_node_round_words = std::max(stats_.max_node_round_words, round_words);
-  enqueue(from, to, std::move(payload), words);
-}
-
-void Network::send_uncounted(NodeId from, NodeId to, std::any payload) {
-  enqueue(from, to, std::move(payload), 0);
+  // The drop decision comes before any delay draw, so enabling delays does
+  // not reshuffle which messages an identically-seeded policy drops.
+  if (policy_.drop_one_in > 0 &&
+      rng_.next_below(static_cast<uint64_t>(policy_.drop_one_in)) == 0)
+    return;
+  int copies = 1;
+  if (policy_.dup_one_in > 0 &&
+      rng_.next_below(static_cast<uint64_t>(policy_.dup_one_in)) == 0)
+    copies = 2;
+  for (int c = copies; c > 0; --c) {
+    int delay = 1;
+    if (policy_.max_extra_delay > 0)
+      delay += static_cast<int>(rng_.next_below(
+          static_cast<uint64_t>(policy_.max_extra_delay) + 1));
+    if (c > 1)
+      queue_.push_back(Pending{from, to, payload, delay});
+    else
+      queue_.push_back(Pending{from, to, std::move(payload), delay});
+  }
 }
 
 int Network::run_to_quiescence(int max_rounds) {

@@ -47,10 +47,8 @@ struct DeliveryPolicy {
   uint64_t seed = 0;
   int max_extra_delay = 0;  ///< Each message waits 1 + U[0, this] rounds.
   bool shuffle = false;     ///< Randomize intra-round delivery order.
-  /// Fault-injection knobs (tests/network_fault_test.cpp). Both act on
-  /// real network messages only — uncounted same-processor events are
-  /// local computation, not traffic — and both are deterministic given the
-  /// seed. The repair DAG tolerates either: a drop leaves its dependents
+  /// Fault-injection knobs (tests/network_fault_test.cpp). Both are
+  /// deterministic given the seed. The repair DAG tolerates either: a drop leaves its dependents
   /// undispatched (the wave's structure was already committed through the
   /// shared core), a duplicate re-delivers into an already-satisfied
   /// dependency count. Only `rounds` may change.
@@ -73,12 +71,6 @@ class Network {
   /// in O(log n)-bit words and must be >= 1.
   void send(NodeId from, NodeId to, std::any payload, int words = 1);
 
-  /// Enqueue a *local* event: delivered with the same next-round semantics
-  /// (so protocol phases stay synchronized) but not counted as traffic —
-  /// used for same-processor virtual-edge hops, which the homomorphism
-  /// collapses into local computation.
-  void send_uncounted(NodeId from, NodeId to, std::any payload);
-
   /// Deliver rounds until no message is in flight. Returns the number of
   /// rounds executed; aborts if `max_rounds` is exceeded (protocol bug).
   int run_to_quiescence(int max_rounds = 1 << 20);
@@ -93,11 +85,8 @@ class Network {
     NodeId from;
     NodeId to;
     std::any payload;
-    int words;
     int delay;  ///< Rounds remaining before delivery.
   };
-
-  void enqueue(NodeId from, NodeId to, std::any payload, int words);
 
   std::vector<Pending> queue_;
   Handler handler_;
