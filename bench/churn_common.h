@@ -61,6 +61,32 @@ inline double resident_mb() {
   return 0.0;
 }
 
+/// Generate the churn stream: `cfg.ops` ops, each handed to `push`, drawn
+/// from `rng` (already used to build the seed graph of `cfg.nodes` nodes).
+template <class Push>
+void for_each_churn_op(const ChurnDriverConfig& cfg, Rng& rng, Push&& push) {
+  std::vector<NodeId> pool(static_cast<size_t>(cfg.nodes));
+  std::iota(pool.begin(), pool.end(), NodeId{0});
+  NodeId next_id = static_cast<NodeId>(cfg.nodes);
+  for (int64_t i = 0; i < cfg.ops; ++i) {
+    // Never churn the substrate below a floor: the guarantees are about a
+    // large network under churn, not about grinding it to dust.
+    if (pool.size() > 64 && rng.next_bool(cfg.delete_ratio)) {
+      size_t j = static_cast<size_t>(rng.next_below(pool.size()));
+      NodeId victim = pool[j];
+      pool[j] = pool.back();
+      pool.pop_back();
+      push(ChurnOp::Delete(victim));
+    } else {
+      NodeId a = rng.pick(pool);
+      NodeId b = a;
+      while (b == a) b = rng.pick(pool);
+      push(ChurnOp::Insert({a, b}));
+      pool.push_back(next_id++);
+    }
+  }
+}
+
 /// `attach`, when set, is called on the freshly built service before the
 /// first op (a bench installs a delta recorder on its core there).
 inline ChurnDriverResult run_churn_driver(
@@ -83,28 +109,8 @@ inline ChurnDriverResult run_churn_driver(
   result.build_ms = ms_since(t_build);
   if (attach) attach(service);
 
-  std::vector<NodeId> pool(static_cast<size_t>(cfg.nodes));
-  std::iota(pool.begin(), pool.end(), NodeId{0});
-  NodeId next_id = static_cast<NodeId>(cfg.nodes);
-
   Clock::time_point t0 = Clock::now();
-  for (int64_t i = 0; i < cfg.ops; ++i) {
-    // Never churn the substrate below a floor: the guarantees are about a
-    // large network under churn, not about grinding it to dust.
-    if (pool.size() > 64 && rng.next_bool(cfg.delete_ratio)) {
-      size_t j = static_cast<size_t>(rng.next_below(pool.size()));
-      NodeId victim = pool[j];
-      pool[j] = pool.back();
-      pool.pop_back();
-      service.push(ChurnOp::Delete(victim));
-    } else {
-      NodeId a = rng.pick(pool);
-      NodeId b = a;
-      while (b == a) b = rng.pick(pool);
-      service.push(ChurnOp::Insert({a, b}));
-      pool.push_back(next_id++);
-    }
-  }
+  for_each_churn_op(cfg, rng, [&service](const ChurnOp& op) { service.push(op); });
   service.flush();
   result.elapsed_ms = ms_since(t0);
 

@@ -18,6 +18,7 @@
 // Prints the measured tables and writes the same rows as a
 // BENCH_repair_path.json artifact (cwd) for docs/EXPERIMENTS.md.
 // Wall-clock numbers vary by machine; ratios are the reproducible part.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -37,6 +38,7 @@
 #include "fg/core/slot_table.h"
 #include "fg/dist/dist_forgiving_graph.h"
 #include "fg/forgiving_graph.h"
+#include "fg/sharded_forest.h"
 #include "fg/snapshot_writer.h"
 #include "snap/snapshot.h"
 #include "graph/generators.h"
@@ -500,6 +502,71 @@ void certify_overhead(Table& t) {
     g_rows.push_back({"certify_overhead_1024", kN, kWave, on_ms / off_ms, 0.0});
 }
 
+// Scenario G2 (R19): what one sampled certificate costs at service scale.
+// The bench/churn_common.h stream at n = 2^16 with 64-victim waves, healed
+// through the plan/execute pipeline the service drives, certifying every
+// 64th wave as HealerConfig::certify_every = 64 does:
+//
+//   cert_emit_ms  — CertificateBuilder::begin_wave + end_wave, median over
+//                   the certificates
+//   cert_check_ms — cert::check, median over the same certificates
+void certify_service_scale(Table& t) {
+  ChurnDriverConfig cfg;
+  cfg.nodes = 1 << 16;
+  cfg.ops = 130'000;
+  constexpr int kCertifyEvery = 64;
+  Rng rng(cfg.seed);
+  Graph g0 = make_sparse_random(cfg.nodes, cfg.avg_degree, rng);
+  ForgivingGraph fg(g0);
+  ShardedForest shards;
+  std::vector<NodeId> forming;
+  int64_t waves = 0;
+  std::vector<double> emit_ms, check_ms;
+  auto heal = [&] {
+    const core::RepairPlan plan = shards.plan(fg.core(), forming);
+    forming.clear();
+    if (waves++ % kCertifyEvery != 0) {
+      shards.execute(fg.core(), plan);
+      return;
+    }
+    harness::CertificateBuilder builder;
+    auto t0 = std::chrono::steady_clock::now();
+    builder.begin_wave(fg.core(), plan);
+    double ms = ms_since(t0);
+    const std::vector<VNodeId> roots = shards.execute(fg.core(), plan);
+    t0 = std::chrono::steady_clock::now();
+    const cert::WaveCertificate c =
+        builder.end_wave(fg.core(), plan, static_cast<long>(emit_ms.size()), roots, nullptr);
+    emit_ms.push_back(ms + ms_since(t0));
+    t0 = std::chrono::steady_clock::now();
+    const cert::CheckResult res = cert::check(c);
+    check_ms.push_back(ms_since(t0));
+    FG_CHECK_MSG(res.ok, res.diagnostic.c_str());
+  };
+  for_each_churn_op(cfg, rng, [&](const ChurnOp& op) {
+    if (op.kind == ChurnOp::Kind::kInsert) {
+      fg.insert(op.neighbors);
+      return;
+    }
+    forming.push_back(op.victim);
+    if (static_cast<int>(forming.size()) >= cfg.service.wave_size) heal();
+  });
+  if (!forming.empty()) heal();
+
+  const int certs = static_cast<int>(emit_ms.size());
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v.empty() ? 0.0 : v[v.size() / 2];
+  };
+  for (const auto& [name, ms] : {std::pair{"cert_emit_ms", median(emit_ms)},
+                                 std::pair{"cert_check_ms", median(check_ms)}}) {
+    char msbuf[32];
+    std::snprintf(msbuf, sizeof msbuf, "%.2f", ms);
+    t.add(name, cfg.nodes, certs, msbuf, "-");
+    g_rows.push_back({name, cfg.nodes, certs, ms, 0.0});
+  }
+}
+
 // Scenario H (R6): the sustained-churn healer service — the bench driver of
 // bench/churn_common.h (shared with the standalone bench/churn_service.cpp)
 // run at a tracked scale: steady-state throughput of the service loop with
@@ -671,6 +738,7 @@ int main() {
   star_hub_merge(t);
   sharded_wave(t, cost);
   certify_overhead(t);
+  certify_service_scale(t);
   churn_service(t);
   snapshot_cost(t);
   t.print(std::cout);

@@ -85,6 +85,14 @@
    assignment to a plan's `arena_base`, `arena_start` or `arena_total`
    (`x.arena_base = ...`, `p->arena_total += ...`) in any src/ file but
    src/fg/core/structural_core.cpp.
+14. One sort: every list of ids the snapshot recorder, the certificate
+   emitter and checker, and the audit's image recount sort goes through
+   util::radix_sort. A second radix sort must not come back: no
+   `sort_unique` or `kMaxDigitBits` token and no function named `*radix*`
+   defined (`void radix_x(`, `template <...> void radix_x(`) anywhere
+   under src/ but src/util/radix_sort.h (comments included for the
+   tokens), and no `std::sort` or `std::stable_sort` token in
+   src/harness/certificate.cpp or src/cert/certificate.cpp.
 
 Exits non-zero with a per-problem report on any violation.
 """
@@ -818,6 +826,39 @@ def check_single_planner():
     return problems
 
 
+# The one-sort gate (rule 14). sort_unique was the snapshot recorder's
+# file-local LSD radix sort, kMaxDigitBits its digit width; the certificate
+# emitter and checker sorted RT-sized lists by comparison.
+RADIX_HOME = "src/util/radix_sort.h"
+SECOND_RADIX_TOKEN_RE = re.compile(r"\b(sort_unique|kMaxDigitBits)\b")
+SECOND_RADIX_DEF_RE = re.compile(
+    r"(?:\bvoid|\bbool|\bauto|>)\s+(\w*radix\w*)\s*\(", re.IGNORECASE)
+CERT_SORT_FILES = ("src/harness/certificate.cpp", "src/cert/certificate.cpp")
+COMPARISON_SORT_RE = re.compile(r"\bstd::(sort|stable_sort)\b")
+
+
+def check_single_sort():
+    problems = []
+    for src in sorted((REPO / "src").rglob("*")):
+        if not src.is_file():
+            continue
+        rel = src.relative_to(REPO).as_posix()
+        if rel != RADIX_HOME:
+            found = set(SECOND_RADIX_TOKEN_RE.findall(src.read_text()))
+            found |= set(SECOND_RADIX_DEF_RE.findall(header_code(src)))
+            for token in sorted(found):
+                problems.append(
+                    f"{rel}: names `{token}` — every radix sort goes through "
+                    f"util::radix_sort in {RADIX_HOME} (docs/DESIGN.md)")
+        if rel in CERT_SORT_FILES:
+            for token in sorted(set(COMPARISON_SORT_RE.findall(src.read_text()))):
+                problems.append(
+                    f"{rel}: names `std::{token}` — certificate emit and check "
+                    "sort through util::radix_sort (docs/CERTIFICATES.md, "
+                    "\"Performance\")")
+    return problems
+
+
 def main():
     problems = (check_links() + check_snippet_sync() + check_concurrency_sync() +
                 check_graph_api_sync() + check_healer_service_sync() +
@@ -825,7 +866,8 @@ def main():
                 check_certificate_independence() + check_single_state_format() +
                 check_single_effect_mode() + check_single_allocation_mode() +
                 check_single_repair_driver())
-    problems += check_single_heal_path() + check_single_encoder() + check_single_planner()
+    problems += (check_single_heal_path() + check_single_encoder() + check_single_planner() +
+                 check_single_sort())
     for p in problems:
         print(p, file=sys.stderr)
     if problems:
@@ -847,7 +889,8 @@ def main():
           "encoder (no per-byte push primitive in src/snap/snapshot.cpp), "
           "one planner (no hand-built recovery plan, second union-find or "
           "second liveness record in src/; only finalize_plan writes a "
-          "plan's arena reservation)")
+          "plan's arena reservation), one sort (no second radix sort in "
+          "src/, no comparison sort in certificate emit or check)")
 
 
 if __name__ == "__main__":

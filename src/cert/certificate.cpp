@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "graph/algorithms.h"
+#include "util/radix_sort.h"
 
 namespace fg::cert {
 
@@ -361,26 +362,49 @@ CheckResult parse(std::istream& is, WaveCertificate* out, bool* eof) {
 
 namespace {
 
-using Edge = std::pair<NodeId, NodeId>;
+// Every list the size of an RT sorts through util::radix_sort, as
+// order-preserving keys: util::ordered_key for an id, util::pair_key for an
+// id pair, so the sorted order is the signed (lexicographic) id order and
+// every diagnostic that names a smallest or largest element names the same
+// one. The ids are untrusted: negative ones sort below zero, and no buffer
+// is sized by an id.
 
-template <class T>
-std::vector<T> sorted(std::vector<T> v) {
-  std::sort(v.begin(), v.end());
-  return v;
+/// The ordered keys of `ids`, sorted.
+std::vector<uint32_t> sorted_keys(const std::vector<NodeId>& ids) {
+  std::vector<uint32_t> keys, scratch;
+  keys.reserve(ids.size());
+  for (NodeId v : ids) keys.push_back(util::ordered_key(v));
+  util::radix_sort(&keys, &scratch);
+  return keys;
+}
+
+template <class Key>
+bool contains(const std::vector<Key>& sorted, Key key) {
+  return std::binary_search(sorted.begin(), sorted.end(), key);
 }
 
 /// Per position of `keys`: 1 when an earlier position holds the same key.
-/// One sort of (key, position) pairs, so a listed-twice rule still reports
-/// the first repeat in list order, as a running seen-set would.
+/// `*sorted` receives the keys sorted, which shows the keys listed more
+/// than once; only those are then followed in list order, so a
+/// listed-twice rule still reports the first repeat in list order, as a
+/// running seen-set would.
 template <class Key>
-std::vector<char> repeats(const std::vector<Key>& keys) {
-  std::vector<std::pair<Key, size_t>> order;
-  order.reserve(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) order.emplace_back(keys[i], i);
-  std::sort(order.begin(), order.end());
+std::vector<char> repeats(const std::vector<Key>& keys, std::vector<Key>* sorted) {
+  std::vector<Key> scratch, twice;
+  *sorted = keys;
+  util::radix_sort(sorted, &scratch);
+  for (size_t i = 1; i < sorted->size(); ++i)
+    if ((*sorted)[i] == (*sorted)[i - 1] && (twice.empty() || twice.back() != (*sorted)[i]))
+      twice.push_back((*sorted)[i]);
   std::vector<char> repeat(keys.size(), 0);
-  for (size_t i = 1; i < order.size(); ++i)
-    if (order[i].first == order[i - 1].first) repeat[order[i].second] = 1;
+  std::vector<char> seen(twice.size(), 0);
+  for (size_t i = 0; i < keys.size() && !twice.empty(); ++i) {
+    auto at = std::lower_bound(twice.begin(), twice.end(), keys[i]);
+    if (at == twice.end() || *at != keys[i]) continue;
+    char& once = seen[static_cast<size_t>(at - twice.begin())];
+    repeat[i] = once;
+    once = 1;
+  }
   return repeat;
 }
 
@@ -443,12 +467,12 @@ CheckResult check_subtree(Checker& ck, const std::vector<RtNode>& nodes, int roo
   return CheckResult{};
 }
 
-/// Check one region's claims. `wave_victims` is the wave's victim list,
-/// sorted; on success `*image` holds the region's verified image edges,
-/// sorted and duplicate-free.
+/// Check one region's claims. `wave_victims` is the wave's victim list as
+/// sorted keys; on success `*image` holds the region's verified image
+/// edges as sorted, duplicate-free pair keys.
 CheckResult check_region(Checker& ck, const RegionCert& rc,
-                         const std::vector<NodeId>& wave_victims,
-                         std::vector<Edge>* image) {
+                         const std::vector<uint32_t>& wave_victims,
+                         std::vector<uint64_t>* image) {
   const std::vector<RtNode>& nodes = rc.nodes;
   const size_t n = nodes.size();
 
@@ -531,75 +555,84 @@ CheckResult check_region(Checker& ck, const RegionCert& rc,
   // witness and its dead endpoint is one of the region's victims.
   if (!rc.anchors.empty() && n == 0)
     return ck.fail("anchors", "anchors claimed but no RT witness");
-  std::vector<Edge> leaf_slots;
+  std::vector<uint64_t> leaf_slots, scratch;
   for (const RtNode& nd : nodes)
-    if (nd.is_leaf) leaf_slots.emplace_back(nd.owner, nd.other);
-  std::sort(leaf_slots.begin(), leaf_slots.end());
-  const std::vector<NodeId> region_victims = sorted(rc.victims);
+    if (nd.is_leaf) leaf_slots.push_back(util::pair_key(nd.owner, nd.other));
+  util::radix_sort(&leaf_slots, &scratch);
+  const std::vector<uint32_t> region_victims = sorted_keys(rc.victims);
   for (const auto& [owner, dead] : rc.anchors) {
-    if (!std::binary_search(region_victims.begin(), region_victims.end(), dead))
+    if (!contains(region_victims, util::ordered_key(dead)))
       return ck.fail("anchors", "anchor (" + std::to_string(owner) + ", " +
                                     std::to_string(dead) +
                                     ") names a dead endpoint outside the region");
-    if (!std::binary_search(leaf_slots.begin(), leaf_slots.end(), Edge{owner, dead}))
+    if (!contains(leaf_slots, util::pair_key(owner, dead)))
       return ck.fail("anchors", "anchor (" + std::to_string(owner) + ", " +
                                     std::to_string(dead) +
                                     ") has no matching RT leaf");
   }
   for (NodeId v : rc.victims)
-    if (!std::binary_search(wave_victims.begin(), wave_victims.end(), v))
+    if (!contains(wave_victims, util::ordered_key(v)))
       return ck.fail("partition",
                      "region victim " + std::to_string(v) + " not in the wave");
 
   // image-edges: the claimed healed-network edges equal the homomorphic
   // image of the witness — tree edges whose endpoints have distinct owners.
-  // Both sides sorted; on a mismatch the witness pair is the largest edge
-  // of derived \ claimed, else the largest of claimed \ derived.
-  std::vector<Edge>& derived = *image;
+  // Both sides sorted (the claimed side only when the emitter's ascending
+  // order does not hold); on a mismatch the witness pair is the largest
+  // edge of derived \ claimed, else the largest of claimed \ derived.
+  std::vector<uint64_t>& derived = *image;
   derived.clear();
   for (size_t i = 0; i < n; ++i) {
     const RtNode& nd = nodes[i];
     if (nd.parent < 0) continue;
     NodeId a = nd.owner;
     NodeId b = nodes[static_cast<size_t>(nd.parent)].owner;
-    if (a != b) derived.emplace_back(std::min(a, b), std::max(a, b));
+    if (a != b) derived.push_back(util::pair_key(std::min(a, b), std::max(a, b)));
   }
-  std::sort(derived.begin(), derived.end());
-  derived.erase(std::unique(derived.begin(), derived.end()), derived.end());
-  const std::vector<Edge> claimed = sorted(rc.image_edges);
+  util::radix_sort(&derived, &scratch, /*drop_repeats=*/true);
+  std::vector<uint64_t> claimed;
+  claimed.reserve(rc.image_edges.size());
+  for (const auto& [u, v] : rc.image_edges) claimed.push_back(util::pair_key(u, v));
+  if (!std::is_sorted(claimed.begin(), claimed.end())) util::radix_sort(&claimed, &scratch);
   if (std::adjacent_find(claimed.begin(), claimed.end()) != claimed.end())
     return ck.fail("image-edges", "duplicate claimed image edge");
   if (claimed != derived) {
-    std::vector<Edge> diff;
+    std::vector<uint64_t> diff;
     std::set_difference(derived.begin(), derived.end(), claimed.begin(),
                         claimed.end(), std::back_inserter(diff));
     if (diff.empty())
       std::set_difference(claimed.begin(), claimed.end(), derived.begin(),
                           derived.end(), std::back_inserter(diff));
+    const auto [u, v] = util::key_pair(diff.back());
     return ck.fail("image-edges",
                    "claimed edges differ from the RT witness image at (" +
-                       std::to_string(diff.back().first) + ", " +
-                       std::to_string(diff.back().second) + ")");
+                       std::to_string(u) + ", " + std::to_string(v) + ")");
   }
 
   // rt-connectivity: the region's owners form one connected component under
   // exactly the claimed image edges — the spanning check, run through the
   // real graph substrate (the checker's one src/graph dependency). The
   // verified image is sorted and duplicate-free, and renumbering owners by
-  // rank keeps it so: it bulk-loads as is.
+  // rank keeps it so: it bulk-loads as is. Its u sides ascend, so their
+  // ranks come from one forward walk over the sorted owners; each v side,
+  // above its u, is searched for past it.
   if (n > 0) {
-    std::vector<NodeId> owners;
+    std::vector<uint32_t> owners, owner_scratch;
     owners.reserve(n);
-    for (const RtNode& nd : nodes) owners.push_back(nd.owner);
-    std::sort(owners.begin(), owners.end());
-    owners.erase(std::unique(owners.begin(), owners.end()), owners.end());
-    auto local = [&owners](NodeId v) {
-      return static_cast<uint32_t>(
-          std::lower_bound(owners.begin(), owners.end(), v) - owners.begin());
-    };
+    for (const RtNode& nd : nodes) owners.push_back(util::ordered_key(nd.owner));
+    util::radix_sort(&owners, &owner_scratch, /*drop_repeats=*/true);
     std::vector<std::pair<uint32_t, uint32_t>> local_edges;
     local_edges.reserve(derived.size());
-    for (const auto& [u, v] : derived) local_edges.emplace_back(local(u), local(v));
+    size_t ru = 0;
+    for (uint64_t key : derived) {
+      const uint32_t u = static_cast<uint32_t>(key >> 32);
+      const uint32_t v = static_cast<uint32_t>(key);
+      while (owners[ru] != u) ++ru;
+      const size_t rv = static_cast<size_t>(
+          std::lower_bound(owners.begin() + static_cast<std::ptrdiff_t>(ru) + 1, owners.end(), v) -
+          owners.begin());
+      local_edges.emplace_back(static_cast<uint32_t>(ru), static_cast<uint32_t>(rv));
+    }
     Graph og(static_cast<int>(owners.size()));
     og.add_edges_bulk(local_edges);
     if (!is_connected(og))
@@ -627,8 +660,16 @@ CheckResult check(const WaveCertificate& c) {
 
   // partition: victims distinct, every victim assigned to a declared region,
   // region victim lists consistent with the assignment (wave order).
+  std::vector<uint32_t> victims;
   {
-    const std::vector<char> repeated = repeats(c.victims);
+    if (c.assign.size() != c.victims.size())
+      return ck.fail("partition", std::string("assign list ") +
+                                      (c.assign.size() > c.victims.size() ? "longer" : "shorter") +
+                                      " than the victim count");
+    std::vector<uint32_t> keys;
+    keys.reserve(c.victims.size());
+    for (NodeId v : c.victims) keys.push_back(util::ordered_key(v));
+    const std::vector<char> repeated = repeats(keys, &victims);
     for (size_t i = 0; i < c.victims.size(); ++i)
       if (repeated[i])
         return ck.fail("partition",
@@ -640,7 +681,7 @@ CheckResult check(const WaveCertificate& c) {
                                         " assigned to unknown region " +
                                         std::to_string(c.assign[i]));
     std::vector<std::vector<NodeId>> expect(static_cast<size_t>(r_count));
-    for (size_t i = 0; i < c.victims.size() && i < c.assign.size(); ++i)
+    for (size_t i = 0; i < c.victims.size(); ++i)
       expect[static_cast<size_t>(c.assign[i])].push_back(c.victims[i]);
     for (int r = 0; r < r_count; ++r) {
       if (c.regions[static_cast<size_t>(r)].id != r)
@@ -653,8 +694,7 @@ CheckResult check(const WaveCertificate& c) {
     }
   }
 
-  const std::vector<NodeId> victims = sorted(c.victims);
-  std::vector<std::vector<Edge>> images(c.regions.size());
+  std::vector<std::vector<uint64_t>> images(c.regions.size());
   for (size_t r = 0; r < c.regions.size(); ++r) {
     ck.region = c.regions[r].id;
     CheckResult res = check_region(ck, c.regions[r], victims, &images[r]);
@@ -664,32 +704,32 @@ CheckResult check(const WaveCertificate& c) {
 
   // The wave's deduplicated image edges, for the degree-delta bound, as a
   // sorted endpoint list: a node's incident count is its equal_range.
-  std::vector<NodeId> endpoints;
+  // Both halves of a pair key are the endpoints' ordered keys.
+  std::vector<uint32_t> endpoints;
   {
-    std::vector<Edge> wave_edges;
-    for (const std::vector<Edge>& image : images)
+    std::vector<uint64_t> wave_edges, scratch;
+    for (const std::vector<uint64_t>& image : images)
       wave_edges.insert(wave_edges.end(), image.begin(), image.end());
-    std::sort(wave_edges.begin(), wave_edges.end());
-    wave_edges.erase(std::unique(wave_edges.begin(), wave_edges.end()),
-                     wave_edges.end());
+    util::radix_sort(&wave_edges, &scratch, /*drop_repeats=*/true);
     endpoints.reserve(2 * wave_edges.size());
-    for (const auto& [u, v] : wave_edges) {
-      endpoints.push_back(u);
-      endpoints.push_back(v);
+    for (uint64_t key : wave_edges) {
+      endpoints.push_back(static_cast<uint32_t>(key >> 32));
+      endpoints.push_back(static_cast<uint32_t>(key));
     }
-    std::sort(endpoints.begin(), endpoints.end());
+    std::vector<uint32_t> endpoint_scratch;
+    util::radix_sort(&endpoints, &endpoint_scratch);
   }
 
   // degree: no victim may be claimed as a survivor; every claim respects the
   // accounting constant and the wave's own new incident edges.
   {
-    std::vector<NodeId> listed;
-    listed.reserve(c.degrees.size());
-    for (const DegreeClaim& d : c.degrees) listed.push_back(d.node);
-    const std::vector<char> repeated = repeats(listed);
+    std::vector<uint32_t> keys, listed;
+    keys.reserve(c.degrees.size());
+    for (const DegreeClaim& d : c.degrees) keys.push_back(util::ordered_key(d.node));
+    const std::vector<char> repeated = repeats(keys, &listed);
     for (size_t i = 0; i < c.degrees.size(); ++i) {
       const DegreeClaim& d = c.degrees[i];
-      if (std::binary_search(victims.begin(), victims.end(), d.node))
+      if (contains(victims, util::ordered_key(d.node)))
         return ck.fail("degree", "victim " + std::to_string(d.node) +
                                      " listed as a surviving node");
       if (repeated[i])
@@ -705,7 +745,7 @@ CheckResult check(const WaveCertificate& c) {
                            std::to_string(c.degree_constant) + " * " +
                            std::to_string(d.gprime) + " (Theorem 1.1)");
       const auto [lo, hi] =
-          std::equal_range(endpoints.begin(), endpoints.end(), d.node);
+          std::equal_range(endpoints.begin(), endpoints.end(), util::ordered_key(d.node));
       const int incident = static_cast<int>(hi - lo);
       if (d.g_after > d.g_before + incident)
         return ck.fail("degree", "node " + std::to_string(d.node) + " gained " +
@@ -714,11 +754,10 @@ CheckResult check(const WaveCertificate& c) {
                                      std::to_string(incident) + " incident");
     }
     // Every anchor owner survives the wave and must be accounted for.
-    std::sort(listed.begin(), listed.end());
     for (const RegionCert& rc : c.regions)
       for (const auto& [owner, dead] : rc.anchors) {
         (void)dead;
-        if (!std::binary_search(listed.begin(), listed.end(), owner)) {
+        if (!contains(listed, util::ordered_key(owner))) {
           ck.region = rc.id;
           return ck.fail("degree", "anchor owner " + std::to_string(owner) +
                                        " missing from the degree section");
@@ -730,10 +769,10 @@ CheckResult check(const WaveCertificate& c) {
   // stretch: witness paths continuous, every hop justified by an edge fact,
   // length within stretch-bound * dist_G'.
   {
-    std::vector<Edge> fact_keys;
-    fact_keys.reserve(c.facts.size());
-    for (const EdgeFact& f : c.facts) fact_keys.emplace_back(f.u, f.v);
-    const std::vector<char> repeated = repeats(fact_keys);
+    std::vector<uint64_t> keys, fact_keys;
+    keys.reserve(c.facts.size());
+    for (const EdgeFact& f : c.facts) keys.push_back(util::pair_key(f.u, f.v));
+    const std::vector<char> repeated = repeats(keys, &fact_keys);
     for (size_t i = 0; i < c.facts.size(); ++i) {
       const EdgeFact& f = c.facts[i];
       if (f.u >= f.v)
@@ -747,15 +786,13 @@ CheckResult check(const WaveCertificate& c) {
         if (f.region < 0 || f.region >= static_cast<int>(c.regions.size()))
           return ck.fail("stretch", "edge fact names unknown region " +
                                         std::to_string(f.region));
-        const std::vector<Edge>& image = images[static_cast<size_t>(f.region)];
-        if (!std::binary_search(image.begin(), image.end(), Edge{f.u, f.v}))
+        if (!contains(images[static_cast<size_t>(f.region)], keys[i]))
           return ck.fail("stretch",
                          "edge fact (" + std::to_string(f.u) + ", " +
                              std::to_string(f.v) + ") is not an image edge of region " +
                              std::to_string(f.region));
       }
     }
-    std::sort(fact_keys.begin(), fact_keys.end());
     for (const StretchWitness& s : c.stretch) {
       if (s.path.size() < 2 || s.path.front() != s.x || s.path.back() != s.y)
         return ck.fail("stretch", "witness path endpoints do not match pair (" +
@@ -771,7 +808,7 @@ CheckResult check(const WaveCertificate& c) {
         if (u == v)
           return ck.fail("stretch", "witness path repeats node " +
                                         std::to_string(u));
-        if (!std::binary_search(fact_keys.begin(), fact_keys.end(), Edge{u, v}))
+        if (!contains(fact_keys, util::pair_key(u, v)))
           return ck.fail("stretch", "witness hop (" + std::to_string(u) + ", " +
                                         std::to_string(v) +
                                         ") has no supporting edge fact");

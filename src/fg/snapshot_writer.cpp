@@ -1,12 +1,11 @@
 #include "fg/snapshot_writer.h"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <utility>
 
 #include "util/check.h"
 #include "util/prefetch.h"
+#include "util/radix_sort.h"
 
 namespace fg {
 
@@ -25,56 +24,6 @@ snap::VRow to_vrow(const VirtualForest::VNode& n) {
   r.is_leaf = n.is_leaf;
   r.alive = n.alive;
   return r;
-}
-
-/// Sort `keys` ascending and drop repeats: an LSD radix sort through
-/// `scratch`. A 64-bit key is two 32-bit ids (a slot_key), so each 32-bit
-/// half is sorted over the bits its widest value uses, in digits of at most
-/// 11 bits: ids below 2^22 take two passes per half, and one counting pass
-/// builds every digit's histogram.
-template <typename Key>
-void sort_unique(std::vector<Key>* keys, std::vector<Key>* scratch) {
-  constexpr int kMaxDigitBits = 11;
-  constexpr size_t kMaxDigits = sizeof(Key) / 4 * 3;  // 32 bits = 3 digits
-  const size_t n = keys->size();
-  if (n > 1) {
-    Key used = 0;
-    for (Key k : *keys) used |= k;
-    struct Digit {
-      int shift = 0;
-      Key mask = 0;
-    };
-    std::array<Digit, kMaxDigits> digits;
-    size_t nd = 0;
-    for (int half = 0; half < static_cast<int>(sizeof(Key) / 4); ++half) {
-      const int width = std::bit_width(static_cast<uint32_t>(used >> (32 * half)));
-      const int passes = (width + kMaxDigitBits - 1) / kMaxDigitBits;
-      for (int p = 0; p < passes; ++p) {
-        const int lo = p * width / passes;
-        const int hi = (p + 1) * width / passes;
-        digits[nd++] = {32 * half + lo, static_cast<Key>((Key{1} << (hi - lo)) - 1)};
-      }
-    }
-    std::array<std::array<uint32_t, size_t{1} << kMaxDigitBits>, kMaxDigits> count;
-    for (size_t d = 0; d < nd; ++d) std::fill_n(count[d].begin(), digits[d].mask + 1, 0u);
-    for (Key k : *keys)
-      for (size_t d = 0; d < nd; ++d) ++count[d][(k >> digits[d].shift) & digits[d].mask];
-
-    scratch->resize(n);
-    Key* from = keys->data();
-    Key* to = scratch->data();
-    for (size_t d = 0; d < nd; ++d) {
-      const int shift = digits[d].shift;
-      const Key mask = digits[d].mask;
-      uint32_t* c = count[d].data();
-      uint32_t sum = 0;
-      for (Key b = 0; b <= mask; ++b) sum += std::exchange(c[b], sum);
-      for (size_t i = 0; i < n; ++i) to[c[(from[i] >> shift) & mask]++] = from[i];
-      std::swap(from, to);
-    }
-    if (from != keys->data()) keys->swap(*scratch);
-  }
-  keys->erase(std::unique(keys->begin(), keys->end()), keys->end());
 }
 
 }  // namespace
@@ -162,7 +111,7 @@ void SnapshotRecorder::on_wave_committed(const core::StructuralCore& core,
   for (const core::RegionPlan& region : plan.regions)
     for (const core::RegionPlan::Event& e : region.events)
       handles_.push_back(static_cast<uint32_t>(e.h));
-  sort_unique(&handles_, &scratch32_);
+  util::radix_sort(&handles_, &scratch32_, /*drop_repeats=*/true);
   FG_CHECK(handles_.empty() || handles_.back() < static_cast<uint32_t>(plan.arena_start));
 
   const std::vector<VirtualForest::VNode>& rows = forest.dump();
@@ -183,7 +132,7 @@ void SnapshotRecorder::on_wave_committed(const core::StructuralCore& core,
 
   // Final slot values. The keys ascend, so each owner's keys form one run,
   // looked up by one forward walk over its sorted table.
-  sort_unique(&slot_keys_, &scratch64_);
+  util::radix_sort(&slot_keys_, &scratch64_, /*drop_repeats=*/true);
   d.slots.clear();
   const core::SlotTable& slots = core.slot_table();
   const size_t nslots = slot_keys_.size();
@@ -211,7 +160,7 @@ void SnapshotRecorder::on_wave_committed(const core::StructuralCore& core,
   // Final multiplicities, core.image_multiplicity's sum of G's edge (0 or
   // 1) and the excess count, with each u's run walked forward over its
   // sorted image adjacency.
-  sort_unique(&touched_mult_, &scratch64_);
+  util::radix_sort(&touched_mult_, &scratch64_, /*drop_repeats=*/true);
   d.mult.clear();
   const Graph& image = core.image();
   const util::FlatCountMap& excess = core.image_excess();

@@ -8,6 +8,7 @@
 #include "fg/sharded_forest.h"
 #include "util/check.h"
 #include "util/dsu.h"
+#include "util/radix_sort.h"
 
 namespace fg {
 namespace {
@@ -481,7 +482,8 @@ Analysis analyze(const core::StructuralCore& core) {
       if (a == b || !alive(a) || !alive(b)) continue;
       expected.push_back(slot_key(std::min(a, b), std::max(a, b)));
     }
-    std::sort(expected.begin(), expected.end());
+    std::vector<uint64_t> scratch;
+    util::radix_sort(&expected, &scratch);
     // An image edge's multiplicity is G's presence plus its excess; the
     // excess table must hold exactly the expected edges recounted >= 2.
     const util::FlatCountMap& excess = core.image_excess();

@@ -81,7 +81,8 @@ class CertificateCollector final : public CertificateSink {
 class CertificateBuilder {
  public:
   /// Number of stretch pairs sampled per wave (deterministic stride over
-  /// the alive nodes; small, since each pair costs two BFS passes).
+  /// the alive nodes; small, since every pair shares one multi-source BFS
+  /// over G' with a seen bit per source, and costs a BFS over G).
   static constexpr int kStretchSamples = 4;
 
   /// Snapshot the pre-commit state the certificate needs: deg_G of the

@@ -355,6 +355,36 @@ TEST(CertificateNegative, RepeatedVictimReportsFirstRepeat) {
   expect_rejected(c, "partition: victim 50 repeated", "repeated victim");
 }
 
+TEST(CertificateNegative, AssignLengthDiffersFromVictims) {
+  // The parser never builds such a certificate, so the in-memory path must
+  // reject it itself, before any rule reads a victim by assign position.
+  for (const bool longer : {true, false}) {
+    cert::WaveCertificate c = parse_first_golden_wave();
+    ASSERT_FALSE(c.assign.empty());
+    if (longer)
+      c.assign.insert(c.assign.end(), {99, 99, 99});
+    else
+      c.assign.pop_back();
+    const std::string want = std::string("partition: assign list ") +
+                             (longer ? "longer" : "shorter") + " than the victim count";
+    cert::CheckResult res = cert::check(c);
+    ASSERT_FALSE(res.ok) << want;
+    EXPECT_NE(res.diagnostic.find(want), std::string::npos) << res.diagnostic;
+    EXPECT_EQ(res.diagnostic.rfind("wave ", 0), 0u) << res.diagnostic;
+    // The text path stops at the parser's own partition diagnostic.
+    std::stringstream ss;
+    c.save(ss);
+    cert::StreamResult stream = cert::check_stream(ss);
+    ASSERT_FALSE(stream.ok);
+    EXPECT_TRUE(stream.malformed);
+    EXPECT_NE(stream.diagnostic.find(std::string("assign line ") +
+                                     (longer ? "longer" : "shorter") +
+                                     " than the victim count"),
+              std::string::npos)
+        << stream.diagnostic;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Text-level corruption: things a struct mutation cannot express.
 
